@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .convolution import BlurKind, Psf, apply_filter, build_psf, psf_to_otf
-from .frame import FrameCoeffs, FrameSpec, norm2
+from .frame import FrameSpec
 from .prox import Regularizer
 from .solver import (
     DivergenceError,
@@ -228,13 +228,9 @@ def _solver_cfg(spec: ExperimentSpec, target: float | None) -> SolverConfig:
 
 def _run_one(name: str, y, otf, frame, reg, cfg, isnr_fn) -> SolverResult:
     result = SolverResult(name=name)
-    captured: list = []
     try:
         if name == "salsa":
-            coeffs, image, trace = salsa_solve(
-                y, otf, frame, reg, cfg, isnr_fn=isnr_fn,
-                inspect=lambda state: (captured.clear(), captured.append(state)),
-            )
+            coeffs, image, trace = salsa_solve(y, otf, frame, reg, cfg, isnr_fn=isnr_fn)
         elif name == "ist":
             coeffs, image, trace = ist_solve(y, otf, frame, reg, cfg, isnr_fn=isnr_fn)
         elif name == "fista":
@@ -255,12 +251,7 @@ def _run_one(name: str, y, otf, frame, reg, cfg, isnr_fn) -> SolverResult:
     result.image = image
     if cfg.target_objective is not None:
         result.reached_target = final.objective <= cfg.target_objective
-    if captured:
-        state = captured[-1]
-        denom = norm2(state.theta)
-        diff = norm2(FrameCoeffs(state.theta.levels,
-                                 state.beta.bands - state.theta.bands))
-        result.splitting_residual = diff / denom if denom > 0 else diff
+    result.splitting_residual = trace.splitting_residual
     return result
 
 

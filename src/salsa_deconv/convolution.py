@@ -8,7 +8,10 @@ matrix or its transpose is two FFTs plus a pointwise multiply.
 
 The regularized inverse used by the quadratic solve of the split
 augmented-Lagrangian iteration is also a DFT-domain filter; see
-:func:`build_inversion_filter`.
+:func:`build_inversion_filter`.  The solvers and the objective apply
+these filters, which are Hermitian for real kernels, on real FFTs over
+the half spectrum; :func:`apply_filter` and :func:`adjoint_filter` take
+any complex filter.
 """
 
 from __future__ import annotations
@@ -157,10 +160,31 @@ def build_inversion_filter(otf: np.ndarray, mu: float) -> np.ndarray:
     """Gains of the regularized inverse H^T (H H^T + mu I)^{-1} H.
 
     Returns the DFT-domain filter with value ``|d|^2 / (|d|^2 + mu)`` at
-    each OTF bin ``d``.  All gains are real and lie in [0, 1); they
-    depend on the OTF only through its squared magnitude.
+    each OTF bin ``d``, as a real ``float64`` array of the OTF's shape.
+    The gains lie in [0, 1) and depend on the OTF only through its
+    squared magnitude, so the filter of a half spectrum (see
+    :func:`_half_spectrum`) is the half spectrum of the filter.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     g = np.abs(otf) ** 2
-    return (g / (g + mu)).astype(complex)
+    return g / (g + mu)
+
+
+def _half_spectrum(filt: np.ndarray) -> np.ndarray:
+    """The ``w//2 + 1`` leading columns of a full ``(h, w)`` DFT-domain filter.
+
+    A filter of a real operator (the OTF of a real kernel, or a real
+    even-symmetric gain such as the inversion filter) is Hermitian, so
+    these columns determine it; :func:`_filter_real` applies it.
+    """
+    return filt[:, : filt.shape[1] // 2 + 1]
+
+
+def _filter_real(half: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """:func:`apply_filter` for a Hermitian filter, on real FFTs.
+
+    ``half`` is the filter's :func:`_half_spectrum`; pass its complex
+    conjugate to apply the transpose, as :func:`adjoint_filter` does.
+    """
+    return np.fft.irfft2(half * np.fft.rfft2(image), s=image.shape)

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .convolution import apply_filter
+from .convolution import _filter_real, _half_spectrum
 from .frame import FrameCoeffs, FrameSpec, synthesis
 
 __all__ = [
@@ -77,7 +77,7 @@ def objective(y: np.ndarray, otf: np.ndarray, spec: FrameSpec,
         raise ValueError(
             f"inconsistent shapes: y {y.shape}, otf {otf.shape}, coeffs {coeffs.shape}"
         )
-    residual = apply_filter(otf, synthesis(coeffs, spec)) - y
+    residual = _filter_real(_half_spectrum(otf), synthesis(coeffs, spec)) - y
     return objective_from_residual(residual, coeffs.bands, tau)
 
 

@@ -7,15 +7,18 @@ first-order shrinkage/thresholding baselines.  All three minimize
 
     0.5 * ||blur(synth(beta)) - y||^2 + tau * ||beta||_1
 
-and report per-iteration progress in a :class:`SolverTrace`.  The
-recorded elapsed seconds count solver work only, so timings compare
-algorithms rather than instrumentation.  Work is everything an iteration
-needs to produce its iterate; IST's data residual ``blur(synth(beta)) - y``
-is work, because its next gradient step reuses it.  Bookkeeping is left
-out: the two reductions that turn a residual into the objective, ISNR,
-the finiteness check, and for SALSA and FISTA the synthesis and blur of
-the recorded iterate.  Each recorded iterate is synthesized once; that
-image gives both the objective's residual and the ISNR.
+and report per-iteration progress in a :class:`SolverTrace`.  Blurs and
+inversion filters run on real FFTs over half spectra.  The recorded
+elapsed seconds count solver work only, so timings compare algorithms
+rather than instrumentation.  Work is everything an iteration needs to
+produce its iterate and the next one.  Every solver synthesizes its
+iterate once per iteration, as work: SALSA's next quadratic step starts
+from the image of theta, and IST and FISTA take their next gradient from
+the data residual ``blur(synth(beta)) - y``, which is work for them too.
+Bookkeeping is left out: the two reductions that turn a residual into
+the objective, ISNR, the finiteness check, and SALSA's blur of theta for
+its residual.  The synthesized iterate is also the image the trace uses
+for the objective's residual and the ISNR.
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-from .convolution import adjoint_filter, apply_filter, build_inversion_filter
+from .convolution import (
+    _filter_real,
+    _half_spectrum,
+    apply_filter,
+    build_inversion_filter,
+)
 from .frame import FrameCoeffs, FrameSpec, analysis_bands, synthesis_bands
 from .prox import Regularizer, objective_from_residual, prox
 
@@ -104,7 +112,15 @@ class TraceRecord:
 
 @dataclass
 class SolverTrace:
+    """Per-iteration records of one solve.
+
+    ``splitting_residual`` is SALSA's final ``||beta - theta|| / ||theta||``
+    (the absolute gap when theta is zero); the other solvers leave it
+    ``None``.
+    """
+
     records: list[TraceRecord] = field(default_factory=list)
+    splitting_residual: float | None = None
 
     @property
     def objectives(self) -> list[float]:
@@ -164,11 +180,11 @@ class _Run:
         return stop
 
 
-def _image_and_residual(bands: np.ndarray, levels: int, otf: np.ndarray,
+def _image_and_residual(bands: np.ndarray, levels: int, otf_half: np.ndarray,
                         y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Synthesis of ``bands`` and its data residual ``blur(image) - y``."""
     image = synthesis_bands(bands, levels)
-    return image, apply_filter(otf, image) - y
+    return image, _filter_real(otf_half, image) - y
 
 
 def beta_update(r: FrameCoeffs, inv_filter: np.ndarray, frame: FrameSpec,
@@ -201,19 +217,38 @@ def salsa_solve(
 ) -> tuple[FrameCoeffs, np.ndarray, SolverTrace]:
     """Split augmented-Lagrangian shrinkage iteration.
 
-    Precomputes ``ybar = Wt Ht y`` and the inversion filter, then repeats
+    In coefficient form, with ``ybar = Wt Ht y``, the iteration is
 
-        beta' = theta + d
-        r     = ybar + mu * beta'
+        r     = ybar + mu * (theta + d)
         beta  = (1/mu) * (r - Wt F W r)
         theta = soft_threshold(beta - d, tau / mu)
         d     = d - (beta - theta)
 
-    starting from ``theta = beta = Wt y`` and ``d = 0``.  The returned
-    solution is ``theta`` (the prox output, exactly sparse) together
-    with its synthesis and the per-iteration trace.  ``inspect``, when
-    given, is called with the :class:`SolverState` after every
-    iteration; the multiplier update is computed literally as
+    starting from ``theta = beta = Wt y`` and ``d = 0``, where W is the
+    frame synthesis, Wt its analysis and F the inversion filter from
+    :func:`build_inversion_filter`.  The frame is Parseval (``W Wt = I``),
+    so only the prox input ``v_k = beta_k - d_{k-1}`` and ``theta`` need
+    to be coefficient stacks.  Since ``d_k = theta_k - v_k``, iteration
+    ``k`` is
+
+        u_k      = Ht y + mu * (2 W theta_{k-1} - W v_{k-1})   (= W r_k)
+        g_k      = (Ht y - F u_k) / mu
+        v_k      = theta_{k-1} + Wt g_k                  (= beta_k - d_{k-1})
+        W v_k    = W theta_{k-1} + g_k
+        theta_k  = soft_threshold(v_k, tau / mu)
+        W theta_k = synth(theta_k)
+
+    from ``v_0 = theta_0 = Wt y``: one analysis, one synthesis and one
+    inversion filter per iteration.  The synthesis of ``theta_k`` is
+    also the returned image and gives the trace its residual.
+
+    The returned solution is ``theta`` (the prox output, exactly sparse)
+    together with its synthesis and the per-iteration trace, whose
+    ``splitting_residual`` is ``||beta_K - theta_K|| / ||theta_K||`` at
+    the last iteration, with ``beta_K - theta_K = v_K + d_{K-1} - theta_K``.
+    ``inspect``, when given, is called with the :class:`SolverState`
+    after every iteration; only then are ``beta_k = v_k + d_{k-1}`` and
+    the multiplier formed as stacks, the multiplier literally as
     ``d - (beta - theta)`` so its telescoping is bitwise reproducible.
     """
     levels = frame.levels
@@ -222,30 +257,35 @@ def salsa_solve(
     run = _Run(cfg, isnr_fn)
 
     run.start_work()
-    inv_filter = build_inversion_filter(otf, mu)
-    ybar = analysis_bands(adjoint_filter(otf, y), levels)
-    theta = analysis_bands(y, levels)
-    beta = theta.copy()
-    d = np.zeros_like(theta)
+    otf_half = _half_spectrum(otf)
+    inv_filter = build_inversion_filter(otf_half, mu)
+    hty = _filter_real(np.conj(otf_half), y)
+    theta = v = analysis_bands(y, levels)
+    w_theta = w_v = synthesis_bands(theta, levels)
     run.stop_work()
 
-    image, residual = _image_and_residual(theta, levels, otf, y)
-    stop = run.observe(0, theta, image, residual)
+    stop = run.observe(0, theta, w_theta, _filter_real(otf_half, w_theta) - y)
+    theta_prev = v_prev = theta
+    d = np.zeros_like(theta) if inspect is not None else None
     k = 0
     while not stop and k < cfg.max_iters:
         k += 1
         run.start_work()
-        r = ybar + mu * (theta + d)
-        filtered = apply_filter(inv_filter, synthesis_bands(r, levels))
-        beta = (r - analysis_bands(filtered, levels)) / mu
-        theta = prox(reg, FrameCoeffs(levels, beta - d), threshold).bands
-        d = d - (beta - theta)
+        theta_prev, v_prev = theta, v
+        u = hty + mu * (2.0 * w_theta - w_v)
+        g = (hty - _filter_real(inv_filter, u)) / mu
+        v = analysis_bands(g, levels)
+        v += theta
+        w_v = w_theta + g
+        theta = prox(reg, FrameCoeffs(levels, v), threshold).bands
+        w_theta = synthesis_bands(theta, levels)
         run.stop_work()
 
-        run.check_finite(beta, k)
-        image, residual = _image_and_residual(theta, levels, otf, y)
-        stop = run.observe(k, theta, image, residual)
+        run.check_finite(v, k)
+        stop = run.observe(k, theta, w_theta, _filter_real(otf_half, w_theta) - y)
         if inspect is not None:
+            beta = v + d
+            d = d - (beta - theta)
             inspect(SolverState(
                 beta=FrameCoeffs(levels, beta),
                 theta=FrameCoeffs(levels, theta),
@@ -253,7 +293,14 @@ def salsa_solve(
                 k=k,
             ))
 
-    return FrameCoeffs(levels, theta), image, run.trace
+    gap = _norm(v + (theta_prev - v_prev) - theta)
+    size = _norm(theta)
+    run.trace.splitting_residual = gap / size if size > 0 else gap
+    return FrameCoeffs(levels, theta), w_theta, run.trace
+
+
+def _norm(bands: np.ndarray) -> float:
+    return float(np.sqrt((bands**2).sum()))
 
 
 def _default_step(otf: np.ndarray) -> float:
@@ -286,8 +333,10 @@ def ist_solve(
     run = _Run(cfg, isnr_fn)
 
     run.start_work()
+    otf_half = _half_spectrum(otf)
+    otf_half_adj = np.conj(otf_half)
     beta = analysis_bands(y, levels)
-    image, residual = _image_and_residual(beta, levels, otf, y)
+    image, residual = _image_and_residual(beta, levels, otf_half, y)
     run.stop_work()
 
     stop = run.observe(0, beta, image, residual)
@@ -295,10 +344,9 @@ def ist_solve(
     while not stop and k < cfg.max_iters:
         k += 1
         run.start_work()
-        grad = analysis_bands(adjoint_filter(otf, residual), levels)
+        grad = analysis_bands(_filter_real(otf_half_adj, residual), levels)
         beta = prox(reg, FrameCoeffs(levels, beta - step * grad), threshold).bands
-        # the next gradient step needs this residual, so it is work
-        image, residual = _image_and_residual(beta, levels, otf, y)
+        image, residual = _image_and_residual(beta, levels, otf_half, y)
         run.stop_work()
 
         run.check_finite(beta, k)
@@ -325,7 +373,12 @@ def fista_solve(
 
     IST step taken at an extrapolated point, with the extrapolation
     weight ``(t_k - 1) / t_{k+1}`` driven by :func:`fista_momentum`.
-    Unlike IST the objective need not decrease monotonically.
+    Unlike IST the objective need not decrease monotonically.  The data
+    residual is affine in the coefficients, so the residual at the
+    extrapolated point ``z = beta + w (beta - beta_prev)`` is
+    ``(1 + w) r_beta - w r_beta_prev``, from residuals already held; one
+    synthesis and one blur per iteration, at ``beta``, serve both the
+    next gradient and the trace.
     """
     levels = frame.levels
     step = _default_step(otf) if step_size is None else step_size
@@ -335,27 +388,31 @@ def fista_solve(
     run = _Run(cfg, isnr_fn)
 
     run.start_work()
+    otf_half = _half_spectrum(otf)
+    otf_half_adj = np.conj(otf_half)
     beta = analysis_bands(y, levels)
-    z = beta.copy()
+    z = beta
+    image, residual = _image_and_residual(beta, levels, otf_half, y)
+    residual_z = residual
     t = 1.0
     run.stop_work()
 
-    image, residual = _image_and_residual(beta, levels, otf, y)
     stop = run.observe(0, beta, image, residual)
     k = 0
     while not stop and k < cfg.max_iters:
         k += 1
         run.start_work()
-        residual = apply_filter(otf, synthesis_bands(z, levels)) - y
-        grad = analysis_bands(adjoint_filter(otf, residual), levels)
+        grad = analysis_bands(_filter_real(otf_half_adj, residual_z), levels)
         beta_next = prox(reg, FrameCoeffs(levels, z - step * grad), threshold).bands
         t_next = fista_momentum(t)
-        z = beta_next + ((t - 1.0) / t_next) * (beta_next - beta)
-        beta, t = beta_next, t_next
+        w = (t - 1.0) / t_next
+        z = beta_next + w * (beta_next - beta)
+        image, residual_next = _image_and_residual(beta_next, levels, otf_half, y)
+        residual_z = (1.0 + w) * residual_next - w * residual
+        beta, residual, t = beta_next, residual_next, t_next
         run.stop_work()
 
         run.check_finite(beta, k)
-        image, residual = _image_and_residual(beta, levels, otf, y)
         stop = run.observe(k, beta, image, residual)
 
     return FrameCoeffs(levels, beta), image, run.trace

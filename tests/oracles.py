@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the FFT/vectorized code paths under
 test: convolution is the literal periodic sum, transforms are dense
-matrices or scalar loops, and the proximal map is a grid search.
+matrices or scalar loops, and the proximal map is a grid search.  The
+exceptions are :func:`reference_salsa` and :func:`reference_fista`, the
+solvers' literal recursions on complex FFTs, which the solvers are
+checked against.
 """
 
 import numpy as np
@@ -162,3 +165,71 @@ def data_gradient(y, otf, levels, bands):
 
     residual = apply_filter(otf, synthesis_bands(bands, levels)) - y
     return analysis_bands(adjoint_filter(otf, residual), levels)
+
+
+def reference_salsa(y, otf, levels, reg, tau, mu, max_iters, rel_tol):
+    """SALSA as the literal coefficient-domain recursion.
+
+    Keeps ``r``, ``beta`` and the multiplier ``d`` as coefficient stacks,
+    solves the quadratic step with :func:`salsa_deconv.solver.beta_update`
+    on complex FFTs and stops on the relative objective change that
+    ``SolverConfig.rel_tol`` describes.  Returns the final theta and the
+    objective at every iteration, starting with iteration 0.
+    """
+    from salsa_deconv.convolution import (adjoint_filter, apply_filter,
+                                          build_inversion_filter)
+    from salsa_deconv.frame import FrameCoeffs, FrameSpec
+    from salsa_deconv.prox import prox
+    from salsa_deconv.solver import beta_update
+
+    def objective(bands):
+        residual = apply_filter(otf, synthesis_bands(bands, levels)) - y
+        return 0.5 * float((residual**2).sum()) + tau * float(np.abs(bands).sum())
+
+    frame = FrameSpec(levels)
+    inv_filter = build_inversion_filter(otf, mu)
+    ybar = analysis_bands(adjoint_filter(otf, y), levels)
+    theta = analysis_bands(y, levels)
+    d = np.zeros_like(theta)
+    objectives = [objective(theta)]
+    for _ in range(max_iters):
+        r = ybar + mu * (theta + d)
+        beta = beta_update(FrameCoeffs(levels, r), inv_filter, frame, mu).bands
+        theta = prox(reg, FrameCoeffs(levels, beta - d), tau / mu).bands
+        d = d - (beta - theta)
+        objectives.append(objective(theta))
+        if abs(objectives[-1] - objectives[-2]) <= rel_tol * objectives[-2]:
+            break
+    return theta, objectives
+
+
+def reference_fista(y, otf, levels, reg, tau, step, iters):
+    """FISTA with the residual at the extrapolated point formed literally.
+
+    Synthesizes and blurs ``z`` on every iteration instead of combining
+    residuals.  Returns the final beta and the objective at every
+    iteration, starting with iteration 0.
+    """
+    from salsa_deconv.convolution import adjoint_filter, apply_filter
+    from salsa_deconv.frame import FrameCoeffs
+    from salsa_deconv.prox import prox
+    from salsa_deconv.solver import fista_momentum
+
+    def residual(bands):
+        return apply_filter(otf, synthesis_bands(bands, levels)) - y
+
+    def objective(bands):
+        return 0.5 * float((residual(bands) ** 2).sum()) + tau * float(np.abs(bands).sum())
+
+    beta = analysis_bands(y, levels)
+    z = beta.copy()
+    t = 1.0
+    objectives = [objective(beta)]
+    for _ in range(iters):
+        grad = analysis_bands(adjoint_filter(otf, residual(z)), levels)
+        beta_next = prox(reg, FrameCoeffs(levels, z - step * grad), tau * step).bands
+        t_next = fista_momentum(t)
+        z = beta_next + ((t - 1.0) / t_next) * (beta_next - beta)
+        beta, t = beta_next, t_next
+        objectives.append(objective(beta))
+    return beta, objectives

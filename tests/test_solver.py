@@ -28,6 +28,8 @@ from oracles import (
     data_gradient,
     dense_analysis_matrix,
     dense_blur_matrix,
+    reference_fista,
+    reference_salsa,
     subgradient_residual,
 )
 
@@ -246,6 +248,40 @@ def test_salsa_splitting_residual_small_at_tight_tolerance():
     assert num / den <= 1e-2
 
 
+def test_salsa_reports_final_splitting_residual():
+    y, otf, spec = small_problem(side=32, levels=2)
+    cfg = SolverConfig(tau=0.05, max_iters=40, rel_tol=0.0)
+    states = []
+    _, _, trace = salsa_solve(y, otf, spec, Regularizer(), cfg,
+                              inspect=lambda s: states.append(s))
+    last = states[-1]
+    num = float(np.sqrt(((last.beta.bands - last.theta.bands) ** 2).sum()))
+    den = float(np.sqrt((last.theta.bands**2).sum()))
+    assert trace.splitting_residual == pytest.approx(num / den, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, size, threshold_approx", [
+    (BlurKind.UNIFORM9, 9, True),
+    (BlurKind.GAUSSIAN, 7, True),
+    (BlurKind.UNIFORM9, 9, False),
+])
+def test_salsa_matches_literal_coefficient_recursion(kind, size, threshold_approx):
+    # the image-domain iteration is exact by W Wt = I, so it must follow
+    # the r/beta/d recursion up to rounding, and stop where it stops
+    tau, mu, levels = 0.05, 0.005, 2
+    y, otf, spec = small_problem(side=32, levels=levels, kind=kind, size=size)
+    reg = Regularizer(threshold_approx=threshold_approx)
+    cfg = SolverConfig(tau=tau, mu=mu, max_iters=200, rel_tol=1e-4)
+    coeffs, _, trace = salsa_solve(y, otf, spec, reg, cfg)
+    want_theta, want_objectives = reference_salsa(y, otf, levels, reg, tau, mu,
+                                                  cfg.max_iters, cfg.rel_tol)
+    assert len(trace.objectives) == len(want_objectives) <= cfg.max_iters
+    got = np.array(trace.objectives)
+    want = np.array(want_objectives)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert np.abs(coeffs.bands - want_theta).max() <= 1e-8 * np.abs(want_theta).max()
+
+
 def test_salsa_solution_is_theta_and_sparse():
     y, otf, spec = small_problem(side=16, levels=2, tau=0.5)
     cfg = SolverConfig(tau=0.5, max_iters=100, rel_tol=1e-8)
@@ -346,6 +382,23 @@ def test_fista_momentum_sequence():
         t_next = fista_momentum(t)
         assert t_next > t
         t = t_next
+
+
+def test_fista_matches_literal_recursion():
+    # the residual at the extrapolated point is combined from the last two
+    # residuals; by linearity that is the residual of z up to rounding
+    tau, levels, iters = 0.05, 2, 60
+    y, otf, spec = small_problem(side=16, levels=levels, kind=BlurKind.GAUSSIAN, size=5)
+    cfg = SolverConfig(tau=tau, max_iters=iters, rel_tol=0.0)
+    coeffs, _, trace = fista_solve(y, otf, spec, Regularizer(), cfg)
+    step = 1.0 / float(np.max(np.abs(otf) ** 2))
+    want_beta, want_objectives = reference_fista(y, otf, levels, Regularizer(), tau,
+                                                 step, iters)
+    got = np.array(trace.objectives)
+    want = np.array(want_objectives)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert np.abs(coeffs.bands - want_beta).max() <= 1e-8 * np.abs(want_beta).max()
 
 
 def test_fista_beats_ist_iteration_count():
