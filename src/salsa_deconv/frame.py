@@ -34,11 +34,8 @@ __all__ = [
     "synthesis",
     "analysis_bands",
     "synthesis_bands",
-    "axpy",
-    "scale",
     "norm1",
     "norm2",
-    "dot",
 ]
 
 
@@ -51,11 +48,6 @@ class FrameSpec:
     def __post_init__(self) -> None:
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-
-    @property
-    def level_scales(self) -> tuple[float, ...]:
-        """Per-level analysis tap scale; 1/2 per axis makes the frame Parseval."""
-        return (0.5,) * self.levels
 
     @property
     def n_subbands(self) -> int:
@@ -95,14 +87,6 @@ def _check_image(image: np.ndarray, levels: int) -> np.ndarray:
     return image
 
 
-def _check_layout(a: FrameCoeffs, b: FrameCoeffs) -> None:
-    if a.levels != b.levels or a.bands.shape != b.bands.shape:
-        raise ValueError(
-            f"coefficient layouts differ: levels {a.levels} vs {b.levels}, "
-            f"bands {a.bands.shape} vs {b.bands.shape}"
-        )
-
-
 def _check_coeffs(coeffs: FrameCoeffs, spec: FrameSpec) -> None:
     if coeffs.levels != spec.levels:
         raise ValueError(f"coefficients have {coeffs.levels} levels, spec wants {spec.levels}")
@@ -112,51 +96,92 @@ def _check_coeffs(coeffs: FrameCoeffs, spec: FrameSpec) -> None:
         )
 
 
-# 1-D Haar pair at hole spacing `shift`, plus the matched adjoints.
-# np.roll with negative shift reads x[i + shift], so lowpass/highpass act
-# as out[i] = (x[i] +/- x[i + shift]) / 2 with periodic wrap.
+def _pair(op, x: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """``out[i] = op(x[i], x[(i + shift) % n])`` along ``axis`` of a 2-D image.
 
-def _lo(a, shift, axis):
-    return 0.5 * (a + np.roll(a, -shift, axis))
+    A positive ``shift`` reads ahead (the analysis taps), a negative one
+    behind (their adjoints).  The bulk is one pass over the flattened
+    arrays, offset by ``shift`` steps along ``axis``; along axis 1 that
+    pass reads across row ends for the ``|shift|`` wrapped columns, which
+    a second, narrow pass then overwrites with the periodic value.
+    ``out`` must be C-contiguous and must not overlap ``x``.
+    """
+    n = x.shape[axis]
+    s = abs(shift)
+    d = s * (x.shape[1] if axis == 0 else 1)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    wrapped = [slice(None), slice(None)]
+    source = [slice(None), slice(None)]
+    if shift > 0:
+        op(flat_x[:-d], flat_x[d:], out=flat_out[:-d])
+        wrapped[axis], source[axis] = slice(n - s, n), slice(0, s)
+    else:
+        op(flat_x[d:], flat_x[:-d], out=flat_out[d:])
+        wrapped[axis], source[axis] = slice(0, s), slice(n - s, n)
+    wrapped, source = tuple(wrapped), tuple(source)
+    op(x[wrapped], x[source], out=out[wrapped])
+    return out
 
 
-def _hi(a, shift, axis):
-    return 0.5 * (a - np.roll(a, -shift, axis))
+def analysis_bands(image: np.ndarray, levels: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Undecimated Haar decomposition as a raw ``(3*levels+1, H, W)`` stack.
 
-
-def _lo_t(a, shift, axis):
-    return 0.5 * (a + np.roll(a, shift, axis))
-
-
-def _hi_t(a, shift, axis):
-    return 0.5 * (a - np.roll(a, shift, axis))
-
-
-def analysis_bands(image: np.ndarray, levels: int) -> np.ndarray:
-    """Undecimated Haar decomposition as a raw ``(3*levels+1, H, W)`` stack."""
+    ``out``, when given, is a C-contiguous float64 array of that shape
+    that receives the stack and is returned.  Each level scales its input
+    by ``1/4`` once, in place of the ``1/2`` of each axis's taps; scaling
+    by a power of two is exact, so the values are those of the per-axis
+    form.
+    """
     a = _check_image(image, levels)
-    out = np.empty((3 * levels + 1,) + a.shape)
+    shape = (3 * levels + 1,) + a.shape
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous float64 array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    elif np.may_share_memory(a, out):
+        raise ValueError("out must not share memory with the image")
+    lo = np.empty(a.shape)
+    hi = np.empty(a.shape)
+    approx = out[-1]
     shift = 1
     for j in range(levels):
-        lo0 = _lo(a, shift, 0)
-        hi0 = _hi(a, shift, 0)
-        out[3 * j] = _hi(lo0, shift, 1)      # horizontal detail
-        out[3 * j + 1] = _lo(hi0, shift, 1)  # vertical detail
-        out[3 * j + 2] = _hi(hi0, shift, 1)  # diagonal detail
-        a = _lo(lo0, shift, 1)
+        np.multiply(approx if j else a, 0.25, out=approx)
+        _pair(np.add, approx, shift, 0, lo)
+        _pair(np.subtract, approx, shift, 0, hi)
+        _pair(np.subtract, lo, shift, 1, out[3 * j])      # horizontal detail
+        _pair(np.add, hi, shift, 1, out[3 * j + 1])       # vertical detail
+        _pair(np.subtract, hi, shift, 1, out[3 * j + 2])  # diagonal detail
+        _pair(np.add, lo, shift, 1, approx)
         shift *= 2
-    out[-1] = a
     return out
 
 
 def synthesis_bands(bands: np.ndarray, levels: int) -> np.ndarray:
-    """Adjoint of :func:`analysis_bands`; exact inverse for Parseval scaling."""
+    """Adjoint of :func:`analysis_bands`; exact inverse for Parseval scaling.
+
+    Each level sums the four unscaled two-tap adjoints and scales the
+    result by ``1/4`` once, which gives bitwise the values of the
+    per-axis ``1/2`` form.
+    """
+    shape, dtype = bands.shape[1:], np.result_type(bands, 0.5)
+    p, q, r, t = (np.empty(shape, dtype) for _ in range(4))
     a = bands[-1]
     shift = 1 << (levels - 1)
     for j in reversed(range(levels)):
-        lo0 = _lo_t(a, shift, 1) + _hi_t(bands[3 * j], shift, 1)
-        hi0 = _lo_t(bands[3 * j + 1], shift, 1) + _hi_t(bands[3 * j + 2], shift, 1)
-        a = _lo_t(lo0, shift, 0) + _hi_t(hi0, shift, 0)
+        _pair(np.add, a, -shift, 1, p)
+        _pair(np.subtract, bands[3 * j], -shift, 1, q)
+        _pair(np.add, bands[3 * j + 1], -shift, 1, r)
+        _pair(np.subtract, bands[3 * j + 2], -shift, 1, t)
+        p += q
+        r += t
+        _pair(np.add, p, -shift, 0, q)
+        _pair(np.subtract, r, -shift, 0, t)
+        q += t
+        q *= 0.25
+        a = q
         shift //= 2
     return a
 
@@ -176,16 +201,6 @@ def synthesis(coeffs: FrameCoeffs, spec: FrameSpec) -> np.ndarray:
     return synthesis_bands(coeffs.bands, spec.levels)
 
 
-def axpy(a: float, x: FrameCoeffs, y: FrameCoeffs) -> FrameCoeffs:
-    """Elementwise a*x + y over all subbands."""
-    _check_layout(x, y)
-    return FrameCoeffs(x.levels, a * x.bands + y.bands)
-
-
-def scale(a: float, x: FrameCoeffs) -> FrameCoeffs:
-    return FrameCoeffs(x.levels, a * x.bands)
-
-
 def norm1(x: FrameCoeffs) -> float:
     """l1 norm summed over every subband."""
     return float(np.abs(x.bands).sum())
@@ -193,8 +208,3 @@ def norm1(x: FrameCoeffs) -> float:
 
 def norm2(x: FrameCoeffs) -> float:
     return float(np.sqrt((x.bands**2).sum()))
-
-
-def dot(x: FrameCoeffs, y: FrameCoeffs) -> float:
-    _check_layout(x, y)
-    return float((x.bands * y.bands).sum())

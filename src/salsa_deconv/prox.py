@@ -44,25 +44,37 @@ class Regularizer:
     threshold_approx: bool = True
 
 
-def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
+def soft_threshold(values: np.ndarray, threshold: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise soft threshold, the proximal map of ``threshold * |.|``.
 
-    Computes ``sign(v) * max(|v| - threshold, 0)`` in one new array,
-    leaving ``values`` untouched; an input of ``-0.0`` maps to ``-0.0``.
+    Computes ``sign(v) * max(|v| - threshold, 0)`` as
+    ``v - clip(v, -threshold, threshold)``, into ``out`` when given and
+    into a new array otherwise, leaving ``values`` untouched.  Zeros in
+    the result are ``+0.0``.  ``out`` must not share memory with
+    ``values``: the clip would overwrite the values it subtracts.
     """
-    out = np.abs(values, dtype=np.result_type(values, threshold))
-    np.subtract(out, threshold, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.copysign(out, values, out=out)
+    values = np.asarray(values)
+    if out is None:
+        out = np.empty(values.shape, dtype=np.result_type(values, threshold))
+    elif np.may_share_memory(values, out):
+        raise ValueError("out must not share memory with values")
+    np.clip(values, -threshold, threshold, out=out)
+    return np.subtract(values, out, out=out)
 
 
-def prox(reg: Regularizer, coeffs: FrameCoeffs, threshold: float) -> FrameCoeffs:
-    """Proximal map of ``threshold * phi`` applied to frame coefficients."""
+def prox(reg: Regularizer, coeffs: FrameCoeffs, threshold: float,
+         out: np.ndarray | None = None) -> FrameCoeffs:
+    """Proximal map of ``threshold * phi`` applied to frame coefficients.
+
+    ``out``, when given, receives the coefficient stack (see
+    :func:`soft_threshold`).
+    """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if reg.kind is not RegularizerKind.L1:
         raise ValueError(f"unsupported regularizer kind {reg.kind}")
-    out = soft_threshold(coeffs.bands, threshold)
+    out = soft_threshold(coeffs.bands, threshold, out)
     if not reg.threshold_approx:
         out[-1] = coeffs.bands[-1]
     return FrameCoeffs(coeffs.levels, out)

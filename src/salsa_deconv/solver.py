@@ -19,6 +19,10 @@ Bookkeeping is left out: the two reductions that turn a residual into
 the objective, ISNR, the finiteness check, and SALSA's blur of theta for
 its residual.  The synthesized iterate is also the image the trace uses
 for the objective's residual and the ISNR.
+
+Each solver allocates its coefficient stacks once and overwrites them in
+place from iteration to iteration; what it hands out (the returned
+coefficients, the states given to ``inspect``) is never written again.
 """
 
 from __future__ import annotations
@@ -262,6 +266,10 @@ def salsa_solve(
     hty = _filter_real(np.conj(otf_half), y)
     theta = v = analysis_bands(y, levels)
     w_theta = w_v = synthesis_bands(theta, levels)
+    # Iteration k writes v_k and theta_k over v_{k-2} and theta_{k-2}, so
+    # v_{k-1} and theta_{k-1} survive for the splitting residual.
+    v_bufs = (np.empty_like(theta), np.empty_like(theta))
+    theta_bufs = (theta, np.empty_like(theta))
     run.stop_work()
 
     stop = run.observe(0, theta, w_theta, _filter_real(otf_half, w_theta) - y)
@@ -274,10 +282,10 @@ def salsa_solve(
         theta_prev, v_prev = theta, v
         u = hty + mu * (2.0 * w_theta - w_v)
         g = (hty - _filter_real(inv_filter, u)) / mu
-        v = analysis_bands(g, levels)
+        v = analysis_bands(g, levels, out=v_bufs[k % 2])
         v += theta
         w_v = w_theta + g
-        theta = prox(reg, FrameCoeffs(levels, v), threshold).bands
+        theta = prox(reg, FrameCoeffs(levels, v), threshold, out=theta_bufs[k % 2]).bands
         w_theta = synthesis_bands(theta, levels)
         run.stop_work()
 
@@ -288,7 +296,7 @@ def salsa_solve(
             d = d - (beta - theta)
             inspect(SolverState(
                 beta=FrameCoeffs(levels, beta),
-                theta=FrameCoeffs(levels, theta),
+                theta=FrameCoeffs(levels, theta.copy()),
                 d=FrameCoeffs(levels, d),
                 k=k,
             ))
@@ -336,6 +344,7 @@ def ist_solve(
     otf_half = _half_spectrum(otf)
     otf_half_adj = np.conj(otf_half)
     beta = analysis_bands(y, levels)
+    z = np.empty_like(beta)
     image, residual = _image_and_residual(beta, levels, otf_half, y)
     run.stop_work()
 
@@ -344,8 +353,11 @@ def ist_solve(
     while not stop and k < cfg.max_iters:
         k += 1
         run.start_work()
-        grad = analysis_bands(_filter_real(otf_half_adj, residual), levels)
-        beta = prox(reg, FrameCoeffs(levels, beta - step * grad), threshold).bands
+        # z = beta - step * grad, with the gradient analysed into z
+        analysis_bands(_filter_real(otf_half_adj, residual), levels, out=z)
+        z *= -step
+        z += beta
+        prox(reg, FrameCoeffs(levels, z), threshold, out=beta)
         image, residual = _image_and_residual(beta, levels, otf_half, y)
         run.stop_work()
 
@@ -391,7 +403,9 @@ def fista_solve(
     otf_half = _half_spectrum(otf)
     otf_half_adj = np.conj(otf_half)
     beta = analysis_bands(y, levels)
-    z = beta
+    z = beta.copy()
+    g = np.empty_like(beta)
+    beta_next = np.empty_like(beta)
     image, residual = _image_and_residual(beta, levels, otf_half, y)
     residual_z = residual
     t = 1.0
@@ -402,14 +416,21 @@ def fista_solve(
     while not stop and k < cfg.max_iters:
         k += 1
         run.start_work()
-        grad = analysis_bands(_filter_real(otf_half_adj, residual_z), levels)
-        beta_next = prox(reg, FrameCoeffs(levels, z - step * grad), threshold).bands
+        # g = z - step * grad, with the gradient analysed into g
+        analysis_bands(_filter_real(otf_half_adj, residual_z), levels, out=g)
+        g *= -step
+        g += z
+        prox(reg, FrameCoeffs(levels, g), threshold, out=beta_next)
         t_next = fista_momentum(t)
         w = (t - 1.0) / t_next
-        z = beta_next + w * (beta_next - beta)
+        # z = beta_next + w * (beta_next - beta)
+        np.subtract(beta_next, beta, out=z)
+        z *= w
+        z += beta_next
         image, residual_next = _image_and_residual(beta_next, levels, otf_half, y)
         residual_z = (1.0 + w) * residual_next - w * residual
-        beta, residual, t = beta_next, residual_next, t_next
+        beta, beta_next = beta_next, beta
+        residual, t = residual_next, t_next
         run.stop_work()
 
         run.check_finite(beta, k)

@@ -5,7 +5,9 @@ test: convolution is the literal periodic sum, transforms are dense
 matrices or scalar loops, and the proximal map is a grid search.  The
 exceptions are :func:`reference_salsa` and :func:`reference_fista`, the
 solvers' literal recursions on complex FFTs, which the solvers are
-checked against.
+checked against, and :func:`roll_analysis_bands` and
+:func:`roll_synthesis_bands`, the frame transforms in their ``np.roll``
+form, which the package's transforms must match bitwise.
 """
 
 import numpy as np
@@ -63,7 +65,7 @@ def dft_otf(psf, shape):
 def reference_analysis(image, levels):
     """Undecimated Haar decomposition with scalar loops and mod indexing.
 
-    Independent of the roll-based implementation; returns the same
+    Independent of the package's stencils; returns the same
     ``(3*levels + 1, H, W)`` stack, detail bands ordered (row-lo/col-hi,
     row-hi/col-lo, row-hi/col-hi) per level, approximation last.
     """
@@ -100,6 +102,49 @@ def reference_analysis(image, levels):
         a = lolo
     out[-1] = a
     return out
+
+
+def roll_analysis_bands(image, levels):
+    """Analysis in its ``np.roll`` form, with the ``1/2`` tap scale applied per axis.
+
+    The package applies the two factors as one ``1/4`` and writes slices
+    into buffers; powers of two scale exactly, so the two agree bitwise
+    (barring subnormals).
+    """
+    def lo(x, s, axis):
+        return 0.5 * (x + np.roll(x, -s, axis))
+
+    def hi(x, s, axis):
+        return 0.5 * (x - np.roll(x, -s, axis))
+
+    a = np.asarray(image, dtype=float)
+    out = np.empty((3 * levels + 1,) + a.shape)
+    for j in range(levels):
+        s = 2 ** j
+        lo0, hi0 = lo(a, s, 0), hi(a, s, 0)
+        out[3 * j] = hi(lo0, s, 1)
+        out[3 * j + 1] = lo(hi0, s, 1)
+        out[3 * j + 2] = hi(hi0, s, 1)
+        a = lo(lo0, s, 1)
+    out[-1] = a
+    return out
+
+
+def roll_synthesis_bands(bands, levels):
+    """Adjoint of :func:`roll_analysis_bands`, with ``np.roll``."""
+    def lo_t(x, s, axis):
+        return 0.5 * (x + np.roll(x, s, axis))
+
+    def hi_t(x, s, axis):
+        return 0.5 * (x - np.roll(x, s, axis))
+
+    a = bands[-1]
+    for j in reversed(range(levels)):
+        s = 2 ** j
+        lo0 = lo_t(a, s, 1) + hi_t(bands[3 * j], s, 1)
+        hi0 = lo_t(bands[3 * j + 1], s, 1) + hi_t(bands[3 * j + 2], s, 1)
+        a = lo_t(lo0, s, 0) + hi_t(hi0, s, 0)
+    return a
 
 
 def dense_analysis_matrix(side, levels):

@@ -41,6 +41,42 @@ def test_soft_threshold_matches_formula_and_keeps_input():
     assert np.array_equal(out, np.sign(stack) * np.maximum(np.abs(stack) - t, 0.0))
 
 
+def test_soft_threshold_zero_threshold_is_bitwise_identity():
+    rng = np.random.default_rng(42)
+    v = rng.standard_normal((4, 8, 8)) * 10.0 ** rng.uniform(-300, 300, (4, 8, 8))
+    out = soft_threshold(v, 0.0)
+    assert np.array_equal(out.view(np.uint64), v.view(np.uint64))
+
+
+def test_soft_threshold_into_out():
+    rng = np.random.default_rng(43)
+    v = rng.standard_normal((4, 8, 8))
+    out = np.full_like(v, np.nan)
+    assert soft_threshold(v, 0.5, out=out) is out
+    assert np.array_equal(out, soft_threshold(v, 0.5))
+    c = FrameCoeffs(1, v)
+    buf = np.full_like(v, np.nan)
+    reg = Regularizer(threshold_approx=False)
+    got = prox(reg, c, 0.5, out=buf)
+    assert got.bands is buf
+    assert np.array_equal(buf, prox(reg, c, 0.5).bands)
+
+
+def test_soft_threshold_rejects_out_sharing_values():
+    v = np.linspace(-2.0, 2.0, 32).reshape(2, 4, 4)
+    before = v.copy()
+    with pytest.raises(ValueError, match="share memory"):
+        soft_threshold(v, 0.5, out=v)
+    with pytest.raises(ValueError, match="share memory"):
+        soft_threshold(v[0], 0.5, out=v[:1].reshape(4, 4))
+    with pytest.raises(ValueError, match="share memory"):
+        soft_threshold(v, 0.5, out=v[::-1])
+    stack = np.linspace(-2.0, 2.0, 64).reshape(4, 4, 4)
+    with pytest.raises(ValueError, match="share memory"):
+        prox(Regularizer(), FrameCoeffs(1, stack), 0.5, out=stack)
+    assert np.array_equal(v, before)
+
+
 def test_full_shrinkage_to_zero():
     rng = np.random.default_rng(32)
     c = coeffs_from(rng, 2, 8)

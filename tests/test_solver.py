@@ -442,6 +442,58 @@ def test_final_record_is_taken_at_the_returned_iterate(solver):
     assert np.array_equal(image, synthesis_bands(coeffs.bands, spec.levels))
 
 
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_solvers_hand_out_arrays_they_no_longer_write(solver):
+    # the solvers overwrite their coefficient stacks in place; nothing a
+    # caller receives may alias a buffer that is written later
+    y, otf, spec = small_problem(side=16, levels=2)
+    y_before, otf_before = y.copy(), otf.copy()
+    cfg = SolverConfig(tau=0.05, max_iters=8, rel_tol=0.0)
+    kwargs = {}
+    states, snapshots = [], []
+    if solver is salsa_solve:
+        def inspect(state):
+            states.append(state)
+            snapshots.append([state.beta.bands.copy(), state.theta.bands.copy(),
+                              state.d.bands.copy()])
+        kwargs["inspect"] = inspect
+
+    c1, img1, _ = solver(y, otf, spec, Regularizer(), cfg, **kwargs)
+    first = (c1.bands.copy(), img1.copy())
+    c2, img2, _ = solver(y, otf, spec, Regularizer(), cfg)
+    assert not np.may_share_memory(c1.bands, c2.bands)
+    assert not np.may_share_memory(img1, img2)
+    assert np.array_equal(c1.bands, first[0]) and np.array_equal(img1, first[1])
+    assert np.array_equal(c1.bands, c2.bands)
+    assert np.array_equal(y, y_before) and np.array_equal(otf, otf_before)
+    for state, (beta, theta, d) in zip(states, snapshots):
+        assert np.array_equal(state.beta.bands, beta)
+        assert np.array_equal(state.theta.bands, theta)
+        assert np.array_equal(state.d.bands, d)
+    assert len(states) == (8 if solver is salsa_solve else 0)
+
+
+def test_salsa_zero_tau_needs_explicit_mu():
+    y, otf, spec = small_problem(side=16, levels=1)
+    with pytest.raises(ValueError, match="pass mu explicitly"):
+        salsa_solve(y, otf, spec, Regularizer(), SolverConfig(tau=0.0, max_iters=5))
+
+
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_zero_tau_with_explicit_mu_runs(solver):
+    # tau == 0 is unregularized least squares: the threshold is 0 and
+    # the objective is the data term alone
+    y, otf, spec = small_problem(side=16, levels=2)
+    cfg = SolverConfig(tau=0.0, mu=0.05, max_iters=20, rel_tol=0.0)
+    coeffs, image, trace = solver(y, otf, spec, Regularizer(), cfg)
+    assert trace.final.iteration == 20
+    assert np.all(np.isfinite(coeffs.bands))
+    assert trace.final.objective < trace.records[0].objective
+    residual = apply_filter(otf, image) - y
+    assert trace.final.objective == pytest.approx(0.5 * float((residual**2).sum()),
+                                                  rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # cross-solver agreement
 
