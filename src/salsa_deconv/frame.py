@@ -96,7 +96,7 @@ def _check_coeffs(coeffs: FrameCoeffs, spec: FrameSpec) -> None:
         )
 
 
-def _pair(op, x: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.ndarray:
+def _pair(op, x: np.ndarray, shift: int, axis: int, out: np.ndarray) -> None:
     """``out[i] = op(x[i], x[(i + shift) % n])`` along ``axis`` of a 2-D image.
 
     A positive ``shift`` reads ahead (the analysis taps), a negative one
@@ -120,7 +120,6 @@ def _pair(op, x: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.ndarr
         wrapped[axis], source[axis] = slice(0, s), slice(n - s, n)
     wrapped, source = tuple(wrapped), tuple(source)
     op(x[wrapped], x[source], out=out[wrapped])
-    return out
 
 
 def analysis_bands(image: np.ndarray, levels: int, out: np.ndarray | None = None) -> np.ndarray:
