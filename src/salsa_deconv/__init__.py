@@ -31,7 +31,7 @@ from .convolution import (
     psf_to_otf,
 )
 from .frame import FrameCoeffs, FrameSpec, analysis, synthesis
-from .prox import Regularizer, RegularizerKind, objective, prox, soft_threshold
+from .prox import Regularizer, objective, prox, soft_threshold
 from .solver import (
     DivergenceError,
     SolverConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "FrameCoeffs",
     "analysis",
     "synthesis",
-    "RegularizerKind",
     "Regularizer",
     "soft_threshold",
     "prox",

@@ -274,7 +274,7 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     target: float | None
     if spec.target_objective == "auto":
         probe_cfg = SolverConfig(tau=spec.tau, mu=mu, max_iters=spec.max_iters,
-                                 rel_tol=spec.rel_tol, record_trace=True)
+                                 rel_tol=spec.rel_tol)
         _, _, probe_trace = salsa_solve(y, otf, frame, reg, probe_cfg)
         target = probe_trace.final.objective
     elif spec.target_objective is None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from .bench import (
 )
 from .convolution import BlurKind, build_psf
 
-__all__ = ["PgmError", "read_image", "write_image", "CliConfig", "parse_args", "main"]
+__all__ = ["PgmError", "read_image", "write_image", "parse_args", "main"]
 
 
 class PgmError(ValueError):
@@ -121,23 +120,6 @@ def write_image(image: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(header + pixels.tobytes())
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    image: Path | None = None
-    experiment: str | None = None
-    blur: BlurKind | None = None
-    sigma2: float | None = None
-    tau: float | None = None
-    mu: float | None = None  # None = auto = 0.1 * tau
-    solvers: tuple[str, ...] = ()
-    max_iters: int | None = None
-    rel_tol: float | None = None
-    target_objective: float | None = None
-    seed: int | None = None
-    out: Path = Path(".")
-
-
 def _mu_flag(text: str) -> float | None:
     if text == "auto":
         return None
@@ -150,7 +132,7 @@ def _mu_flag(text: str) -> float | None:
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--solver", action="append", choices=SOLVER_NAMES, default=None,
-                     help="solver to run (repeatable; default: salsa)")
+                     dest="solvers", help="solver to run (repeatable; default: salsa)")
     sub.add_argument("--mu", type=_mu_flag, default=None, metavar="REAL|auto",
                      help="penalty weight; 'auto' (default) uses 0.1*tau")
     sub.add_argument("--max-iters", type=int, default=None, metavar="INT")
@@ -163,7 +145,13 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
                      help="output directory (default: current directory)")
 
 
-def parse_args(argv: list[str] | None = None) -> CliConfig:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse and check the command line.
+
+    The namespace holds each flag under its long name; ``solvers`` is a
+    tuple (empty when no ``--solver`` was given), ``blur`` a
+    :class:`BlurKind` and ``mu`` ``None`` for ``auto``.
+    """
     parser = argparse.ArgumentParser(
         prog="salsa-deconv",
         description="Frame-based image deblurring via augmented-Lagrangian splitting.",
@@ -209,22 +197,11 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
     if sigma2 is not None and sigma2 < 0:
         parser.error(f"--sigma2 must be nonnegative, got {sigma2}")
 
-    blur = getattr(ns, "blur", None)
-    return CliConfig(
-        subcommand=ns.subcommand,
-        image=image,
-        experiment=getattr(ns, "experiment", None),
-        blur=BlurKind(blur) if blur is not None else None,
-        sigma2=sigma2,
-        tau=tau,
-        mu=getattr(ns, "mu", None),
-        solvers=tuple(ns.solver) if getattr(ns, "solver", None) else (),
-        max_iters=getattr(ns, "max_iters", None),
-        rel_tol=getattr(ns, "rel_tol", None),
-        target_objective=getattr(ns, "target_objective", None),
-        seed=getattr(ns, "seed", None),
-        out=getattr(ns, "out", Path(".")),
-    )
+    if hasattr(ns, "solvers"):
+        ns.solvers = tuple(ns.solvers or ())
+    if hasattr(ns, "blur"):
+        ns.blur = BlurKind(ns.blur)
+    return ns
 
 
 def _write_artifacts(report: ExperimentReport, out_dir: Path) -> None:
@@ -246,7 +223,7 @@ def _print_summary(report: ExperimentReport) -> None:
                   f"objective={r.objective:.6g}  {r.seconds:.2f} s{isnr_txt}")
 
 
-def _experiment_spec(cfg: CliConfig) -> ExperimentSpec:
+def _experiment_spec(cfg: argparse.Namespace) -> ExperimentSpec:
     spec = DEFAULT_EXPERIMENTS[cfg.experiment]
     overrides: dict = {}
     if cfg.sigma2 is not None:
@@ -268,7 +245,7 @@ def _experiment_spec(cfg: CliConfig) -> ExperimentSpec:
     return dataclasses.replace(spec, **overrides)
 
 
-def _cmd_run(cfg: CliConfig) -> int:
+def _cmd_run(cfg: argparse.Namespace) -> int:
     x_true = read_image(cfg.image) if cfg.image is not None else phantom(256)
     report = run_experiment(_experiment_spec(cfg), x_true)
     _write_artifacts(report, cfg.out)
@@ -276,7 +253,7 @@ def _cmd_run(cfg: CliConfig) -> int:
     return 0 if not any(r.diverged for r in report.results.values()) else 1
 
 
-def _cmd_deblur(cfg: CliConfig) -> int:
+def _cmd_deblur(cfg: argparse.Namespace) -> int:
     y = read_image(cfg.image)
     stop = {}
     if cfg.rel_tol is not None:
@@ -300,7 +277,7 @@ def _cmd_deblur(cfg: CliConfig) -> int:
     return 0 if not any(r.diverged for r in report.results.values()) else 1
 
 
-def _cmd_psf_dump(cfg: CliConfig) -> int:
+def _cmd_psf_dump(cfg: argparse.Namespace) -> int:
     psf = build_psf(cfg.blur)
     print(f"{cfg.blur.value}: {psf.support[0]}x{psf.support[1]}, center {psf.center}")
     for row in psf.taps:

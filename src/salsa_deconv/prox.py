@@ -9,7 +9,6 @@ proximal map is the elementwise soft threshold
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .convolution import _filter_real, _half_spectrum
 from .frame import FrameCoeffs, FrameSpec, synthesis
 
 __all__ = [
-    "RegularizerKind",
     "Regularizer",
     "soft_threshold",
     "prox",
@@ -26,13 +24,9 @@ __all__ = [
 ]
 
 
-class RegularizerKind(Enum):
-    L1 = "l1"
-
-
 @dataclass(frozen=True)
 class Regularizer:
-    """Separable convex penalty on frame coefficients.
+    """The l1 penalty on frame coefficients.
 
     ``threshold_approx`` controls whether the coarse approximation
     subband is shrunk along with the details (the default).  Disabling
@@ -40,7 +34,6 @@ class Regularizer:
     only; :func:`objective` always reports the full l1 value.
     """
 
-    kind: RegularizerKind = RegularizerKind.L1
     threshold_approx: bool = True
 
 
@@ -72,8 +65,6 @@ def prox(reg: Regularizer, coeffs: FrameCoeffs, threshold: float,
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    if reg.kind is not RegularizerKind.L1:
-        raise ValueError(f"unsupported regularizer kind {reg.kind}")
     out = soft_threshold(coeffs.bands, threshold, out)
     if not reg.threshold_approx:
         out[-1] = coeffs.bands[-1]

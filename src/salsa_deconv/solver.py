@@ -7,18 +7,27 @@ first-order shrinkage/thresholding baselines.  All three minimize
 
     0.5 * ||blur(synth(beta)) - y||^2 + tau * ||beta||_1
 
-and report per-iteration progress in a :class:`SolverTrace`.  Blurs and
-inversion filters run on real FFTs over half spectra.  The recorded
-elapsed seconds count solver work only, so timings compare algorithms
-rather than instrumentation.  Work is everything an iteration needs to
-produce its iterate and the next one.  Every solver synthesizes its
-iterate once per iteration, as work: SALSA's next quadratic step starts
-from the image of theta, and IST and FISTA take their next gradient from
-the data residual ``blur(synth(beta)) - y``, which is work for them too.
-Bookkeeping is left out: the two reductions that turn a residual into
-the objective, ISNR, the finiteness check, and SALSA's blur of theta for
-its residual.  The synthesized iterate is also the image the trace uses
-for the objective's residual and the ISNR.
+and report per-iteration progress in a :class:`SolverTrace`.  One
+private loop, ``_drive``, runs all three: each solver supplies a
+generator that does its setup and then one iteration per step, and the
+loop owns the work clock, the trace, the stopping rule of
+:class:`SolverConfig` and the divergence check.  IST is FISTA without
+the extrapolation.  Blurs and inversion filters run on real FFTs over
+half spectra.
+
+The recorded elapsed seconds count solver work only, so timings compare
+algorithms rather than instrumentation: the time spent inside the
+generator's steps.  Work is everything an iteration needs to produce its
+iterate and the next one.  Every solver synthesizes its iterate once per
+iteration, as work: SALSA's next quadratic step starts from the image of
+theta, and IST and FISTA take their next gradient from the data residual
+``blur(synth(beta)) - y``, which is work for them too.  SALSA's
+``inspect`` callback, which only tests pass, runs inside the step and so
+counts as work.  Bookkeeping is left out: the two reductions that turn a
+residual into the objective, ISNR, and SALSA's blur of theta for its
+residual.  The synthesized iterate is also the image the trace uses for
+the objective's residual and the ISNR.  A non-finite iterate shows as a
+non-finite objective, on which ``_drive`` raises :class:`DivergenceError`.
 
 Each solver allocates its coefficient stacks once and overwrites them in
 place from iteration to iteration; what it hands out (the returned
@@ -27,10 +36,11 @@ coefficients, the states given to ``inspect``) is never written again.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -77,7 +87,6 @@ class SolverConfig:
     max_iters: int = 500
     rel_tol: float = 1e-5
     target_objective: float | None = None
-    record_trace: bool = True
 
     def __post_init__(self) -> None:
         if self.tau < 0:
@@ -135,53 +144,46 @@ class SolverTrace:
         return self.records[-1]
 
 
-class _Run:
-    """Trace/stopping bookkeeping shared by the three solvers."""
+def _drive(steps: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+           cfg: SolverConfig, isnr_fn: Callable[[np.ndarray], float] | None,
+           y: np.ndarray, otf_half: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolverTrace]:
+    """Run a solver's iterations to the stopping rule and trace each one.
 
-    def __init__(self, cfg: SolverConfig, isnr_fn):
-        self.cfg = cfg
-        self.isnr_fn = isnr_fn
-        self.trace = SolverTrace()
-        self.work_seconds = 0.0
-        self.prev_objective: float | None = None
-        self._t0 = 0.0
+    ``steps`` is a generator that does its setup and then one iteration's
+    work per ``next``, each time yielding the iterate's coefficient stack,
+    its synthesis and its data residual ``blur(image) - y``, or ``None``
+    for the residual when ``_drive`` is to blur the image itself.  Only
+    the ``next`` calls count as work.  Iteration 0 is the starting point;
+    ``cfg.max_iters`` caps the iterations after it.  Returns the last
+    iterate, its image and the trace.
+    """
+    trace = SolverTrace()
+    work_seconds = 0.0
+    prev_objective = None
+    for k in range(cfg.max_iters + 1):
+        t0 = time.perf_counter()
+        bands, image, residual = next(steps)
+        work_seconds += time.perf_counter() - t0
 
-    def start_work(self) -> None:
-        self._t0 = time.perf_counter()
-
-    def stop_work(self) -> None:
-        self.work_seconds += time.perf_counter() - self._t0
-
-    def check_finite(self, bands: np.ndarray, k: int) -> None:
-        if not np.all(np.isfinite(bands)):
-            raise DivergenceError(f"non-finite coefficients at iteration {k}")
-
-    def observe(self, k: int, bands: np.ndarray, image: np.ndarray,
-                residual: np.ndarray) -> bool:
-        """Record iteration ``k`` and return True when the run should stop.
-
-        ``bands`` is the recorded iterate, ``image`` its synthesis and
-        ``residual`` the blurred image minus the observation.
-        """
-        f = objective_from_residual(residual, bands, self.cfg.tau)
+        if residual is None:
+            residual = _filter_real(otf_half, image) - y
+        # a non-finite coefficient makes the l1 term non-finite, so this
+        # also catches an iterate that stopped being finite
+        f = objective_from_residual(residual, bands, cfg.tau)
         if not math.isfinite(f):
             raise DivergenceError(f"non-finite objective at iteration {k}")
-        if self.cfg.record_trace:
-            isnr = None
-            if self.isnr_fn is not None:
-                isnr = self.isnr_fn(image)
-            self.trace.records.append(TraceRecord(k, self.work_seconds, f, isnr))
-        stop = False
-        if self.cfg.target_objective is not None:
-            stop = f <= self.cfg.target_objective
-        elif self.prev_objective is not None:
-            change = abs(f - self.prev_objective)
-            if self.prev_objective > 0:
-                stop = change <= self.cfg.rel_tol * self.prev_objective
-            else:
-                stop = change == 0.0
-        self.prev_objective = f
-        return stop
+        isnr = None if isnr_fn is None else isnr_fn(image)
+        trace.records.append(TraceRecord(k, work_seconds, f, isnr))
+        if cfg.target_objective is not None:
+            stop = f <= cfg.target_objective
+        else:
+            # relative change; an objective of 0 stops once it repeats
+            stop = (prev_objective is not None
+                    and abs(f - prev_objective) <= cfg.rel_tol * prev_objective)
+        if stop:
+            break
+        prev_objective = f
+    return bands, image, trace
 
 
 def _image_and_residual(bands: np.ndarray, levels: int, otf_half: np.ndarray,
@@ -251,70 +253,61 @@ def salsa_solve(
     ``splitting_residual`` is ``||beta_K - theta_K|| / ||theta_K||`` at
     the last iteration, with ``beta_K - theta_K = v_K + d_{K-1} - theta_K``.
     ``inspect``, when given, is called with the :class:`SolverState`
-    after every iteration; only then are ``beta_k = v_k + d_{k-1}`` and
-    the multiplier formed as stacks, the multiplier literally as
-    ``d - (beta - theta)`` so its telescoping is bitwise reproducible.
+    at the end of every iteration, inside the work clock; only then are
+    ``beta_k = v_k + d_{k-1}`` and the multiplier formed as stacks, the
+    multiplier literally as ``d - (beta - theta)`` so its telescoping is
+    bitwise reproducible.
     """
     levels = frame.levels
     mu = cfg.resolved_mu()
     threshold = cfg.tau / mu
-    run = _Run(cfg, isnr_fn)
-
-    run.start_work()
     otf_half = _half_spectrum(otf)
-    inv_filter = build_inversion_filter(otf_half, mu)
-    hty = _filter_real(np.conj(otf_half), y)
-    theta = v = analysis_bands(y, levels)
-    w_theta = w_v = synthesis_bands(theta, levels)
-    # Iteration k writes v_k and theta_k over v_{k-2} and theta_{k-2}, so
-    # v_{k-1} and theta_{k-1} survive for the splitting residual.
-    v_bufs = (np.empty_like(theta), np.empty_like(theta))
-    theta_bufs = (theta, np.empty_like(theta))
-    run.stop_work()
+    # theta_k, v_k, theta_{k-1} and v_{k-1} of the last iteration
+    last = []
 
-    stop = run.observe(0, theta, w_theta, _filter_real(otf_half, w_theta) - y)
-    theta_prev = v_prev = theta
-    d = np.zeros_like(theta) if inspect is not None else None
-    k = 0
-    while not stop and k < cfg.max_iters:
-        k += 1
-        run.start_work()
-        theta_prev, v_prev = theta, v
-        u = hty + mu * (2.0 * w_theta - w_v)
-        g = (hty - _filter_real(inv_filter, u)) / mu
-        v = analysis_bands(g, levels, out=v_bufs[k % 2])
-        v += theta
-        w_v = w_theta + g
-        theta = prox(reg, FrameCoeffs(levels, v), threshold, out=theta_bufs[k % 2]).bands
-        w_theta = synthesis_bands(theta, levels)
-        run.stop_work()
+    def steps():
+        inv_filter = build_inversion_filter(otf_half, mu)
+        hty = _filter_real(np.conj(otf_half), y)
+        theta = v = analysis_bands(y, levels)
+        w_theta = w_v = synthesis_bands(theta, levels)
+        # Iteration k writes v_k and theta_k over v_{k-2} and theta_{k-2},
+        # so v_{k-1} and theta_{k-1} survive for the splitting residual.
+        v_bufs = (np.empty_like(theta), np.empty_like(theta))
+        theta_bufs = (theta, np.empty_like(theta))
+        d = np.zeros_like(theta) if inspect is not None else None
+        last[:] = theta, v, theta, v
+        yield theta, w_theta, None
+        for k in itertools.count(1):
+            theta_prev, v_prev = theta, v
+            u = hty + mu * (2.0 * w_theta - w_v)
+            g = (hty - _filter_real(inv_filter, u)) / mu
+            v = analysis_bands(g, levels, out=v_bufs[k % 2])
+            v += theta
+            w_v = w_theta + g
+            theta = prox(reg, FrameCoeffs(levels, v), threshold, out=theta_bufs[k % 2]).bands
+            w_theta = synthesis_bands(theta, levels)
+            last[:] = theta, v, theta_prev, v_prev
+            if inspect is not None:
+                beta = v + d
+                d = d - (beta - theta)
+                inspect(SolverState(
+                    beta=FrameCoeffs(levels, beta),
+                    theta=FrameCoeffs(levels, theta.copy()),
+                    d=FrameCoeffs(levels, d),
+                    k=k,
+                ))
+            yield theta, w_theta, None
 
-        run.check_finite(v, k)
-        stop = run.observe(k, theta, w_theta, _filter_real(otf_half, w_theta) - y)
-        if inspect is not None:
-            beta = v + d
-            d = d - (beta - theta)
-            inspect(SolverState(
-                beta=FrameCoeffs(levels, beta),
-                theta=FrameCoeffs(levels, theta.copy()),
-                d=FrameCoeffs(levels, d),
-                k=k,
-            ))
-
+    theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
+    _, v, theta_prev, v_prev = last
     gap = _norm(v + (theta_prev - v_prev) - theta)
     size = _norm(theta)
-    run.trace.splitting_residual = gap / size if size > 0 else gap
-    return FrameCoeffs(levels, theta), w_theta, run.trace
+    trace.splitting_residual = gap / size if size > 0 else gap
+    return FrameCoeffs(levels, theta), w_theta, trace
 
 
 def _norm(bands: np.ndarray) -> float:
     return float(np.sqrt((bands**2).sum()))
-
-
-def _default_step(otf: np.ndarray) -> float:
-    # 1/L with L = max |d|^2, the Lipschitz bound of the data-term
-    # gradient (the frame is Parseval, so ||W|| = 1).
-    return 1.0 / float(np.max(np.abs(otf) ** 2))
 
 
 def ist_solve(
@@ -331,40 +324,10 @@ def ist_solve(
     One iteration is a gradient step on the data term followed by the
     soft threshold: ``beta <- soft(beta - s * Wt Ht (H W beta - y),
     tau * s)``.  With the default step ``s = 1 / max|OTF|^2`` the
-    objective is nonincreasing.
+    objective is nonincreasing.  This is :func:`fista_solve` without
+    the extrapolation.
     """
-    levels = frame.levels
-    step = _default_step(otf) if step_size is None else step_size
-    if step <= 0:
-        raise ValueError(f"step_size must be positive, got {step}")
-    threshold = cfg.tau * step
-    run = _Run(cfg, isnr_fn)
-
-    run.start_work()
-    otf_half = _half_spectrum(otf)
-    otf_half_adj = np.conj(otf_half)
-    beta = analysis_bands(y, levels)
-    z = np.empty_like(beta)
-    image, residual = _image_and_residual(beta, levels, otf_half, y)
-    run.stop_work()
-
-    stop = run.observe(0, beta, image, residual)
-    k = 0
-    while not stop and k < cfg.max_iters:
-        k += 1
-        run.start_work()
-        # z = beta - step * grad, with the gradient analysed into z
-        analysis_bands(_filter_real(otf_half_adj, residual), levels, out=z)
-        z *= -step
-        z += beta
-        prox(reg, FrameCoeffs(levels, z), threshold, out=beta)
-        image, residual = _image_and_residual(beta, levels, otf_half, y)
-        run.stop_work()
-
-        run.check_finite(beta, k)
-        stop = run.observe(k, beta, image, residual)
-
-    return FrameCoeffs(levels, beta), image, run.trace
+    return _proximal_gradient(y, otf, frame, reg, cfg, step_size, isnr_fn, momentum=False)
 
 
 def fista_momentum(t: float) -> float:
@@ -385,55 +348,65 @@ def fista_solve(
 
     IST step taken at an extrapolated point, with the extrapolation
     weight ``(t_k - 1) / t_{k+1}`` driven by :func:`fista_momentum`.
-    Unlike IST the objective need not decrease monotonically.  The data
-    residual is affine in the coefficients, so the residual at the
-    extrapolated point ``z = beta + w (beta - beta_prev)`` is
-    ``(1 + w) r_beta - w r_beta_prev``, from residuals already held; one
-    synthesis and one blur per iteration, at ``beta``, serve both the
-    next gradient and the trace.
+    Unlike IST the objective need not decrease monotonically.
+    """
+    return _proximal_gradient(y, otf, frame, reg, cfg, step_size, isnr_fn, momentum=True)
+
+
+def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, reg: Regularizer,
+                       cfg: SolverConfig, step_size: float | None,
+                       isnr_fn: Callable[[np.ndarray], float] | None,
+                       momentum: bool) -> tuple[FrameCoeffs, np.ndarray, SolverTrace]:
+    """IST, or FISTA when ``momentum`` is set.
+
+    The gradient step is taken at ``z = beta + w (beta - beta_prev)``,
+    with the weight ``w`` 0 for IST and for FISTA's first step; then
+    ``z`` is the new iterate itself and so is its residual.  Otherwise
+    the residual at ``z`` is ``(1 + w) r_beta - w r_beta_prev``, since the
+    data residual is affine in the coefficients: one synthesis and one
+    blur per iteration, at ``beta``, serve both the next gradient and the
+    trace.  The default step ``1 / max|OTF|^2`` is ``1/L`` for ``L`` the
+    Lipschitz bound of the data-term gradient (the frame is Parseval, so
+    ``||W|| = 1``).
     """
     levels = frame.levels
-    step = _default_step(otf) if step_size is None else step_size
+    step = 1.0 / float(np.max(np.abs(otf) ** 2)) if step_size is None else step_size
     if step <= 0:
         raise ValueError(f"step_size must be positive, got {step}")
     threshold = cfg.tau * step
-    run = _Run(cfg, isnr_fn)
-
-    run.start_work()
     otf_half = _half_spectrum(otf)
-    otf_half_adj = np.conj(otf_half)
-    beta = analysis_bands(y, levels)
-    z = beta.copy()
-    g = np.empty_like(beta)
-    beta_next = np.empty_like(beta)
-    image, residual = _image_and_residual(beta, levels, otf_half, y)
-    residual_z = residual
-    t = 1.0
-    run.stop_work()
 
-    stop = run.observe(0, beta, image, residual)
-    k = 0
-    while not stop and k < cfg.max_iters:
-        k += 1
-        run.start_work()
-        # g = z - step * grad, with the gradient analysed into g
-        analysis_bands(_filter_real(otf_half_adj, residual_z), levels, out=g)
-        g *= -step
-        g += z
-        prox(reg, FrameCoeffs(levels, g), threshold, out=beta_next)
-        t_next = fista_momentum(t)
-        w = (t - 1.0) / t_next
-        # z = beta_next + w * (beta_next - beta)
-        np.subtract(beta_next, beta, out=z)
-        z *= w
-        z += beta_next
-        image, residual_next = _image_and_residual(beta_next, levels, otf_half, y)
-        residual_z = (1.0 + w) * residual_next - w * residual
-        beta, beta_next = beta_next, beta
-        residual, t = residual_next, t_next
-        run.stop_work()
+    def steps():
+        otf_half_adj = np.conj(otf_half)
+        beta = analysis_bands(y, levels)
+        g = np.empty_like(beta)
+        # IST thresholds into beta itself; FISTA keeps beta_prev for w
+        beta_next = np.empty_like(beta) if momentum else beta
+        z_buf = np.empty_like(beta) if momentum else None
+        image, residual = _image_and_residual(beta, levels, otf_half, y)
+        z, residual_z = beta, residual
+        t = 1.0
+        yield beta, image, residual
+        while True:
+            # g = z - step * grad, with the gradient analysed into g
+            analysis_bands(_filter_real(otf_half_adj, residual_z), levels, out=g)
+            g *= -step
+            g += z
+            prox(reg, FrameCoeffs(levels, g), threshold, out=beta_next)
+            image, residual_next = _image_and_residual(beta_next, levels, otf_half, y)
+            t_next = fista_momentum(t) if momentum else 1.0
+            w = (t - 1.0) / t_next
+            t = t_next
+            if w == 0.0:
+                z, residual_z = beta_next, residual_next
+            else:
+                z = np.subtract(beta_next, beta, out=z_buf)
+                z *= w
+                z += beta_next
+                residual_z = (1.0 + w) * residual_next - w * residual
+            beta, beta_next = beta_next, beta
+            residual = residual_next
+            yield beta, image, residual
 
-        run.check_finite(beta, k)
-        stop = run.observe(k, beta, image, residual)
-
-    return FrameCoeffs(levels, beta), image, run.trace
+    beta, image, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
+    return FrameCoeffs(levels, beta), image, trace

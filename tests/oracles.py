@@ -248,17 +248,17 @@ def reference_salsa(y, otf, levels, reg, tau, mu, max_iters, rel_tol):
     return theta, objectives
 
 
-def reference_fista(y, otf, levels, reg, tau, step, iters):
+def reference_fista(y, otf, levels, reg, tau, step, iters, momentum):
     """FISTA with the residual at the extrapolated point formed literally.
 
     Synthesizes and blurs ``z`` on every iteration instead of combining
-    residuals.  Returns the final beta and the objective at every
-    iteration, starting with iteration 0.
+    residuals.  ``momentum`` is the ``t`` recursion, or ``None`` for IST,
+    whose gradient step is taken at ``beta`` itself.  Returns the final
+    beta and the objective at every iteration, starting with iteration 0.
     """
     from salsa_deconv.convolution import adjoint_filter, apply_filter
     from salsa_deconv.frame import FrameCoeffs
     from salsa_deconv.prox import prox
-    from salsa_deconv.solver import fista_momentum
 
     def residual(bands):
         return apply_filter(otf, synthesis_bands(bands, levels)) - y
@@ -273,8 +273,12 @@ def reference_fista(y, otf, levels, reg, tau, step, iters):
     for _ in range(iters):
         grad = analysis_bands(adjoint_filter(otf, residual(z)), levels)
         beta_next = prox(reg, FrameCoeffs(levels, z - step * grad), tau * step).bands
-        t_next = fista_momentum(t)
-        z = beta_next + ((t - 1.0) / t_next) * (beta_next - beta)
-        beta, t = beta_next, t_next
+        if momentum is None:
+            z = beta_next
+        else:
+            t_next = momentum(t)
+            z = beta_next + ((t - 1.0) / t_next) * (beta_next - beta)
+            t = t_next
+        beta = beta_next
         objectives.append(objective(beta))
     return beta, objectives

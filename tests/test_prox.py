@@ -3,7 +3,7 @@ import pytest
 
 from salsa_deconv.convolution import BlurKind, build_psf, psf_to_otf
 from salsa_deconv.frame import FrameCoeffs, FrameSpec, analysis, norm1
-from salsa_deconv.prox import Regularizer, RegularizerKind, objective, prox, soft_threshold
+from salsa_deconv.prox import Regularizer, objective, prox, soft_threshold
 
 from oracles import dense_blur_matrix, dense_synthesis_matrix, grid_prox_objective
 
@@ -127,10 +127,6 @@ def test_approximation_band_exemption_flag():
     assert np.array_equal(keep.bands[:-1], soft_threshold(c.bands[:-1], 0.4))
     shrunk = prox(Regularizer(), c, 0.4)
     assert not np.array_equal(shrunk.bands[-1], c.bands[-1])
-
-
-def test_regularizer_kind_enum():
-    assert Regularizer().kind is RegularizerKind.L1
 
 
 # ---------------------------------------------------------------------------

@@ -225,12 +225,22 @@ def test_salsa_trace_is_deterministic():
     assert [r.iteration for r in t1.records] == [r.iteration for r in t2.records]
 
 
-def test_salsa_divergence_error_names_iteration():
-    y = np.full((16, 16), np.inf)
-    otf = np.ones((16, 16), dtype=complex)
-    cfg = SolverConfig(tau=0.1, max_iters=10)
-    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError, match="iteration"):
-        salsa_solve(y, otf, FrameSpec(1), Regularizer(), cfg)
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_divergence_error_names_iteration(solver):
+    # SALSA on infinite data, IST and FISTA with a step far above 1/L: a
+    # non-finite iterate makes the objective non-finite, and the run
+    # stops there
+    if solver is salsa_solve:
+        y = np.full((16, 16), np.inf)
+        otf = np.ones((16, 16), dtype=complex)
+        spec, cfg, kwargs = FrameSpec(1), SolverConfig(tau=0.1, max_iters=10), {}
+    else:
+        y, otf, spec = small_problem(side=16, levels=1)
+        cfg = SolverConfig(tau=0.01, max_iters=200, rel_tol=0.0)
+        kwargs = {"step_size": 1e12}
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match=r"at iteration \d+$"):
+        solver(y, otf, spec, Regularizer(), cfg, **kwargs)
 
 
 def test_salsa_splitting_residual_small_at_tight_tolerance():
@@ -292,32 +302,33 @@ def test_salsa_solution_is_theta_and_sparse():
     assert trace.records[0].iteration == 0
 
 
-def test_salsa_target_objective_mode():
+@pytest.mark.parametrize("solver, slack", [(salsa_solve, 1.001), (ist_solve, 1.2),
+                                           (fista_solve, 1.001)],
+                         ids=["salsa_solve", "ist_solve", "fista_solve"])
+def test_target_objective_mode(solver, slack):
+    # the target is set from SALSA's objective floor, looser for IST, which
+    # is far slower on this blur; each solver stops at its first record
+    # that reaches it
     y, otf, spec = small_problem(side=16, levels=2)
     ref_cfg = SolverConfig(tau=0.05, max_iters=200, rel_tol=1e-8)
     _, _, ref_trace = salsa_solve(y, otf, spec, Regularizer(), ref_cfg)
-    target = ref_trace.final.objective * 1.001
-    cfg = SolverConfig(tau=0.05, max_iters=200, rel_tol=0.0, target_objective=target)
-    _, _, trace = salsa_solve(y, otf, spec, Regularizer(), cfg)
+    target = ref_trace.final.objective * slack
+    cfg = SolverConfig(tau=0.05, max_iters=2000, rel_tol=0.0, target_objective=target)
+    _, _, trace = solver(y, otf, spec, Regularizer(), cfg)
     assert trace.final.objective <= target
-    assert trace.final.iteration <= ref_trace.final.iteration
+    assert all(r.objective > target for r in trace.records[:-1])
+    if solver is salsa_solve:
+        assert trace.final.iteration <= ref_trace.final.iteration
 
 
-def test_salsa_record_trace_off():
-    y, otf, spec = small_problem(side=16, levels=1)
-    cfg = SolverConfig(tau=0.05, max_iters=10, rel_tol=0.0, record_trace=False)
-    coeffs, image, trace = salsa_solve(y, otf, spec, Regularizer(), cfg)
-    assert trace.records == []
-    assert image.shape == (16, 16)
-
-
-def test_trace_monotonic_bookkeeping():
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_trace_monotonic_bookkeeping(solver):
     y, otf, spec = small_problem(side=16, levels=2)
     cfg = SolverConfig(tau=0.05, max_iters=40, rel_tol=0.0)
-    _, _, trace = salsa_solve(y, otf, spec, Regularizer(), cfg)
+    _, _, trace = solver(y, otf, spec, Regularizer(), cfg)
     iters = [r.iteration for r in trace.records]
     times = [r.elapsed_s for r in trace.records]
-    assert iters == sorted(set(iters))
+    assert iters == list(range(cfg.max_iters + 1))
     assert all(b >= a for a, b in zip(times, times[1:]))
 
 
@@ -384,16 +395,20 @@ def test_fista_momentum_sequence():
         t = t_next
 
 
-def test_fista_matches_literal_recursion():
+@pytest.mark.parametrize("solver, momentum", [(ist_solve, None),
+                                              (fista_solve, fista_momentum)],
+                         ids=["ist_solve", "fista_solve"])
+def test_proximal_gradient_matches_literal_recursion(solver, momentum):
     # the residual at the extrapolated point is combined from the last two
-    # residuals; by linearity that is the residual of z up to rounding
+    # residuals; by linearity that is the residual of z up to rounding.
+    # IST is the same iteration without the extrapolation
     tau, levels, iters = 0.05, 2, 60
     y, otf, spec = small_problem(side=16, levels=levels, kind=BlurKind.GAUSSIAN, size=5)
     cfg = SolverConfig(tau=tau, max_iters=iters, rel_tol=0.0)
-    coeffs, _, trace = fista_solve(y, otf, spec, Regularizer(), cfg)
+    coeffs, _, trace = solver(y, otf, spec, Regularizer(), cfg)
     step = 1.0 / float(np.max(np.abs(otf) ** 2))
     want_beta, want_objectives = reference_fista(y, otf, levels, Regularizer(), tau,
-                                                 step, iters)
+                                                 step, iters, momentum)
     got = np.array(trace.objectives)
     want = np.array(want_objectives)
     assert got.shape == want.shape
