@@ -24,21 +24,18 @@ from .bench import (
 from .convolution import (
     BlurKind,
     Psf,
-    adjoint_filter,
     apply_filter,
     build_inversion_filter,
     build_psf,
     psf_to_otf,
 )
-from .frame import FrameCoeffs, FrameSpec, analysis, synthesis
-from .prox import Regularizer, objective, prox, soft_threshold
+from .frame import FrameCoeffs, FrameSpec
+from .prox import Regularizer, prox
 from .solver import (
     DivergenceError,
     SolverConfig,
-    SolverState,
     SolverTrace,
     TraceRecord,
-    beta_update,
     fista_solve,
     ist_solve,
     salsa_solve,
@@ -52,22 +49,15 @@ __all__ = [
     "build_psf",
     "psf_to_otf",
     "apply_filter",
-    "adjoint_filter",
     "build_inversion_filter",
     "FrameSpec",
     "FrameCoeffs",
-    "analysis",
-    "synthesis",
     "Regularizer",
-    "soft_threshold",
     "prox",
-    "objective",
     "DivergenceError",
     "SolverConfig",
-    "SolverState",
     "TraceRecord",
     "SolverTrace",
-    "beta_update",
     "salsa_solve",
     "ist_solve",
     "fista_solve",

@@ -262,8 +262,10 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     All solvers see the identical observation, regularization weight and
     frame; a SHA-256 digest of those inputs goes into the report so a
     comparison can assert it was fair.  Solver divergence is recorded in
-    the result rather than raised.  ISNR is only tracked when the ground
-    truth ``x_true`` is supplied.
+    the result rather than raised; when the probe that sets an ``"auto"``
+    target diverges, every solver is recorded as diverged with the
+    probe's error and the target stays ``None``.  ISNR is only tracked
+    when the ground truth ``x_true`` is supplied.
     """
     y = np.asarray(y, dtype=float)
     otf = psf_to_otf(spec.psf(), y.shape)
@@ -271,15 +273,15 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     reg = Regularizer()
     mu = spec.resolved_mu()
 
-    target: float | None
+    target: float | None = None
+    probe_error = None
     if spec.target_objective == "auto":
-        probe_cfg = SolverConfig(tau=spec.tau, mu=mu, max_iters=spec.max_iters,
-                                 rel_tol=spec.rel_tol)
-        _, _, probe_trace = salsa_solve(y, otf, frame, reg, probe_cfg)
-        target = probe_trace.final.objective
-    elif spec.target_objective is None:
-        target = None
-    else:
+        probe = _run_one("salsa", y, otf, frame, reg, _solver_cfg(spec, None), None)
+        if probe.diverged:
+            probe_error = f"target probe diverged: {probe.error}"
+        else:
+            target = probe.objective
+    elif spec.target_objective is not None:
         target = float(spec.target_objective)
 
     isnr_fn = None
@@ -289,8 +291,11 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
 
     results: dict[str, SolverResult] = {}
     for name in spec.solvers:
-        cfg = _solver_cfg(spec, target)
-        results[name] = _run_one(name, y, otf, frame, reg, cfg, isnr_fn)
+        if probe_error is not None:
+            results[name] = SolverResult(name=name, diverged=True, error=probe_error)
+        else:
+            results[name] = _run_one(name, y, otf, frame, reg, _solver_cfg(spec, target),
+                                     isnr_fn)
 
     return ExperimentReport(
         spec=spec,

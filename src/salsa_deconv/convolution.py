@@ -8,10 +8,10 @@ matrix or its transpose is two FFTs plus a pointwise multiply.
 
 The regularized inverse used by the quadratic solve of the split
 augmented-Lagrangian iteration is also a DFT-domain filter; see
-:func:`build_inversion_filter`.  The solvers and the objective apply
-these filters, which are Hermitian for real kernels, on real FFTs over
-the half spectrum; :func:`apply_filter` and :func:`adjoint_filter` take
-any complex filter.
+:func:`build_inversion_filter`.  The solvers apply these filters, which
+are Hermitian for real kernels, on real FFTs over the half spectrum, and
+the transpose of the blur as the conjugate half spectrum;
+:func:`apply_filter` takes any complex filter.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "build_psf",
     "psf_to_otf",
     "apply_filter",
-    "adjoint_filter",
     "build_inversion_filter",
 ]
 
@@ -134,26 +133,11 @@ def psf_to_otf(psf: Psf, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.fft2(pad)
 
 
-def _check_shapes(filt: np.ndarray, image: np.ndarray) -> None:
-    if filt.shape != image.shape:
-        raise ValueError(f"filter shape {filt.shape} != image shape {image.shape}")
-
-
 def apply_filter(filt: np.ndarray, image: np.ndarray) -> np.ndarray:
     """Pointwise DFT-domain filtering: real(IDFT(filt * DFT(image)))."""
-    _check_shapes(filt, image)
+    if filt.shape != image.shape:
+        raise ValueError(f"filter shape {filt.shape} != image shape {image.shape}")
     return np.fft.ifft2(filt * np.fft.fft2(image)).real
-
-
-def adjoint_filter(filt: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Apply the transpose of :func:`apply_filter`'s operator.
-
-    For a convolution OTF this is correlation with the kernel, i.e.
-    filtering by the complex conjugate; it satisfies
-    ``<apply_filter(D, a), b> == <a, adjoint_filter(D, b)>``.
-    """
-    _check_shapes(filt, image)
-    return np.fft.ifft2(np.conj(filt) * np.fft.fft2(image)).real
 
 
 def build_inversion_filter(otf: np.ndarray, mu: float) -> np.ndarray:
@@ -184,7 +168,7 @@ def _half_spectrum(filt: np.ndarray) -> np.ndarray:
 def _filter_real(half: np.ndarray, image: np.ndarray) -> np.ndarray:
     """:func:`apply_filter` for a Hermitian filter, on real FFTs.
 
-    ``half`` is the filter's :func:`_half_spectrum`; pass its complex
-    conjugate to apply the transpose, as :func:`adjoint_filter` does.
+    ``half`` is the filter's :func:`_half_spectrum`; its complex
+    conjugate applies the transpose, correlation with the kernel.
     """
     return np.fft.irfft2(half * np.fft.rfft2(image), s=image.shape)

@@ -7,8 +7,8 @@ style, i.e. taps ``1/2`` at offsets ``{0, 2**(j-1)}`` (lowpass) and
 ``+1/2, -1/2`` at the same offsets (highpass), applied separably along
 both axes with periodic wrap.  With that tap scale the subband filters
 at each level resolve the identity, so the frame is Parseval: synthesis
-is the exact adjoint of analysis and ``synthesis(analysis(x)) == x`` up
-to floating point.
+is the exact adjoint of analysis and synthesis inverts analysis up to
+floating point.
 
 Subband order is fixed so serialized coefficients are portable:
 ``(level-1 horizontal, vertical, diagonal), (level-2 H, V, D), ...,
@@ -30,12 +30,8 @@ import numpy as np
 __all__ = [
     "FrameSpec",
     "FrameCoeffs",
-    "analysis",
-    "synthesis",
     "analysis_bands",
     "synthesis_bands",
-    "norm1",
-    "norm2",
 ]
 
 
@@ -66,13 +62,6 @@ class FrameCoeffs:
     levels: int
     bands: np.ndarray = field(repr=False)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.bands.shape[1:]
-
-    def copy(self) -> "FrameCoeffs":
-        return FrameCoeffs(self.levels, self.bands.copy())
-
 
 def _check_image(image: np.ndarray, levels: int) -> np.ndarray:
     image = np.asarray(image, dtype=float)
@@ -85,15 +74,6 @@ def _check_image(image: np.ndarray, levels: int) -> np.ndarray:
             f"image dimensions {h}x{w} must be divisible by 2**levels = {step}"
         )
     return image
-
-
-def _check_coeffs(coeffs: FrameCoeffs, spec: FrameSpec) -> None:
-    if coeffs.levels != spec.levels:
-        raise ValueError(f"coefficients have {coeffs.levels} levels, spec wants {spec.levels}")
-    if coeffs.bands.ndim != 3 or coeffs.bands.shape[0] != spec.n_subbands:
-        raise ValueError(
-            f"expected {spec.n_subbands} stacked subbands, got shape {coeffs.bands.shape}"
-        )
 
 
 def _pair(op, x: np.ndarray, shift: int, axis: int, out: np.ndarray) -> None:
@@ -163,8 +143,13 @@ def synthesis_bands(bands: np.ndarray, levels: int) -> np.ndarray:
 
     Each level sums the four unscaled two-tap adjoints and scales the
     result by ``1/4`` once, which gives bitwise the values of the
-    per-axis ``1/2`` form.
+    per-axis ``1/2`` form.  ``bands`` must stack ``3*levels + 1``
+    subbands.
     """
+    if bands.ndim != 3 or bands.shape[0] != 3 * levels + 1:
+        raise ValueError(
+            f"expected {3 * levels + 1} stacked subbands, got shape {bands.shape}"
+        )
     shape, dtype = bands.shape[1:], np.result_type(bands, 0.5)
     p, q, r, t = (np.empty(shape, dtype) for _ in range(4))
     a = bands[-1]
@@ -184,26 +169,3 @@ def synthesis_bands(bands: np.ndarray, levels: int) -> np.ndarray:
         shift //= 2
     return a
 
-
-def analysis(image: np.ndarray, spec: FrameSpec) -> FrameCoeffs:
-    """Frame analysis transform (the transpose of :func:`synthesis`).
-
-    Cost is O(n * levels).  Requires image dimensions divisible by
-    ``2**spec.levels``.
-    """
-    return FrameCoeffs(spec.levels, analysis_bands(image, spec.levels))
-
-
-def synthesis(coeffs: FrameCoeffs, spec: FrameSpec) -> np.ndarray:
-    """Frame synthesis transform; reconstructs the image from coefficients."""
-    _check_coeffs(coeffs, spec)
-    return synthesis_bands(coeffs.bands, spec.levels)
-
-
-def norm1(x: FrameCoeffs) -> float:
-    """l1 norm summed over every subband."""
-    return float(np.abs(x.bands).sum())
-
-
-def norm2(x: FrameCoeffs) -> float:
-    return float(np.sqrt((x.bands**2).sum()))

@@ -21,17 +21,16 @@ generator's steps.  Work is everything an iteration needs to produce its
 iterate and the next one.  Every solver synthesizes its iterate once per
 iteration, as work: SALSA's next quadratic step starts from the image of
 theta, and IST and FISTA take their next gradient from the data residual
-``blur(synth(beta)) - y``, which is work for them too.  SALSA's
-``inspect`` callback, which only tests pass, runs inside the step and so
-counts as work.  Bookkeeping is left out: the two reductions that turn a
-residual into the objective, ISNR, and SALSA's blur of theta for its
-residual.  The synthesized iterate is also the image the trace uses for
-the objective's residual and the ISNR.  A non-finite iterate shows as a
-non-finite objective, on which ``_drive`` raises :class:`DivergenceError`.
+``blur(synth(beta)) - y``, which is work for them too.  Bookkeeping is
+left out: the two reductions that turn a residual into the objective,
+ISNR, and SALSA's blur of theta for its residual.  The synthesized
+iterate is also the image the trace uses for the objective's residual
+and the ISNR.  A non-finite iterate shows as a non-finite objective, on
+which ``_drive`` raises :class:`DivergenceError`.
 
 Each solver allocates its coefficient stacks once and overwrites them in
-place from iteration to iteration; what it hands out (the returned
-coefficients, the states given to ``inspect``) is never written again.
+place from iteration to iteration; the coefficients it returns are never
+written again.
 """
 
 from __future__ import annotations
@@ -44,22 +43,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .convolution import (
-    _filter_real,
-    _half_spectrum,
-    apply_filter,
-    build_inversion_filter,
-)
+from .convolution import _filter_real, _half_spectrum, build_inversion_filter
 from .frame import FrameCoeffs, FrameSpec, analysis_bands, synthesis_bands
 from .prox import Regularizer, objective_from_residual, prox
 
 __all__ = [
     "DivergenceError",
     "SolverConfig",
-    "SolverState",
     "TraceRecord",
     "SolverTrace",
-    "beta_update",
     "salsa_solve",
     "ist_solve",
     "fista_solve",
@@ -103,16 +95,6 @@ class SolverConfig:
         if mu <= 0:
             raise ValueError("resolved mu is not positive; pass mu explicitly when tau == 0")
         return mu
-
-
-@dataclass
-class SolverState:
-    """SALSA iterates after iteration ``k``: primal pair and multiplier."""
-
-    beta: FrameCoeffs
-    theta: FrameCoeffs
-    d: FrameCoeffs
-    k: int
 
 
 @dataclass(frozen=True)
@@ -193,23 +175,17 @@ def _image_and_residual(bands: np.ndarray, levels: int, otf_half: np.ndarray,
     return image, _filter_real(otf_half, image) - y
 
 
-def beta_update(r: FrameCoeffs, inv_filter: np.ndarray, frame: FrameSpec,
-                mu: float) -> FrameCoeffs:
-    """Exact minimizer of the quadratic subproblem via the Woodbury identity.
+def _quadratic_step(hty: np.ndarray | float, u: np.ndarray, inv_filter: np.ndarray,
+                    mu: float) -> np.ndarray:
+    """SALSA's quadratic step in the image domain, ``g = (Ht y - F u) / mu``.
 
-    Solves ``(Wt Ht H W + mu I) beta = r`` for the Parseval frame W and
-    circular blur H, as ``(1/mu) * (r - Wt F W r)`` where F is the
-    DFT-domain inversion filter from :func:`build_inversion_filter`.
+    ``inv_filter`` is the half spectrum of F from
+    :func:`build_inversion_filter`.  For ``r = Wt Ht y + mu c`` and
+    ``u = W r``, the solution of ``(Wt Ht H W + mu I) beta = r`` is
+    ``beta = c + Wt g``, by the Woodbury identity and ``W Wt = I``; with
+    ``hty = 0`` that is ``r / mu + Wt g``.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if r.levels != frame.levels or r.bands.shape[0] != frame.n_subbands:
-        raise ValueError(
-            f"coefficient layout {r.bands.shape} does not match a "
-            f"{frame.levels}-level frame"
-        )
-    filtered = apply_filter(inv_filter, synthesis_bands(r.bands, frame.levels))
-    return FrameCoeffs(r.levels, (r.bands - analysis_bands(filtered, frame.levels)) / mu)
+    return (hty - _filter_real(inv_filter, u)) / mu
 
 
 def salsa_solve(
@@ -219,7 +195,6 @@ def salsa_solve(
     reg: Regularizer,
     cfg: SolverConfig,
     isnr_fn: Callable[[np.ndarray], float] | None = None,
-    inspect: Callable[[SolverState], None] | None = None,
 ) -> tuple[FrameCoeffs, np.ndarray, SolverTrace]:
     """Split augmented-Lagrangian shrinkage iteration.
 
@@ -227,7 +202,7 @@ def salsa_solve(
 
         r     = ybar + mu * (theta + d)
         beta  = (1/mu) * (r - Wt F W r)
-        theta = soft_threshold(beta - d, tau / mu)
+        theta = soft(beta - d, tau / mu)
         d     = d - (beta - theta)
 
     starting from ``theta = beta = Wt y`` and ``d = 0``, where W is the
@@ -238,10 +213,10 @@ def salsa_solve(
     ``k`` is
 
         u_k      = Ht y + mu * (2 W theta_{k-1} - W v_{k-1})   (= W r_k)
-        g_k      = (Ht y - F u_k) / mu
+        g_k      = (Ht y - F u_k) / mu                  (:func:`_quadratic_step`)
         v_k      = theta_{k-1} + Wt g_k                  (= beta_k - d_{k-1})
         W v_k    = W theta_{k-1} + g_k
-        theta_k  = soft_threshold(v_k, tau / mu)
+        theta_k  = soft(v_k, tau / mu)
         W theta_k = synth(theta_k)
 
     from ``v_0 = theta_0 = Wt y``: one analysis, one synthesis and one
@@ -252,11 +227,7 @@ def salsa_solve(
     together with its synthesis and the per-iteration trace, whose
     ``splitting_residual`` is ``||beta_K - theta_K|| / ||theta_K||`` at
     the last iteration, with ``beta_K - theta_K = v_K + d_{K-1} - theta_K``.
-    ``inspect``, when given, is called with the :class:`SolverState`
-    at the end of every iteration, inside the work clock; only then are
-    ``beta_k = v_k + d_{k-1}`` and the multiplier formed as stacks, the
-    multiplier literally as ``d - (beta - theta)`` so its telescoping is
-    bitwise reproducible.
+    ``reg`` is the :class:`Regularizer`; the l1 norm is the only penalty.
     """
     levels = frame.levels
     mu = cfg.resolved_mu()
@@ -274,28 +245,18 @@ def salsa_solve(
         # so v_{k-1} and theta_{k-1} survive for the splitting residual.
         v_bufs = (np.empty_like(theta), np.empty_like(theta))
         theta_bufs = (theta, np.empty_like(theta))
-        d = np.zeros_like(theta) if inspect is not None else None
         last[:] = theta, v, theta, v
         yield theta, w_theta, None
         for k in itertools.count(1):
             theta_prev, v_prev = theta, v
             u = hty + mu * (2.0 * w_theta - w_v)
-            g = (hty - _filter_real(inv_filter, u)) / mu
+            g = _quadratic_step(hty, u, inv_filter, mu)
             v = analysis_bands(g, levels, out=v_bufs[k % 2])
             v += theta
             w_v = w_theta + g
-            theta = prox(reg, FrameCoeffs(levels, v), threshold, out=theta_bufs[k % 2]).bands
+            theta = prox(v, threshold, out=theta_bufs[k % 2])
             w_theta = synthesis_bands(theta, levels)
             last[:] = theta, v, theta_prev, v_prev
-            if inspect is not None:
-                beta = v + d
-                d = d - (beta - theta)
-                inspect(SolverState(
-                    beta=FrameCoeffs(levels, beta),
-                    theta=FrameCoeffs(levels, theta.copy()),
-                    d=FrameCoeffs(levels, d),
-                    k=k,
-                ))
             yield theta, w_theta, None
 
     theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
@@ -327,7 +288,7 @@ def ist_solve(
     objective is nonincreasing.  This is :func:`fista_solve` without
     the extrapolation.
     """
-    return _proximal_gradient(y, otf, frame, reg, cfg, step_size, isnr_fn, momentum=False)
+    return _proximal_gradient(y, otf, frame, cfg, step_size, isnr_fn, momentum=False)
 
 
 def fista_momentum(t: float) -> float:
@@ -350,11 +311,11 @@ def fista_solve(
     weight ``(t_k - 1) / t_{k+1}`` driven by :func:`fista_momentum`.
     Unlike IST the objective need not decrease monotonically.
     """
-    return _proximal_gradient(y, otf, frame, reg, cfg, step_size, isnr_fn, momentum=True)
+    return _proximal_gradient(y, otf, frame, cfg, step_size, isnr_fn, momentum=True)
 
 
-def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, reg: Regularizer,
-                       cfg: SolverConfig, step_size: float | None,
+def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: SolverConfig,
+                       step_size: float | None,
                        isnr_fn: Callable[[np.ndarray], float] | None,
                        momentum: bool) -> tuple[FrameCoeffs, np.ndarray, SolverTrace]:
     """IST, or FISTA when ``momentum`` is set.
@@ -392,7 +353,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, reg: Re
             analysis_bands(_filter_real(otf_half_adj, residual_z), levels, out=g)
             g *= -step
             g += z
-            prox(reg, FrameCoeffs(levels, g), threshold, out=beta_next)
+            prox(g, threshold, out=beta_next)
             image, residual_next = _image_and_residual(beta_next, levels, otf_half, y)
             t_next = fista_momentum(t) if momentum else 1.0
             w = (t - 1.0) / t_next

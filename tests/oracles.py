@@ -4,15 +4,18 @@ Everything here deliberately avoids the FFT/vectorized code paths under
 test: convolution is the literal periodic sum, transforms are dense
 matrices or scalar loops, and the proximal map is a grid search.  The
 exceptions are :func:`reference_salsa` and :func:`reference_fista`, the
-solvers' literal recursions on complex FFTs, which the solvers are
-checked against, and :func:`roll_analysis_bands` and
-:func:`roll_synthesis_bands`, the frame transforms in their ``np.roll``
-form, which the package's transforms must match bitwise.
+solvers' literal recursions on complex FFTs (with :func:`adjoint_filter`
+and :func:`beta_update`), which the solvers are checked against, and
+:func:`roll_analysis_bands` and :func:`roll_synthesis_bands`, the frame
+transforms in their ``np.roll`` form, which the package's transforms must
+match bitwise.
 """
 
 import numpy as np
 
+from salsa_deconv.convolution import apply_filter, build_inversion_filter
 from salsa_deconv.frame import analysis_bands, synthesis_bands
+from salsa_deconv.prox import prox
 
 
 def direct_convolve(image, psf):
@@ -204,34 +207,49 @@ def subgradient_residual(bands, grad_bands, tau):
     return worst
 
 
+def adjoint_filter(filt, image):
+    """Transpose of ``apply_filter(filt, .)``: filtering by the conjugate, on complex FFTs.
+
+    For a convolution OTF this is correlation with the kernel; it
+    satisfies ``<apply_filter(D, a), b> == <a, adjoint_filter(D, b)>``
+    for any complex ``D``.
+    """
+    return np.fft.ifft2(np.conj(filt) * np.fft.fft2(image)).real
+
+
 def data_gradient(y, otf, levels, bands):
     """Gradient of 0.5*||H W beta - y||^2, i.e. Wt Ht (H W beta - y)."""
-    from salsa_deconv.convolution import adjoint_filter, apply_filter
-
     residual = apply_filter(otf, synthesis_bands(bands, levels)) - y
     return analysis_bands(adjoint_filter(otf, residual), levels)
 
 
-def reference_salsa(y, otf, levels, reg, tau, mu, max_iters, rel_tol):
+def beta_update(r, inv_filter, levels, mu):
+    """Exact minimizer of SALSA's quadratic subproblem via the Woodbury identity.
+
+    Solves ``(Wt Ht H W + mu I) beta = r`` for the Parseval frame W and
+    circular blur H, as ``(1/mu) * (r - Wt F W r)`` where F is the
+    full-spectrum inversion filter from ``build_inversion_filter``,
+    applied on complex FFTs.
+    """
+    filtered = apply_filter(inv_filter, synthesis_bands(r, levels))
+    return (r - analysis_bands(filtered, levels)) / mu
+
+
+def reference_salsa(y, otf, levels, tau, mu, max_iters, rel_tol, on_iteration=None):
     """SALSA as the literal coefficient-domain recursion.
 
     Keeps ``r``, ``beta`` and the multiplier ``d`` as coefficient stacks,
-    solves the quadratic step with :func:`salsa_deconv.solver.beta_update`
-    on complex FFTs and stops on the relative objective change that
-    ``SolverConfig.rel_tol`` describes.  Returns the final theta and the
-    objective at every iteration, starting with iteration 0.
+    solves the quadratic step with :func:`beta_update` on complex FFTs
+    and stops on the relative objective change that
+    ``SolverConfig.rel_tol`` describes.  ``on_iteration``, when given, is
+    called with ``beta``, ``theta`` and ``d`` after every iteration;
+    each call gets new arrays.  Returns the final theta and the objective
+    at every iteration, starting with iteration 0.
     """
-    from salsa_deconv.convolution import (adjoint_filter, apply_filter,
-                                          build_inversion_filter)
-    from salsa_deconv.frame import FrameCoeffs, FrameSpec
-    from salsa_deconv.prox import prox
-    from salsa_deconv.solver import beta_update
-
     def objective(bands):
         residual = apply_filter(otf, synthesis_bands(bands, levels)) - y
         return 0.5 * float((residual**2).sum()) + tau * float(np.abs(bands).sum())
 
-    frame = FrameSpec(levels)
     inv_filter = build_inversion_filter(otf, mu)
     ybar = analysis_bands(adjoint_filter(otf, y), levels)
     theta = analysis_bands(y, levels)
@@ -239,16 +257,18 @@ def reference_salsa(y, otf, levels, reg, tau, mu, max_iters, rel_tol):
     objectives = [objective(theta)]
     for _ in range(max_iters):
         r = ybar + mu * (theta + d)
-        beta = beta_update(FrameCoeffs(levels, r), inv_filter, frame, mu).bands
-        theta = prox(reg, FrameCoeffs(levels, beta - d), tau / mu).bands
+        beta = beta_update(r, inv_filter, levels, mu)
+        theta = prox(beta - d, tau / mu)
         d = d - (beta - theta)
+        if on_iteration is not None:
+            on_iteration(beta, theta, d)
         objectives.append(objective(theta))
         if abs(objectives[-1] - objectives[-2]) <= rel_tol * objectives[-2]:
             break
     return theta, objectives
 
 
-def reference_fista(y, otf, levels, reg, tau, step, iters, momentum):
+def reference_fista(y, otf, levels, tau, step, iters, momentum):
     """FISTA with the residual at the extrapolated point formed literally.
 
     Synthesizes and blurs ``z`` on every iteration instead of combining
@@ -256,10 +276,6 @@ def reference_fista(y, otf, levels, reg, tau, step, iters, momentum):
     whose gradient step is taken at ``beta`` itself.  Returns the final
     beta and the objective at every iteration, starting with iteration 0.
     """
-    from salsa_deconv.convolution import adjoint_filter, apply_filter
-    from salsa_deconv.frame import FrameCoeffs
-    from salsa_deconv.prox import prox
-
     def residual(bands):
         return apply_filter(otf, synthesis_bands(bands, levels)) - y
 
@@ -272,7 +288,7 @@ def reference_fista(y, otf, levels, reg, tau, step, iters, momentum):
     objectives = [objective(beta)]
     for _ in range(iters):
         grad = analysis_bands(adjoint_filter(otf, residual(z)), levels)
-        beta_next = prox(reg, FrameCoeffs(levels, z - step * grad), tau * step).bands
+        beta_next = prox(z - step * grad, tau * step)
         if momentum is None:
             z = beta_next
         else:

@@ -231,14 +231,20 @@ def test_explicit_target_recorded():
 
 
 def test_divergence_recorded_not_raised():
+    # with an "auto" target the probe that sets it diverges first; every
+    # solver is then recorded as diverged with the probe's error
     x = phantom(32)
     x[0, 0] = np.nan
-    with np.errstate(invalid="ignore"):
-        report = run_experiment(quick_spec(), x)
-    r = report.results["salsa"]
-    assert r.diverged
-    assert "iteration" in r.error
-    assert r.image is None
+    for target in (None, "auto"):
+        spec = quick_spec(solvers=("salsa", "fista"), target_objective=target)
+        with np.errstate(invalid="ignore"):
+            report = run_experiment(spec, x)
+        assert report.target_objective is None
+        for r in report.results.values():
+            assert r.diverged
+            assert "iteration" in r.error
+            assert ("probe" in r.error) == (target == "auto")
+            assert r.image is None
 
 
 def test_solve_observation_without_truth_has_no_isnr():
