@@ -85,6 +85,10 @@ class ExperimentSpec:
     target_objective: float | str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("noise_variance", "tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.noise_variance < 0:
             raise ValueError(f"noise_variance must be nonnegative, got {self.noise_variance}")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -266,6 +270,11 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     target diverges, every solver is recorded as diverged with the
     probe's error and the target stays ``None``.  ISNR is only tracked
     when the ground truth ``x_true`` is supplied.
+
+    The ``"auto"`` probe is SALSA's own solve under ``rel_tol``.  When its
+    objective first reaches its final value at its last record, a SALSA
+    solve stopped at that target would stop there too, so the probe is
+    reported as SALSA's result instead of solving again.
     """
     y = np.asarray(y, dtype=float)
     otf = psf_to_otf(spec.psf(), y.shape)
@@ -273,25 +282,33 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     reg = Regularizer()
     mu = spec.resolved_mu()
 
-    target: float | None = None
-    probe_error = None
-    if spec.target_objective == "auto":
-        probe = _run_one("salsa", y, otf, frame, reg, _solver_cfg(spec, None), None)
-        if probe.diverged:
-            probe_error = f"target probe diverged: {probe.error}"
-        else:
-            target = probe.objective
-    elif spec.target_objective is not None:
-        target = float(spec.target_objective)
-
     isnr_fn = None
     if x_true is not None:
         truth = np.asarray(x_true, dtype=float)
         isnr_fn = lambda image: isnr(truth, y, image)
 
+    target: float | None = None
+    probe_error = None
+    salsa_result = None
+    if spec.target_objective == "auto":
+        reuse = "salsa" in spec.solvers
+        probe = _run_one("salsa", y, otf, frame, reg, _solver_cfg(spec, None),
+                         isnr_fn if reuse else None)
+        if probe.diverged:
+            probe_error = f"target probe diverged: {probe.error}"
+        else:
+            target = probe.objective
+            if reuse and all(r.objective > target for r in probe.trace.records[:-1]):
+                probe.reached_target = True
+                salsa_result = probe
+    elif spec.target_objective is not None:
+        target = float(spec.target_objective)
+
     results: dict[str, SolverResult] = {}
     for name in spec.solvers:
-        if probe_error is not None:
+        if name == "salsa" and salsa_result is not None:
+            results[name] = salsa_result
+        elif probe_error is not None:
             results[name] = SolverResult(name=name, diverged=True, error=probe_error)
         else:
             results[name] = _run_one(name, y, otf, frame, reg, _solver_cfg(spec, target),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -120,14 +121,18 @@ def write_image(image: np.ndarray, path: str | Path) -> None:
     Path(path).write_bytes(header + pixels.tobytes())
 
 
-def _mu_flag(text: str) -> float | None:
-    if text == "auto":
-        return None
+def _real_flag(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _mu_flag(text: str) -> float | None:
+    return None if text == "auto" else _real_flag(text)
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
@@ -136,9 +141,9 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mu", type=_mu_flag, default=None, metavar="REAL|auto",
                      help="penalty weight; 'auto' (default) uses 0.1*tau")
     sub.add_argument("--max-iters", type=int, default=None, metavar="INT")
-    sub.add_argument("--rel-tol", type=float, default=None, metavar="REAL",
+    sub.add_argument("--rel-tol", type=_real_flag, default=None, metavar="REAL",
                      help="stop when the relative objective change drops below this")
-    sub.add_argument("--target-objective", type=float, default=None, metavar="REAL",
+    sub.add_argument("--target-objective", type=_real_flag, default=None, metavar="REAL",
                      help="stop once the objective reaches this value instead")
     sub.add_argument("--seed", type=int, default=None, metavar="INT")
     sub.add_argument("--out", type=Path, default=Path("."), metavar="DIR",
@@ -163,9 +168,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                      help="experiment id: " + ", ".join(DEFAULT_EXPERIMENTS))
     run.add_argument("--image", type=Path, default=None, metavar="PATH",
                      help="ground-truth PGM (default: built-in 256x256 phantom)")
-    run.add_argument("--sigma2", type=float, default=None, metavar="REAL",
+    run.add_argument("--sigma2", type=_real_flag, default=None, metavar="REAL",
                      help="override the experiment's noise variance")
-    run.add_argument("--tau", type=float, default=None, metavar="REAL",
+    run.add_argument("--tau", type=_real_flag, default=None, metavar="REAL",
                      help="override the experiment's regularization weight")
     _add_solver_flags(run)
 
@@ -175,7 +180,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     deblur.add_argument("--blur", required=True,
                         choices=[k.value for k in BlurKind],
                         help="blur family the observation was degraded with")
-    deblur.add_argument("--tau", type=float, required=True, metavar="REAL",
+    deblur.add_argument("--tau", type=_real_flag, required=True, metavar="REAL",
                         help="regularization weight (problem-dependent, no default)")
     _add_solver_flags(deblur)
 

@@ -9,9 +9,9 @@ matrix or its transpose is two FFTs plus a pointwise multiply.
 The regularized inverse used by the quadratic solve of the split
 augmented-Lagrangian iteration is also a DFT-domain filter; see
 :func:`build_inversion_filter`.  The solvers apply these filters, which
-are Hermitian for real kernels, on real FFTs over the half spectrum, and
-the transpose of the blur as the conjugate half spectrum;
-:func:`apply_filter` takes any complex filter.
+are Hermitian for real kernels, as products with half spectra from real
+FFTs (``rfft2``/``irfft2``), and the transpose of the blur as the
+conjugate half spectrum; :func:`apply_filter` takes any complex filter.
 """
 
 from __future__ import annotations
@@ -160,15 +160,8 @@ def _half_spectrum(filt: np.ndarray) -> np.ndarray:
 
     A filter of a real operator (the OTF of a real kernel, or a real
     even-symmetric gain such as the inversion filter) is Hermitian, so
-    these columns determine it; :func:`_filter_real` applies it.
+    these columns determine it: ``irfft2(half * rfft2(image), s)`` is
+    :func:`apply_filter`, and the complex conjugate of ``half`` applies
+    the transpose, correlation with the kernel.
     """
     return filt[:, : filt.shape[1] // 2 + 1]
-
-
-def _filter_real(half: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """:func:`apply_filter` for a Hermitian filter, on real FFTs.
-
-    ``half`` is the filter's :func:`_half_spectrum`; its complex
-    conjugate applies the transpose, correlation with the kernel.
-    """
-    return np.fft.irfft2(half * np.fft.rfft2(image), s=image.shape)

@@ -12,21 +12,27 @@ private loop, ``_drive``, runs all three: each solver supplies a
 generator that does its setup and then one iteration per step, and the
 loop owns the work clock, the trace, the stopping rule of
 :class:`SolverConfig` and the divergence check.  IST is FISTA without
-the extrapolation.  Blurs and inversion filters run on real FFTs over
-half spectra.
+the extrapolation.
+
+Blurs and inversion filters are products with half spectra on real
+FFTs, and every solver carries the half spectrum of its synthesized
+iterate from one iteration to the next, so that an iteration runs three
+real 2-D FFTs: SALSA's inverse FFT of its quadratic step and forward FFT
+of the image of theta, IST's and FISTA's inverse FFT of the gradient and
+forward FFT of the image of beta, and for all three the inverse FFT of
+the blurred iterate that gives the trace its residual.
 
 The recorded elapsed seconds count solver work only, so timings compare
 algorithms rather than instrumentation: the time spent inside the
 generator's steps.  Work is everything an iteration needs to produce its
-iterate and the next one.  Every solver synthesizes its iterate once per
-iteration, as work: SALSA's next quadratic step starts from the image of
-theta, and IST and FISTA take their next gradient from the data residual
-``blur(synth(beta)) - y``, which is work for them too.  Bookkeeping is
-left out: the two reductions that turn a residual into the objective,
-ISNR, and SALSA's blur of theta for its residual.  The synthesized
-iterate is also the image the trace uses for the objective's residual
-and the ISNR.  A non-finite iterate shows as a non-finite objective, on
-which ``_drive`` raises :class:`DivergenceError`.
+iterate and the next one: for every solver, the synthesis of its iterate
+and that image's forward FFT, which the next quadratic step or gradient
+starts from.  Bookkeeping is left out: the inverse FFT that turns the
+blurred spectrum into the data residual ``blur(synth(beta)) - y``, the
+two reductions that turn the residual into the objective, and ISNR.  The
+synthesized iterate is also the image the trace uses for the ISNR.  A
+non-finite iterate shows as a non-finite objective, on which ``_drive``
+raises :class:`DivergenceError`.
 
 Each solver allocates its coefficient stacks once and overwrites them in
 place from iteration to iteration; the coefficients it returns are never
@@ -43,7 +49,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .convolution import _filter_real, _half_spectrum, build_inversion_filter
+from .convolution import _half_spectrum, build_inversion_filter
 from .frame import FrameCoeffs, FrameSpec, analysis_bands, synthesis_bands
 from .prox import Regularizer, objective_from_residual, prox
 
@@ -81,6 +87,10 @@ class SolverConfig:
     target_objective: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("tau", "mu", "rel_tol", "target_objective"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tau < 0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
         if self.max_iters < 1:
@@ -126,16 +136,16 @@ class SolverTrace:
         return self.records[-1]
 
 
-def _drive(steps: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+def _drive(steps: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]],
            cfg: SolverConfig, isnr_fn: Callable[[np.ndarray], float] | None,
            y: np.ndarray, otf_half: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolverTrace]:
     """Run a solver's iterations to the stopping rule and trace each one.
 
     ``steps`` is a generator that does its setup and then one iteration's
     work per ``next``, each time yielding the iterate's coefficient stack,
-    its synthesis and its data residual ``blur(image) - y``, or ``None``
-    for the residual when ``_drive`` is to blur the image itself.  Only
-    the ``next`` calls count as work.  Iteration 0 is the starting point;
+    its synthesis and that image's ``rfft2`` half spectrum, from which
+    ``_drive`` forms the data residual ``blur(image) - y``.  Only the
+    ``next`` calls count as work.  Iteration 0 is the starting point;
     ``cfg.max_iters`` caps the iterations after it.  Returns the last
     iterate, its image and the trace.
     """
@@ -144,11 +154,10 @@ def _drive(steps: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
     prev_objective = None
     for k in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
-        bands, image, residual = next(steps)
+        bands, image, spectrum = next(steps)
         work_seconds += time.perf_counter() - t0
 
-        if residual is None:
-            residual = _filter_real(otf_half, image) - y
+        residual = np.fft.irfft2(otf_half * spectrum, s=y.shape) - y
         # a non-finite coefficient makes the l1 term non-finite, so this
         # also catches an iterate that stopped being finite
         f = objective_from_residual(residual, bands, cfg.tau)
@@ -168,24 +177,18 @@ def _drive(steps: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
     return bands, image, trace
 
 
-def _image_and_residual(bands: np.ndarray, levels: int, otf_half: np.ndarray,
-                        y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesis of ``bands`` and its data residual ``blur(image) - y``."""
-    image = synthesis_bands(bands, levels)
-    return image, _filter_real(otf_half, image) - y
-
-
 def _quadratic_step(hty: np.ndarray | float, u: np.ndarray, inv_filter: np.ndarray,
                     mu: float) -> np.ndarray:
-    """SALSA's quadratic step in the image domain, ``g = (Ht y - F u) / mu``.
+    """SALSA's quadratic step on half spectra, ``G = (Ht Y - F U) / mu``.
 
-    ``inv_filter`` is the half spectrum of F from
-    :func:`build_inversion_filter`.  For ``r = Wt Ht y + mu c`` and
-    ``u = W r``, the solution of ``(Wt Ht H W + mu I) beta = r`` is
-    ``beta = c + Wt g``, by the Woodbury identity and ``W Wt = I``; with
-    ``hty = 0`` that is ``r / mu + Wt g``.
+    ``u`` and ``hty`` are ``rfft2`` half spectra and ``inv_filter`` is the
+    half spectrum of F from :func:`build_inversion_filter`; the step's
+    image is ``g = irfft2(G)``.  For ``r = Wt Ht y + mu c`` and ``u`` the
+    spectrum of ``W r``, the solution of ``(Wt Ht H W + mu I) beta = r``
+    is ``beta = c + Wt g``, by the Woodbury identity and ``W Wt = I``;
+    with ``hty = 0`` that is ``r / mu + Wt g``.
     """
-    return (hty - _filter_real(inv_filter, u)) / mu
+    return (hty - inv_filter * u) / mu
 
 
 def salsa_solve(
@@ -209,19 +212,22 @@ def salsa_solve(
     frame synthesis, Wt its analysis and F the inversion filter from
     :func:`build_inversion_filter`.  The frame is Parseval (``W Wt = I``),
     so only the prox input ``v_k = beta_k - d_{k-1}`` and ``theta`` need
-    to be coefficient stacks.  Since ``d_k = theta_k - v_k``, iteration
-    ``k`` is
+    to be coefficient stacks, and the images ``W theta`` and ``W v`` enter
+    only through their half spectra ``Theta = rfft2(W theta)`` and
+    ``V = rfft2(W v)``.  With ``Y = rfft2(y)``, H the OTF's half spectrum
+    and ``d_k = theta_k - v_k``, iteration ``k`` is
 
-        u_k      = Ht y + mu * (2 W theta_{k-1} - W v_{k-1})   (= W r_k)
-        g_k      = (Ht y - F u_k) / mu                  (:func:`_quadratic_step`)
-        v_k      = theta_{k-1} + Wt g_k                  (= beta_k - d_{k-1})
-        W v_k    = W theta_{k-1} + g_k
+        U_k      = Ht Y + mu * (2 Theta_{k-1} - V_{k-1})   (spectrum of W r_k)
+        G_k      = (Ht Y - F U_k) / mu                  (:func:`_quadratic_step`)
+        v_k      = theta_{k-1} + Wt irfft2(G_k)           (= beta_k - d_{k-1})
+        V_k      = Theta_{k-1} + G_k
         theta_k  = soft(v_k, tau / mu)
-        W theta_k = synth(theta_k)
+        Theta_k  = rfft2(synth(theta_k))
 
-    from ``v_0 = theta_0 = Wt y``: one analysis, one synthesis and one
-    inversion filter per iteration.  The synthesis of ``theta_k`` is
-    also the returned image and gives the trace its residual.
+    from ``v_0 = theta_0 = Wt y``: one inversion filter, one inverse and
+    one forward FFT, one analysis and one synthesis per iteration.  The
+    synthesis of ``theta_k`` is also the returned image, and its spectrum
+    gives the trace its residual.
 
     The returned solution is ``theta`` (the prox output, exactly sparse)
     together with its synthesis and the per-iteration trace, whose
@@ -238,26 +244,28 @@ def salsa_solve(
 
     def steps():
         inv_filter = build_inversion_filter(otf_half, mu)
-        hty = _filter_real(np.conj(otf_half), y)
+        hty = np.conj(otf_half) * np.fft.rfft2(y)
         theta = v = analysis_bands(y, levels)
-        w_theta = w_v = synthesis_bands(theta, levels)
+        w_theta = synthesis_bands(theta, levels)
+        theta_hat = v_hat = np.fft.rfft2(w_theta)
         # Iteration k writes v_k and theta_k over v_{k-2} and theta_{k-2},
         # so v_{k-1} and theta_{k-1} survive for the splitting residual.
         v_bufs = (np.empty_like(theta), np.empty_like(theta))
         theta_bufs = (theta, np.empty_like(theta))
         last[:] = theta, v, theta, v
-        yield theta, w_theta, None
+        yield theta, w_theta, theta_hat
         for k in itertools.count(1):
             theta_prev, v_prev = theta, v
-            u = hty + mu * (2.0 * w_theta - w_v)
-            g = _quadratic_step(hty, u, inv_filter, mu)
-            v = analysis_bands(g, levels, out=v_bufs[k % 2])
+            u = hty + mu * (2.0 * theta_hat - v_hat)
+            g_hat = _quadratic_step(hty, u, inv_filter, mu)
+            v = analysis_bands(np.fft.irfft2(g_hat, s=y.shape), levels, out=v_bufs[k % 2])
             v += theta
-            w_v = w_theta + g
+            v_hat = theta_hat + g_hat
             theta = prox(v, threshold, out=theta_bufs[k % 2])
             w_theta = synthesis_bands(theta, levels)
+            theta_hat = np.fft.rfft2(w_theta)
             last[:] = theta, v, theta_prev, v_prev
-            yield theta, w_theta, None
+            yield theta, w_theta, theta_hat
 
     theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
     _, v, theta_prev, v_prev = last
@@ -322,12 +330,15 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
 
     The gradient step is taken at ``z = beta + w (beta - beta_prev)``,
     with the weight ``w`` 0 for IST and for FISTA's first step; then
-    ``z`` is the new iterate itself and so is its residual.  Otherwise
-    the residual at ``z`` is ``(1 + w) r_beta - w r_beta_prev``, since the
-    data residual is affine in the coefficients: one synthesis and one
-    blur per iteration, at ``beta``, serve both the next gradient and the
-    trace.  The default step ``1 / max|OTF|^2`` is ``1/L`` for ``L`` the
-    Lipschitz bound of the data-term gradient (the frame is Parseval, so
+    ``z`` is the new iterate itself and so is its residual.  The data
+    residual is affine in the coefficients, so it is kept as the half
+    spectrum ``R = H B - Y`` of ``blur(synth(beta)) - y``, with
+    ``B = rfft2(synth(beta))`` and ``Y = rfft2(y)``; the residual at
+    ``z`` is ``R_z = (1 + w) R - w R_prev``.  The step's coefficients are
+    ``z + Wt irfft2(-s Ht R_z)``, so an iteration runs one inverse FFT for
+    the gradient and one forward FFT of the new iterate's image.  The
+    default step ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz
+    bound of the data-term gradient (the frame is Parseval, so
     ``||W|| = 1``).
     """
     levels = frame.levels
@@ -338,23 +349,28 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     otf_half = _half_spectrum(otf)
 
     def steps():
-        otf_half_adj = np.conj(otf_half)
+        # the gradient step's filter, applied to the residual spectrum
+        descent = -step * np.conj(otf_half)
+        y_hat = np.fft.rfft2(y)
         beta = analysis_bands(y, levels)
         g = np.empty_like(beta)
         # IST thresholds into beta itself; FISTA keeps beta_prev for w
         beta_next = np.empty_like(beta) if momentum else beta
         z_buf = np.empty_like(beta) if momentum else None
-        image, residual = _image_and_residual(beta, levels, otf_half, y)
+        image = synthesis_bands(beta, levels)
+        beta_hat = np.fft.rfft2(image)
+        residual = otf_half * beta_hat - y_hat
         z, residual_z = beta, residual
         t = 1.0
-        yield beta, image, residual
+        yield beta, image, beta_hat
         while True:
-            # g = z - step * grad, with the gradient analysed into g
-            analysis_bands(_filter_real(otf_half_adj, residual_z), levels, out=g)
-            g *= -step
+            # g = z - step * grad, with the step's image analysed into g
+            analysis_bands(np.fft.irfft2(descent * residual_z, s=y.shape), levels, out=g)
             g += z
             prox(g, threshold, out=beta_next)
-            image, residual_next = _image_and_residual(beta_next, levels, otf_half, y)
+            image = synthesis_bands(beta_next, levels)
+            beta_hat = np.fft.rfft2(image)
+            residual_next = otf_half * beta_hat - y_hat
             t_next = fista_momentum(t) if momentum else 1.0
             w = (t - 1.0) / t_next
             t = t_next
@@ -367,7 +383,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
                 residual_z = (1.0 + w) * residual_next - w * residual
             beta, beta_next = beta_next, beta
             residual = residual_next
-            yield beta, image, residual
+            yield beta, image, beta_hat
 
     beta, image, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
     return FrameCoeffs(levels, beta), image, trace

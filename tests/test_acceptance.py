@@ -106,7 +106,8 @@ def test_criterion_2_dense_subproblem():
                 r = rng.standard_normal((3 * levels + 1, side, side))
                 want = np.linalg.solve(q, r.ravel())
                 # the solver's quadratic step, without the Ht y it carries
-                g = _quadratic_step(0.0, synthesis_bands(r, levels), filt, mu)
+                u = synthesis_bands(r, levels)
+                g = np.fft.irfft2(_quadratic_step(0.0, np.fft.rfft2(u), filt, mu), s=u.shape)
                 got = (r / mu + analysis_bands(g, levels)).ravel()
                 denom = max(1.0, float(np.abs(want).max()))
                 assert np.abs(got - want).max() <= 1e-8 * denom

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import salsa_deconv.bench as bench_module
 from salsa_deconv.bench import (
     DEFAULT_EXPERIMENTS,
     ExperimentReport,
@@ -154,6 +155,13 @@ def test_spec_validation():
         quick_spec(target_objective="fast")
 
 
+@pytest.mark.parametrize("name", ["noise_variance", "tau"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        quick_spec(**{name: value})
+
+
 def test_spec_mu_rule():
     assert quick_spec(tau=0.2).resolved_mu() == pytest.approx(0.02, rel=1e-15)
     assert quick_spec(tau=0.2, mu=1.5).resolved_mu() == 1.5
@@ -219,6 +227,56 @@ def test_auto_target_mode_runs_all_solvers_to_common_target():
     for r in report.results.values():
         assert r.reached_target is True
         assert r.objective <= report.target_objective
+
+
+def recording_salsa(monkeypatch):
+    """Wrap ``bench.salsa_solve``; returns the coefficients and last iteration of each call."""
+    calls = []
+    solve = bench_module.salsa_solve
+
+    def wrapper(y, otf, frame, reg, cfg, isnr_fn=None):
+        coeffs, image, trace = solve(y, otf, frame, reg, cfg, isnr_fn=isnr_fn)
+        calls.append((coeffs.bands, trace.final.iteration))
+        return coeffs, image, trace
+
+    monkeypatch.setattr(bench_module, "salsa_solve", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("reused", [True, False], ids=["probe-reused", "solved-again"])
+def test_auto_target_salsa_result_equals_target_stopped_solve(monkeypatch, reused):
+    # the "auto" probe is SALSA's result when its objective first reaches
+    # its final value at its last record; otherwise (here: capped at 18
+    # iterations while the objective rises, with mu = 0.01 tau) SALSA is
+    # solved again to the target.  Either way the reported SALSA result is
+    # what a separate solve stopped at that target gives
+    if reused:
+        spec = quick_spec(solvers=("ist", "salsa"), target_objective="auto", max_iters=200)
+    else:
+        spec = quick_spec(solvers=("ist", "salsa"), target_objective="auto", max_iters=18,
+                          rel_tol=0.0, mu=0.0005)
+    x = phantom(32)
+    y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+    calls = recording_salsa(monkeypatch)
+    report = solve_observation(y, spec, x_true=x)
+    assert list(report.results) == ["ist", "salsa"]
+    assert len(calls) == (1 if reused else 2)
+    got, (got_bands, _) = report.results["salsa"], calls[-1]
+    if not reused:
+        assert calls[0][1] == spec.max_iters
+        assert got.iterations < spec.max_iters
+
+    separate = dataclasses.replace(spec, target_objective=report.target_objective,
+                                   solvers=("salsa",))
+    want = solve_observation(y, separate, x_true=x).results["salsa"]
+    assert want.reached_target is True and want.isnr_db is not None
+    for f in dataclasses.fields(SolverResult):
+        if f.name not in ("seconds", "trace", "image"):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    records = lambda r: [(rec.iteration, rec.objective, rec.isnr_db) for rec in r.trace.records]
+    assert records(got) == records(want)
+    assert np.array_equal(got.image, want.image)
+    assert np.array_equal(got_bands, calls[-1][0])
 
 
 def test_explicit_target_recorded():

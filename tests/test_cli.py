@@ -160,6 +160,17 @@ def test_non_numeric_value_is_usage_error(tmp_path):
                     "--tau", "0.1", "--mu", "bogus"])
 
 
+@pytest.mark.parametrize("flag", ["--tau", "--sigma2", "--mu", "--rel-tol",
+                                  "--target-objective"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_is_usage_error(flag, value, capsys):
+    # a NaN rel_tol used to run to max_iters and write NaN into the JSON report
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["run", "--experiment", "1", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         parse_args(["run", "--experiment", "1", "--frobnicate"])

@@ -3,7 +3,6 @@ import pytest
 
 from salsa_deconv.convolution import (
     BlurKind,
-    _filter_real,
     _half_spectrum,
     apply_filter,
     build_inversion_filter,
@@ -11,7 +10,13 @@ from salsa_deconv.convolution import (
     psf_to_otf,
 )
 
-from oracles import dense_blur_matrix, dft_otf, direct_convolve, direct_convolve_scalar
+from oracles import (
+    dense_blur_matrix,
+    dft_otf,
+    direct_convolve,
+    direct_convolve_scalar,
+    filter_real,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def test_psf_larger_than_image_rejected():
 
 def adjoint(filt, image):
     """The transpose of the blur as the solvers apply it: the conjugate half spectrum."""
-    return _filter_real(np.conj(_half_spectrum(filt)), image)
+    return filter_real(np.conj(_half_spectrum(filt)), image)
 
 
 def test_all_ones_filter_is_identity():
@@ -198,7 +203,7 @@ def test_adjoint_inner_product_identity():
         a, b = rng.standard_normal((2, 16, 16))
         # the OTF of a real, non-symmetric kernel: Hermitian, with any phase
         filt = np.fft.fft2(rng.standard_normal((16, 16)))
-        lhs = float((_filter_real(_half_spectrum(filt), a) * b).sum())
+        lhs = float((filter_real(_half_spectrum(filt), a) * b).sum())
         rhs = float((a * adjoint(filt, b)).sum())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 

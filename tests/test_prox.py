@@ -3,7 +3,6 @@ import pytest
 
 from salsa_deconv.convolution import (
     BlurKind,
-    _filter_real,
     _half_spectrum,
     build_psf,
     psf_to_otf,
@@ -11,7 +10,12 @@ from salsa_deconv.convolution import (
 from salsa_deconv.frame import analysis_bands, synthesis_bands
 from salsa_deconv.prox import objective_from_residual, prox
 
-from oracles import dense_blur_matrix, dense_synthesis_matrix, grid_prox_objective
+from oracles import (
+    dense_blur_matrix,
+    dense_synthesis_matrix,
+    filter_real,
+    grid_prox_objective,
+)
 
 
 def coeffs_from(rng, levels, side):
@@ -20,7 +24,7 @@ def coeffs_from(rng, levels, side):
 
 def objective(y, otf, levels, bands, tau):
     """The solvers' objective of ``bands``: their blur and synthesis, then the reductions."""
-    residual = _filter_real(_half_spectrum(otf), synthesis_bands(bands, levels)) - y
+    residual = filter_real(_half_spectrum(otf), synthesis_bands(bands, levels)) - y
     return objective_from_residual(residual, bands, tau)
 
 
@@ -77,6 +81,40 @@ def test_soft_threshold_rejects_out_sharing_values():
     with pytest.raises(ValueError, match="share memory"):
         prox(v, 0.5, out=v[::-1])
     assert np.array_equal(v, before)
+
+
+# prox and the objective's l1 term work in blocks of this many elements
+BLOCK = 1 << 15
+
+
+def block_case(n):
+    """``n`` values with exact thresholds at the first block boundary; ``None`` is a strided view."""
+    rng = np.random.default_rng(45)
+    if n is None:
+        return rng.standard_normal((3, 2 * BLOCK + 6))[:, ::2]
+    v = rng.standard_normal(n)
+    v[BLOCK - 2:BLOCK + 2] = [0.8, -0.8, 0.8, -0.8][:max(0, n - BLOCK + 2)]
+    return v
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17, None],
+                         ids=["1", "block-1", "block", "block+1", "3block+17", "strided"])
+def test_blocked_prox_and_l1_at_block_boundaries(n):
+    t = 0.8
+    v = block_case(n)
+    before = v.copy()
+    # the formula's negative zeros are +0.0 in prox's result
+    want = np.sign(v) * np.maximum(np.abs(v) - t, 0.0) + 0.0
+    for out in (None, np.full(v.shape, np.nan), np.full(v.shape + (2,), np.nan)[..., 0]):
+        got = prox(v, t, out=out)
+        assert out is None or got is out
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(v, before)
+    with pytest.raises(ValueError, match="share memory"):
+        prox(v, t, out=v)
+    want_l1 = float(np.abs(v).sum())
+    got_l1 = objective_from_residual(np.zeros(1), v, 1.0)
+    assert abs(got_l1 - want_l1) <= v.size * np.finfo(float).eps * want_l1
 
 
 def test_full_shrinkage_to_zero():

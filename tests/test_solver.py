@@ -6,7 +6,6 @@ import pytest
 from salsa_deconv.bench import degrade, phantom
 from salsa_deconv.convolution import (
     BlurKind,
-    _filter_real,
     _half_spectrum,
     apply_filter,
     build_inversion_filter,
@@ -30,6 +29,7 @@ from oracles import (
     data_gradient,
     dense_analysis_matrix,
     dense_blur_matrix,
+    filter_real,
     reference_fista,
     reference_salsa,
     subgradient_residual,
@@ -62,6 +62,17 @@ def test_config_validation():
         SolverConfig(tau=0.1, mu=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tau", math.nan), ("tau", math.inf), ("mu", math.nan), ("mu", math.inf),
+    ("rel_tol", math.nan), ("rel_tol", math.inf),
+    ("target_objective", math.nan), ("target_objective", -math.inf),
+])
+def test_config_rejects_non_finite(name, value):
+    # a NaN rel_tol or target would never stop the run before max_iters
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SolverConfig(**{"tau": 0.1, name: value})
+
+
 def test_mu_rule_of_thumb():
     assert SolverConfig(tau=0.05).resolved_mu() == pytest.approx(0.005, rel=1e-15)
     assert SolverConfig(tau=0.05, mu=2.0).resolved_mu() == 2.0
@@ -76,7 +87,8 @@ def test_mu_rule_of_thumb():
 def beta_update(r, otf, levels, mu):
     """beta solving ``(Wt Ht H W + mu I) beta = r``, by the solver's quadratic step."""
     inv_half = build_inversion_filter(_half_spectrum(otf), mu)
-    g = _quadratic_step(0.0, synthesis_bands(r, levels), inv_half, mu)
+    u = synthesis_bands(r, levels)
+    g = np.fft.irfft2(_quadratic_step(0.0, np.fft.rfft2(u), inv_half, mu), s=u.shape)
     return r / mu + analysis_bands(g, levels)
 
 
@@ -430,10 +442,31 @@ def test_final_record_is_taken_at_the_returned_iterate(solver):
     coeffs, image, trace = solver(y, otf, spec, Regularizer(), cfg, isnr_fn=isnr_fn)
     assert trace.final.iteration == 12
     assert len(seen) == len(trace.records)
-    residual = _filter_real(_half_spectrum(otf), synthesis_bands(coeffs.bands, spec.levels)) - y
+    residual = filter_real(_half_spectrum(otf), synthesis_bands(coeffs.bands, spec.levels)) - y
     assert trace.final.objective == objective_from_residual(residual, coeffs.bands, tau)
     assert np.array_equal(seen[-1], image)
     assert np.array_equal(image, synthesis_bands(coeffs.bands, spec.levels))
+
+
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_three_real_ffts_per_iteration(solver, monkeypatch):
+    # each solver carries its iterate's half spectrum into the next
+    # iteration: one inverse FFT for the step, one forward FFT of the new
+    # image and one inverse FFT for the trace residual; the setup
+    # transforms y and the starting image and traces iteration 0
+    calls = []
+    for name in ("rfft2", "irfft2"):
+        def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(_fft)
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    y, otf, spec = small_problem(side=16, levels=2)
+    for iters in (4, 9):
+        calls.clear()
+        _, _, trace = solver(y, otf, spec, Regularizer(),
+                             SolverConfig(tau=0.05, max_iters=iters, rel_tol=0.0))
+        assert trace.final.iteration == iters
+        assert len(calls) == 3 + 3 * iters
 
 
 @pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
