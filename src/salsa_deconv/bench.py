@@ -61,13 +61,16 @@ SOLVER_NAMES = ("salsa", "ist", "fista")
 class ExperimentSpec:
     """Declarative description of one benchmark run.
 
-    ``mu=None`` resolves to 0.1*tau.  ``target_objective`` selects the
-    stopping mode: ``None`` stops on relative objective change
-    (``rel_tol``), ``"auto"`` first computes a common target objective
-    by running the augmented-Lagrangian solver with this experiment's
-    own ``rel_tol`` stopping rule and then runs every requested solver
-    until it reaches that value, and an explicit float is used as-is.
-    ``max_iters`` caps every run.
+    ``tau``, ``mu``, ``max_iters`` and ``rel_tol`` go unchanged into the
+    :class:`SolverConfig` of every solve, which the spec builds at
+    construction, so a bad setting fails there with that class's message.
+    ``mu=None`` is its automatic penalty, which needs ``tau > 0`` whenever
+    SALSA runs.  ``target_objective`` selects the stopping mode: ``None``
+    stops on relative objective change (``rel_tol``), ``"auto"`` first
+    computes a common target objective by running the augmented-Lagrangian
+    solver with this experiment's own ``rel_tol`` stopping rule and then
+    runs every requested solver until it reaches that value, and an
+    explicit float is used as-is.  ``max_iters`` caps every run.
     """
 
     id: str
@@ -85,23 +88,27 @@ class ExperimentSpec:
     target_objective: float | str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("noise_variance", "tau"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.noise_variance):
+            raise ValueError(f"noise_variance must be finite, got {self.noise_variance}")
         if self.noise_variance < 0:
             raise ValueError(f"noise_variance must be nonnegative, got {self.noise_variance}")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ValueError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")
-        if isinstance(self.target_objective, str) and self.target_objective != "auto":
+        auto = self.target_objective == "auto"
+        if isinstance(self.target_objective, str) and not auto:
             raise ValueError("target_objective must be a number, 'auto' or None")
+        cfg = _solver_cfg(self, None if auto else self.target_objective)
+        if auto or "salsa" in self.solvers:  # "auto" probes with SALSA
+            cfg.resolved_mu()
 
     def psf(self) -> Psf:
         return build_psf(self.blur_kind, size=self.blur_size, sigma=self.blur_sigma)
 
-    def resolved_mu(self) -> float:
-        return 0.1 * self.tau if self.mu is None else self.mu
+
+def _solver_cfg(spec: ExperimentSpec, target: float | None) -> SolverConfig:
+    return SolverConfig(tau=spec.tau, mu=spec.mu, max_iters=spec.max_iters,
+                        rel_tol=spec.rel_tol, target_objective=target)
 
 
 # Default tau per experiment: coarse grid search over {2**k * 1e-3, k=0..10}
@@ -204,30 +211,23 @@ def isnr(x_true: np.ndarray, y: np.ndarray, x_hat: np.ndarray) -> float:
         raise ValueError(
             f"shape mismatch: x {x_true.shape}, y {y.shape}, x_hat {x_hat.shape}"
         )
+    return _isnr_db(float(((y - x_true) ** 2).sum()), x_true, x_hat)
+
+
+def _isnr_db(ref: float, x_true: np.ndarray, x_hat: np.ndarray) -> float:
+    """:func:`isnr` given its reference energy ``ref = ||y - x||^2``."""
     err = float(((x_hat - x_true) ** 2).sum())
-    ref = float(((y - x_true) ** 2).sum())
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(ref / err)
 
 
-def _input_digest(y: np.ndarray, otf: np.ndarray, tau: float, mu: float,
-                  levels: int) -> str:
+def _input_digest(y: np.ndarray, otf: np.ndarray, tau: float, levels: int) -> str:
     h = hashlib.sha256()
     h.update(y.tobytes())
     h.update(otf.tobytes())
-    h.update(struct.pack("<ddq", tau, mu, levels))
+    h.update(struct.pack("<dq", tau, levels))
     return h.hexdigest()
-
-
-def _solver_cfg(spec: ExperimentSpec, target: float | None) -> SolverConfig:
-    return SolverConfig(
-        tau=spec.tau,
-        mu=spec.resolved_mu(),
-        max_iters=spec.max_iters,
-        rel_tol=spec.rel_tol if target is None else 0.0,
-        target_objective=target,
-    )
 
 
 def _run_one(name: str, y, otf, frame, reg, cfg, isnr_fn) -> SolverResult:
@@ -264,12 +264,13 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     """Run every solver requested by ``spec`` on an existing observation.
 
     All solvers see the identical observation, regularization weight and
-    frame; a SHA-256 digest of those inputs goes into the report so a
-    comparison can assert it was fair.  Solver divergence is recorded in
-    the result rather than raised; when the probe that sets an ``"auto"``
-    target diverges, every solver is recorded as diverged with the
-    probe's error and the target stays ``None``.  ISNR is only tracked
-    when the ground truth ``x_true`` is supplied.
+    frame; a SHA-256 digest of those inputs (observation, OTF, tau and
+    frame levels) goes into the report so a comparison can assert it was
+    fair.  Solver divergence is recorded in the result rather than
+    raised; when the probe that sets an ``"auto"`` target diverges, every
+    solver is recorded as diverged with the probe's error and the target
+    stays ``None``.  ISNR is only tracked when the ground truth ``x_true``
+    is supplied.
 
     The ``"auto"`` probe is SALSA's own solve under ``rel_tol``.  When its
     objective first reaches its final value at its last record, a SALSA
@@ -280,12 +281,14 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     otf = psf_to_otf(spec.psf(), y.shape)
     frame = FrameSpec(spec.levels)
     reg = Regularizer()
-    mu = spec.resolved_mu()
 
     isnr_fn = None
     if x_true is not None:
         truth = np.asarray(x_true, dtype=float)
-        isnr_fn = lambda image: isnr(truth, y, image)
+        if truth.shape != y.shape:
+            raise ValueError(f"shape mismatch: x {truth.shape}, y {y.shape}")
+        ref = float(((y - truth) ** 2).sum())
+        isnr_fn = lambda image: _isnr_db(ref, truth, image)
 
     target: float | None = None
     probe_error = None
@@ -316,7 +319,7 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
 
     return ExperimentReport(
         spec=spec,
-        input_sha256=_input_digest(y, otf, spec.tau, mu, spec.levels),
+        input_sha256=_input_digest(y, otf, spec.tau, spec.levels),
         target_objective=target,
         results=results,
     )

@@ -34,7 +34,6 @@ import numpy as np
 from .bench import (
     DEFAULT_EXPERIMENTS,
     SOLVER_NAMES,
-    ExperimentReport,
     ExperimentSpec,
     export_report,
     export_trace,
@@ -155,7 +154,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
     The namespace holds each flag under its long name; ``solvers`` is a
     tuple (empty when no ``--solver`` was given), ``blur`` a
-    :class:`BlurKind` and ``mu`` ``None`` for ``auto``.
+    :class:`BlurKind` and ``mu`` ``None`` for ``auto``.  The settings
+    are checked by building the :class:`ExperimentSpec` they describe, so
+    every value the library rejects is a usage error.
     """
     parser = argparse.ArgumentParser(
         prog="salsa-deconv",
@@ -195,90 +196,58 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     image = getattr(ns, "image", None)
     if image is not None and not image.is_file():
         parser.error(f"--image: file not found: {image}")
-    tau = getattr(ns, "tau", None)
-    if tau is not None and tau < 0:
-        parser.error(f"--tau must be nonnegative, got {tau}")
-    sigma2 = getattr(ns, "sigma2", None)
-    if sigma2 is not None and sigma2 < 0:
-        parser.error(f"--sigma2 must be nonnegative, got {sigma2}")
 
     if hasattr(ns, "solvers"):
         ns.solvers = tuple(ns.solvers or ())
     if hasattr(ns, "blur"):
         ns.blur = BlurKind(ns.blur)
+    if ns.subcommand != "psf-dump":
+        try:
+            _spec_from_flags(ns)
+        except ValueError as exc:
+            parser.error(str(exc))
     return ns
 
 
-def _write_artifacts(report: ExperimentReport, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _spec_from_flags(cfg: argparse.Namespace) -> ExperimentSpec:
+    """The experiment a ``run`` or ``deblur`` command line asks for.
+
+    ``run`` overrides the shipped experiment with the flags given;
+    ``deblur`` starts from the observation alone, whose noise variance is
+    not a solver input.
+    """
+    flags = {"noise_variance": getattr(cfg, "sigma2", None), "tau": cfg.tau, "mu": cfg.mu,
+             "solvers": cfg.solvers or None, "max_iters": cfg.max_iters,
+             "rel_tol": cfg.rel_tol, "target_objective": cfg.target_objective,
+             "seed": cfg.seed}
+    given = {name: value for name, value in flags.items() if value is not None}
+    if cfg.subcommand == "run":
+        return dataclasses.replace(DEFAULT_EXPERIMENTS[cfg.experiment], **given)
+    return ExperimentSpec(id="deblur", blur_kind=cfg.blur, noise_variance=0.0, **given)
+
+
+def _cmd_solve(cfg: argparse.Namespace) -> int:
+    """``run`` or ``deblur``: solve, write the artifacts, print one line per solver."""
+    spec = _spec_from_flags(cfg)
+    if cfg.subcommand == "run":
+        x_true = read_image(cfg.image) if cfg.image is not None else phantom(256)
+        report = run_experiment(spec, x_true)
+    else:
+        report = solve_observation(read_image(cfg.image), spec)
+
+    cfg.out.mkdir(parents=True, exist_ok=True)
     for name, result in report.results.items():
         if result.image is not None:
-            write_image(result.image, out_dir / f"{report.spec.id}_{name}.pgm")
-    export_trace(report, out_dir)
-    export_report(report, out_dir / f"{report.spec.id}_report.json")
-
-
-def _print_summary(report: ExperimentReport) -> None:
+            write_image(result.image, cfg.out / f"{spec.id}_{name}.pgm")
+    export_trace(report, cfg.out)
+    export_report(report, cfg.out / f"{spec.id}_report.json")
     for name, r in report.results.items():
         if r.diverged:
-            print(f"{report.spec.id} {name}: DIVERGED ({r.error})")
+            print(f"{spec.id} {name}: DIVERGED ({r.error})")
         else:
             isnr_txt = "" if r.isnr_db is None else f"  isnr={r.isnr_db:.2f} dB"
-            print(f"{report.spec.id} {name}: {r.iterations} iters  "
+            print(f"{spec.id} {name}: {r.iterations} iters  "
                   f"objective={r.objective:.6g}  {r.seconds:.2f} s{isnr_txt}")
-
-
-def _experiment_spec(cfg: argparse.Namespace) -> ExperimentSpec:
-    spec = DEFAULT_EXPERIMENTS[cfg.experiment]
-    overrides: dict = {}
-    if cfg.sigma2 is not None:
-        overrides["noise_variance"] = cfg.sigma2
-    if cfg.tau is not None:
-        overrides["tau"] = cfg.tau
-    if cfg.mu is not None:
-        overrides["mu"] = cfg.mu
-    if cfg.solvers:
-        overrides["solvers"] = cfg.solvers
-    if cfg.max_iters is not None:
-        overrides["max_iters"] = cfg.max_iters
-    if cfg.rel_tol is not None:
-        overrides["rel_tol"] = cfg.rel_tol
-    if cfg.target_objective is not None:
-        overrides["target_objective"] = cfg.target_objective
-    if cfg.seed is not None:
-        overrides["seed"] = cfg.seed
-    return dataclasses.replace(spec, **overrides)
-
-
-def _cmd_run(cfg: argparse.Namespace) -> int:
-    x_true = read_image(cfg.image) if cfg.image is not None else phantom(256)
-    report = run_experiment(_experiment_spec(cfg), x_true)
-    _write_artifacts(report, cfg.out)
-    _print_summary(report)
-    return 0 if not any(r.diverged for r in report.results.values()) else 1
-
-
-def _cmd_deblur(cfg: argparse.Namespace) -> int:
-    y = read_image(cfg.image)
-    stop = {}
-    if cfg.rel_tol is not None:
-        stop["rel_tol"] = cfg.rel_tol
-    if cfg.max_iters is not None:
-        stop["max_iters"] = cfg.max_iters
-    spec = ExperimentSpec(
-        id="deblur",
-        blur_kind=cfg.blur,
-        noise_variance=0.0,  # observation is given; variance is not a solver input
-        tau=cfg.tau,
-        mu=cfg.mu,
-        seed=cfg.seed if cfg.seed is not None else 0,
-        solvers=cfg.solvers or ("salsa",),
-        target_objective=cfg.target_objective,
-        **stop,
-    )
-    report = solve_observation(y, spec)
-    _write_artifacts(report, cfg.out)
-    _print_summary(report)
     return 0 if not any(r.diverged for r in report.results.values()) else 1
 
 
@@ -293,11 +262,9 @@ def _cmd_psf_dump(cfg: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(argv)
     try:
-        if cfg.subcommand == "run":
-            return _cmd_run(cfg)
-        if cfg.subcommand == "deblur":
-            return _cmd_deblur(cfg)
-        return _cmd_psf_dump(cfg)
+        if cfg.subcommand == "psf-dump":
+            return _cmd_psf_dump(cfg)
+        return _cmd_solve(cfg)
     except (PgmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -269,14 +269,22 @@ def salsa_solve(
 
     theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
     _, v, theta_prev, v_prev = last
-    gap = _norm(v + (theta_prev - v_prev) - theta)
+    if theta_prev is theta:  # stopped at iteration 0, where beta = theta
+        gap = 0.0
+    else:
+        # formed over theta_{K-1}'s buffer, which nothing reads again
+        diff = np.subtract(theta_prev, v_prev, out=theta_prev)
+        diff += v
+        diff -= theta
+        gap = _norm(diff)
     size = _norm(theta)
     trace.splitting_residual = gap / size if size > 0 else gap
     return FrameCoeffs(levels, theta), w_theta, trace
 
 
 def _norm(bands: np.ndarray) -> float:
-    return float(np.sqrt((bands**2).sum()))
+    flat = bands.ravel()
+    return math.sqrt(np.dot(flat, flat))
 
 
 def ist_solve(

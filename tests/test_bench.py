@@ -162,9 +162,41 @@ def test_spec_rejects_non_finite(name, value):
         quick_spec(**{name: value})
 
 
-def test_spec_mu_rule():
-    assert quick_spec(tau=0.2).resolved_mu() == pytest.approx(0.02, rel=1e-15)
-    assert quick_spec(tau=0.2, mu=1.5).resolved_mu() == 1.5
+@pytest.mark.parametrize("overrides, field", [
+    ({"max_iters": 0}, "max_iters"),
+    ({"rel_tol": -1.0}, "rel_tol"),
+    ({"mu": 0.0}, "mu"),
+    ({"tau": -0.1}, "tau"),
+    ({"tau": 0.0}, "tau"),  # automatic mu with SALSA
+    ({"tau": 0.0, "solvers": ("ist",), "target_objective": "auto"}, "tau"),  # SALSA probe
+    ({"target_objective": math.nan}, "target_objective"),
+])
+def test_spec_rejects_bad_solver_settings(overrides, field):
+    with pytest.raises(ValueError, match=field):
+        quick_spec(**overrides)
+
+
+def test_spec_zero_tau_needs_no_mu_without_salsa():
+    spec = quick_spec(tau=0.0, solvers=("ist", "fista"), max_iters=3)
+    report = run_experiment(spec, phantom(32))
+    assert [r.iterations for r in report.results.values()] == [3, 3]
+
+
+def test_automatic_mu_is_the_explicit_rule():
+    # mu=None and mu=0.1*tau are the same solve, to the bit
+    spec = quick_spec(tau=0.2, solvers=("salsa", "fista"), target_objective="auto")
+    x = phantom(32)
+    y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+    auto = solve_observation(y, spec, x_true=x)
+    explicit = solve_observation(y, dataclasses.replace(spec, mu=0.1 * spec.tau), x_true=x)
+    assert auto.input_sha256 == explicit.input_sha256
+    assert auto.target_objective == explicit.target_objective
+    for name in spec.solvers:
+        a, b = auto.results[name], explicit.results[name]
+        assert [(r.iteration, r.objective, r.isnr_db) for r in a.trace.records] == \
+            [(r.iteration, r.objective, r.isnr_db) for r in b.trace.records]
+        assert a.splitting_residual == b.splitting_residual
+        assert np.array_equal(a.image, b.image)
 
 
 def test_default_experiment_table():
@@ -303,6 +335,33 @@ def test_divergence_recorded_not_raised():
             assert "iteration" in r.error
             assert ("probe" in r.error) == (target == "auto")
             assert r.image is None
+
+
+def test_traced_isnr_equals_isnr_of_each_iterate(monkeypatch):
+    # the trace's hook computes ||y - x||^2 once per solve; every record
+    # must still equal isnr() on the iterate's image, to the bit
+    spec = quick_spec(max_iters=12, rel_tol=0.0)
+    x = phantom(32)
+    y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+    images = []
+    solve = bench_module.salsa_solve
+
+    def wrapper(y, otf, frame, reg, cfg, isnr_fn=None):
+        def hook(image):
+            images.append(image.copy())
+            return isnr_fn(image)
+        return solve(y, otf, frame, reg, cfg, isnr_fn=hook)
+
+    monkeypatch.setattr(bench_module, "salsa_solve", wrapper)
+    trace = solve_observation(y, spec, x_true=x).results["salsa"].trace
+    assert len(images) == len(trace.records) == 13
+    assert [r.isnr_db for r in trace.records] == [isnr(x, y, image) for image in images]
+
+
+def test_solve_observation_rejects_truth_of_another_shape():
+    y = degrade(phantom(32), build_psf(BlurKind.UNIFORM9), 0.25, 5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solve_observation(y, quick_spec(), x_true=phantom(64))
 
 
 def test_solve_observation_without_truth_has_no_isnr():

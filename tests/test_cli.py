@@ -177,6 +177,31 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--max-iters", "0"], "max_iters"),
+    (["--rel-tol", "-1"], "rel_tol"),
+    (["--mu", "0"], "mu"),
+    (["--sigma2", "-1"], "noise_variance"),
+    (["--tau", "0", "--solver", "salsa"], "tau"),  # automatic mu needs tau > 0
+])
+def test_setting_the_library_rejects_is_usage_error(tmp_path, capsys, flags, field):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--experiment", "1", "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert field in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()
+
+
+def test_zero_tau_without_salsa_runs(tmp_path):
+    # automatic mu is SALSA's alone; IST needs no mu at tau == 0
+    out = tmp_path / "out"
+    code = main(["run", "--experiment", "1", "--tau", "0", "--solver", "ist",
+                 "--max-iters", "3", "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "1_report.json").read_text())["solvers"]["ist"]["iterations"] == 3
+
+
 def test_negative_tau_rejected(tmp_path):
     img = make_pgm(tmp_path)
     with pytest.raises(SystemExit):

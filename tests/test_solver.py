@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,33 @@ def test_salsa_reports_final_splitting_residual():
     beta, theta, _ = states[-1]
     want = float(np.sqrt(((beta - theta) ** 2).sum())) / float(np.sqrt((theta**2).sum()))
     assert trace.splitting_residual == pytest.approx(want, rel=1e-10)
+
+
+def test_salsa_stopped_at_start_has_zero_splitting_residual():
+    # at iteration 0, beta = theta = Wt y
+    y, otf, spec = small_problem(side=16, levels=2)
+    cfg = SolverConfig(tau=0.05, target_objective=1e300)
+    coeffs, _, trace = salsa_solve(y, otf, spec, Regularizer(), cfg)
+    assert trace.final.iteration == 0
+    assert trace.splitting_residual == 0.0
+    assert np.array_equal(coeffs.bands, analysis_bands(y, 2))
+
+
+def test_salsa_memory_peak_below_five_and_a_half_stacks():
+    # a solve holds theta, v and their predecessors; the splitting residual
+    # is formed over a dead buffer, so the peak stays under 5.5 stacks
+    # (it was 6.1 with stack-sized temporaries for the residual)
+    y, otf, spec = small_problem(side=128, levels=4)
+    cfg = SolverConfig(tau=0.05, max_iters=10, rel_tol=0.0)
+    stack_bytes = spec.n_subbands * y.nbytes
+    tracemalloc.start()
+    try:
+        _, _, trace = salsa_solve(y, otf, spec, Regularizer(), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.final.iteration == 10
+    assert peak < 5.5 * stack_bytes, peak / stack_bytes
 
 
 @pytest.mark.parametrize("kind, size, square", [
