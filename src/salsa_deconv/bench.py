@@ -259,6 +259,14 @@ def _run_one(name: str, y, otf, frame, reg, cfg, isnr_fn) -> SolverResult:
     return result
 
 
+def _finite(name: str, image) -> np.ndarray:
+    """``image`` as a float array; raises ``ValueError`` naming it if not all finite."""
+    image = np.asarray(image, dtype=float)
+    if not np.isfinite(image).all():
+        raise ValueError(f"{name} holds NaN or inf values")
+    return image
+
+
 def solve_observation(y: np.ndarray, spec: ExperimentSpec,
                       x_true: np.ndarray | None = None) -> ExperimentReport:
     """Run every solver requested by ``spec`` on an existing observation.
@@ -270,21 +278,22 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     raised; when the probe that sets an ``"auto"`` target diverges, every
     solver is recorded as diverged with the probe's error and the target
     stays ``None``.  ISNR is only tracked when the ground truth ``x_true``
-    is supplied.
+    is supplied.  A ``y`` or ``x_true`` holding NaN or inf raises
+    ``ValueError`` before any solve.
 
     The ``"auto"`` probe is SALSA's own solve under ``rel_tol``.  When its
     objective first reaches its final value at its last record, a SALSA
     solve stopped at that target would stop there too, so the probe is
     reported as SALSA's result instead of solving again.
     """
-    y = np.asarray(y, dtype=float)
+    y = _finite("y", y)
     otf = psf_to_otf(spec.psf(), y.shape)
     frame = FrameSpec(spec.levels)
     reg = Regularizer()
 
     isnr_fn = None
     if x_true is not None:
-        truth = np.asarray(x_true, dtype=float)
+        truth = _finite("x_true", x_true)
         if truth.shape != y.shape:
             raise ValueError(f"shape mismatch: x {truth.shape}, y {y.shape}")
         ref = float(((y - truth) ** 2).sum())

@@ -144,7 +144,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
                      help="stop when the relative objective change drops below this")
     sub.add_argument("--target-objective", type=_real_flag, default=None, metavar="REAL",
                      help="stop once the objective reaches this value instead")
-    sub.add_argument("--seed", type=int, default=None, metavar="INT")
     sub.add_argument("--out", type=Path, default=Path("."), metavar="DIR",
                      help="output directory (default: current directory)")
 
@@ -173,6 +172,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                      help="override the experiment's noise variance")
     run.add_argument("--tau", type=_real_flag, default=None, metavar="REAL",
                      help="override the experiment's regularization weight")
+    run.add_argument("--seed", type=int, default=None, metavar="INT",
+                     help="override the experiment's noise seed")
     _add_solver_flags(run)
 
     deblur = subs.add_parser("deblur", help="deblur an observed image")
@@ -213,13 +214,13 @@ def _spec_from_flags(cfg: argparse.Namespace) -> ExperimentSpec:
     """The experiment a ``run`` or ``deblur`` command line asks for.
 
     ``run`` overrides the shipped experiment with the flags given;
-    ``deblur`` starts from the observation alone, whose noise variance is
-    not a solver input.
+    ``deblur`` starts from the observation alone, whose noise variance
+    and seed are not solver inputs.
     """
     flags = {"noise_variance": getattr(cfg, "sigma2", None), "tau": cfg.tau, "mu": cfg.mu,
              "solvers": cfg.solvers or None, "max_iters": cfg.max_iters,
              "rel_tol": cfg.rel_tol, "target_objective": cfg.target_objective,
-             "seed": cfg.seed}
+             "seed": getattr(cfg, "seed", None)}
     given = {name: value for name, value in flags.items() if value is not None}
     if cfg.subcommand == "run":
         return dataclasses.replace(DEFAULT_EXPERIMENTS[cfg.experiment], **given)

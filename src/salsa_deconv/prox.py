@@ -84,12 +84,51 @@ def _l1(bands: np.ndarray) -> float:
     return total
 
 
+def _sweep(values: np.ndarray, addend: np.ndarray, threshold: float, out: np.ndarray,
+           keep_clip: bool = False, prev: np.ndarray | None = None,
+           weight: float = 0.0) -> float:
+    """A solver's shrinkage step in one blocked pass; returns ``||out||_1``.
+
+    For each ``_BLOCK``-element block of the flattened stacks it adds
+    ``addend`` into ``values``, soft-thresholds the sum into ``out`` with
+    :func:`prox` and sums ``|out|`` as :func:`_l1` does, so ``out``,
+    ``values`` and the sum are bitwise those of the whole-stack passes
+    ``values += addend``, ``prox`` and ``_l1``.  With ``keep_clip`` it
+    then leaves the prox's clip ``values - out`` in ``values``; with
+    ``prev`` it overwrites ``prev`` with the extrapolated point
+    ``out + weight * (out - prev)``.  ``out`` may be ``addend``, whose
+    block is read before it is written.  The stacks must be C-contiguous
+    and of one shape: a block of any other stack is a copy, and what the
+    sweep writes there is lost.
+    """
+    stacks = (values, addend, out) if prev is None else (values, addend, out, prev)
+    scratch = np.empty(min(values.size, _BLOCK))
+    total = 0.0
+    for v, a, o, *rest in _blocks(*stacks):
+        v += a
+        prox(v, threshold, out=o)
+        total += float(np.abs(o, out=scratch[:o.size]).sum())
+        if keep_clip:
+            v -= o
+        if rest:
+            (p,) = rest
+            np.subtract(o, p, out=p)
+            p *= weight
+            p += o
+    return total
+
+
+def _objective(residual: np.ndarray, l1: float, tau: float) -> float:
+    """``0.5*||residual||^2 + tau*l1``, given the iterate's l1 norm ``l1``."""
+    return 0.5 * float((residual**2).sum()) + tau * l1
+
+
 def objective_from_residual(residual: np.ndarray, bands: np.ndarray, tau: float) -> float:
     """The objective ``0.5*||residual||^2 + tau*||bands||_1``.
 
     ``residual`` is the data residual ``blur(synth(bands)) - y`` of the
-    coefficients ``bands``, which the solvers already hold for each
-    iterate.  The l1 norm is summed block by block, with no stack-sized
-    temporary.
+    coefficients ``bands``.  The l1 norm is summed block by block, with
+    no stack-sized temporary, exactly as the solvers' shrinkage sweep
+    sums it.
     """
-    return 0.5 * float((residual**2).sum()) + tau * _l1(bands)
+    return _objective(residual, _l1(bands), tau)

@@ -25,18 +25,22 @@ the blurred iterate that gives the trace its residual.
 The recorded elapsed seconds count solver work only, so timings compare
 algorithms rather than instrumentation: the time spent inside the
 generator's steps.  Work is everything an iteration needs to produce its
-iterate and the next one: for every solver, the synthesis of its iterate
-and that image's forward FFT, which the next quadratic step or gradient
-starts from.  Bookkeeping is left out: the inverse FFT that turns the
-blurred spectrum into the data residual ``blur(synth(beta)) - y``, the
-two reductions that turn the residual into the objective, and ISNR.  The
+iterate and the next one: for every solver, one blocked sweep over the
+coefficients (``prox._sweep``: the carried stack's addition, the soft
+threshold, the iterate's l1 norm and FISTA's extrapolation), the
+synthesis of the iterate and that image's forward FFT, which the next
+quadratic step or gradient starts from.  The sweep hands the l1 norm to
+``_drive`` with the iterate, so ``_drive`` reads no stack.
+Bookkeeping is left out: the inverse FFT that turns the blurred
+spectrum into the data residual ``blur(synth(beta)) - y``, the
+reductions that turn the residual into the data term, and ISNR.  The
 synthesized iterate is also the image the trace uses for the ISNR.  A
 non-finite iterate shows as a non-finite objective, on which ``_drive``
 raises :class:`DivergenceError`.
 
 Each solver allocates its coefficient stacks once and overwrites them in
-place from iteration to iteration; the coefficients it returns are never
-written again.
+place from iteration to iteration: SALSA and FISTA hold three stacks,
+IST two.  The coefficients a solver returns are never written again.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import numpy as np
 
 from .convolution import _half_spectrum, build_inversion_filter
 from .frame import FrameCoeffs, FrameSpec, analysis_bands, synthesis_bands
-from .prox import Regularizer, objective_from_residual, prox
+from .prox import Regularizer, _l1, _objective, _sweep
 
 __all__ = [
     "DivergenceError",
@@ -136,31 +140,32 @@ class SolverTrace:
         return self.records[-1]
 
 
-def _drive(steps: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]],
+def _drive(steps: Iterator[tuple[np.ndarray, float, np.ndarray, np.ndarray]],
            cfg: SolverConfig, isnr_fn: Callable[[np.ndarray], float] | None,
            y: np.ndarray, otf_half: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolverTrace]:
     """Run a solver's iterations to the stopping rule and trace each one.
 
     ``steps`` is a generator that does its setup and then one iteration's
     work per ``next``, each time yielding the iterate's coefficient stack,
-    its synthesis and that image's ``rfft2`` half spectrum, from which
-    ``_drive`` forms the data residual ``blur(image) - y``.  Only the
-    ``next`` calls count as work.  Iteration 0 is the starting point;
-    ``cfg.max_iters`` caps the iterations after it.  Returns the last
-    iterate, its image and the trace.
+    its l1 norm, its synthesis and that image's ``rfft2`` half spectrum,
+    from which ``_drive`` forms the data residual ``blur(image) - y``; the
+    stack itself is only handed back.  Only the ``next`` calls count as
+    work.  Iteration 0 is the starting point; ``cfg.max_iters`` caps the
+    iterations after it.  Returns the last iterate, its image and the
+    trace.
     """
     trace = SolverTrace()
     work_seconds = 0.0
     prev_objective = None
     for k in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
-        bands, image, spectrum = next(steps)
+        bands, l1, image, spectrum = next(steps)
         work_seconds += time.perf_counter() - t0
 
         residual = np.fft.irfft2(otf_half * spectrum, s=y.shape) - y
         # a non-finite coefficient makes the l1 term non-finite, so this
         # also catches an iterate that stopped being finite
-        f = objective_from_residual(residual, bands, cfg.tau)
+        f = _objective(residual, l1, cfg.tau)
         if not math.isfinite(f):
             raise DivergenceError(f"non-finite objective at iteration {k}")
         isnr = None if isnr_fn is None else isnr_fn(image)
@@ -211,72 +216,70 @@ def salsa_solve(
     starting from ``theta = beta = Wt y`` and ``d = 0``, where W is the
     frame synthesis, Wt its analysis and F the inversion filter from
     :func:`build_inversion_filter`.  The frame is Parseval (``W Wt = I``),
-    so only the prox input ``v_k = beta_k - d_{k-1}`` and ``theta`` need
-    to be coefficient stacks, and the images ``W theta`` and ``W v`` enter
-    only through their half spectra ``Theta = rfft2(W theta)`` and
-    ``V = rfft2(W v)``.  With ``Y = rfft2(y)``, H the OTF's half spectrum
-    and ``d_k = theta_k - v_k``, iteration ``k`` is
+    so the images ``W theta`` and ``W v`` of ``theta`` and of the prox
+    input ``v_k = beta_k - d_{k-1}`` enter only through their half spectra
+    ``Theta = rfft2(W theta)`` and ``V = rfft2(W v)``.  With
+    ``Y = rfft2(y)``, H the OTF's half spectrum and ``d_k = theta_k - v_k``,
+    iteration ``k`` is
 
         U_k      = Ht Y + mu * (2 Theta_{k-1} - V_{k-1})   (spectrum of W r_k)
         G_k      = (Ht Y - F U_k) / mu                  (:func:`_quadratic_step`)
         v_k      = theta_{k-1} + Wt irfft2(G_k)           (= beta_k - d_{k-1})
         V_k      = Theta_{k-1} + G_k
         theta_k  = soft(v_k, tau / mu)
+        c_k      = v_k - theta_k                       (the prox's clip, -d_k)
         Theta_k  = rfft2(synth(theta_k))
 
-    from ``v_0 = theta_0 = Wt y``: one inversion filter, one inverse and
-    one forward FFT, one analysis and one synthesis per iteration.  The
-    synthesis of ``theta_k`` is also the returned image, and its spectrum
-    gives the trace its residual.
+    from ``v_0 = theta_0 = Wt y`` and ``c_0 = 0``: one inversion filter,
+    one inverse and one forward FFT, one analysis, one sweep and one
+    synthesis per iteration.  The sweep adds ``theta_{k-1}`` into the
+    analysed step, thresholds the sum into theta's own stack and leaves
+    ``c_k`` where the analysis wrote, so a solve holds three coefficient
+    stacks: ``theta``, ``c_k`` and ``c_{k-1}``.  The synthesis of
+    ``theta_k`` is also the returned image, and its spectrum gives the
+    trace its residual.
 
     The returned solution is ``theta`` (the prox output, exactly sparse)
     together with its synthesis and the per-iteration trace, whose
     ``splitting_residual`` is ``||beta_K - theta_K|| / ||theta_K||`` at
-    the last iteration, with ``beta_K - theta_K = v_K + d_{K-1} - theta_K``.
-    ``reg`` is the :class:`Regularizer`; the l1 norm is the only penalty.
+    the last iteration, with ``beta_K - theta_K = v_K + d_{K-1} - theta_K
+    = c_K - c_{K-1}``.  ``reg`` is the :class:`Regularizer`; the l1 norm
+    is the only penalty.
     """
     levels = frame.levels
     mu = cfg.resolved_mu()
     threshold = cfg.tau / mu
     otf_half = _half_spectrum(otf)
-    # theta_k, v_k, theta_{k-1} and v_{k-1} of the last iteration
-    last = []
+    # iteration k leaves c_k in clips[k % 2], so c_{k-1} survives it
+    clips = []
 
     def steps():
         inv_filter = build_inversion_filter(otf_half, mu)
         hty = np.conj(otf_half) * np.fft.rfft2(y)
-        theta = v = analysis_bands(y, levels)
+        theta = analysis_bands(y, levels)
         w_theta = synthesis_bands(theta, levels)
         theta_hat = v_hat = np.fft.rfft2(w_theta)
-        # Iteration k writes v_k and theta_k over v_{k-2} and theta_{k-2},
-        # so v_{k-1} and theta_{k-1} survive for the splitting residual.
-        v_bufs = (np.empty_like(theta), np.empty_like(theta))
-        theta_bufs = (theta, np.empty_like(theta))
-        last[:] = theta, v, theta, v
-        yield theta, w_theta, theta_hat
+        clips[:] = np.zeros_like(theta), np.empty_like(theta)
+        yield theta, _l1(theta), w_theta, theta_hat
         for k in itertools.count(1):
-            theta_prev, v_prev = theta, v
             u = hty + mu * (2.0 * theta_hat - v_hat)
             g_hat = _quadratic_step(hty, u, inv_filter, mu)
-            v = analysis_bands(np.fft.irfft2(g_hat, s=y.shape), levels, out=v_bufs[k % 2])
-            v += theta
+            c = analysis_bands(np.fft.irfft2(g_hat, s=y.shape), levels, out=clips[k % 2])
             v_hat = theta_hat + g_hat
-            theta = prox(v, threshold, out=theta_bufs[k % 2])
+            # c + theta_{k-1} is v_k; theta_k replaces theta_{k-1}, c_k replaces c
+            l1 = _sweep(c, theta, threshold, theta, keep_clip=True)
             w_theta = synthesis_bands(theta, levels)
             theta_hat = np.fft.rfft2(w_theta)
-            last[:] = theta, v, theta_prev, v_prev
-            yield theta, w_theta, theta_hat
+            yield theta, l1, w_theta, theta_hat
 
     theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
-    _, v, theta_prev, v_prev = last
-    if theta_prev is theta:  # stopped at iteration 0, where beta = theta
+    last = trace.final.iteration
+    if last == 0:  # stopped at iteration 0, where beta = theta
         gap = 0.0
     else:
-        # formed over theta_{K-1}'s buffer, which nothing reads again
-        diff = np.subtract(theta_prev, v_prev, out=theta_prev)
-        diff += v
-        diff -= theta
-        gap = _norm(diff)
+        # formed over c_{K-1}'s buffer, which nothing reads again
+        c_prev = clips[(last - 1) % 2]
+        gap = _norm(np.subtract(clips[last % 2], c_prev, out=c_prev))
     size = _norm(theta)
     trace.splitting_residual = gap / size if size > 0 else gap
     return FrameCoeffs(levels, theta), w_theta, trace
@@ -338,13 +341,16 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
 
     The gradient step is taken at ``z = beta + w (beta - beta_prev)``,
     with the weight ``w`` 0 for IST and for FISTA's first step; then
-    ``z`` is the new iterate itself and so is its residual.  The data
+    ``z`` equals the new iterate and so does its residual.  The data
     residual is affine in the coefficients, so it is kept as the half
     spectrum ``R = H B - Y`` of ``blur(synth(beta)) - y``, with
     ``B = rfft2(synth(beta))`` and ``Y = rfft2(y)``; the residual at
     ``z`` is ``R_z = (1 + w) R - w R_prev``.  The step's coefficients are
     ``z + Wt irfft2(-s Ht R_z)``, so an iteration runs one inverse FFT for
-    the gradient and one forward FFT of the new iterate's image.  The
+    the gradient and one forward FFT of the new iterate's image.  One
+    sweep adds ``z`` into the analysed gradient step, thresholds it and,
+    for FISTA, writes the next ``z``, so FISTA holds three coefficient
+    stacks (the step, ``beta`` and ``z``) and IST two.  The
     default step ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz
     bound of the data-term gradient (the frame is Parseval, so
     ``||W|| = 1``).
@@ -362,36 +368,35 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         y_hat = np.fft.rfft2(y)
         beta = analysis_bands(y, levels)
         g = np.empty_like(beta)
-        # IST thresholds into beta itself; FISTA keeps beta_prev for w
-        beta_next = np.empty_like(beta) if momentum else beta
-        z_buf = np.empty_like(beta) if momentum else None
+        # IST thresholds into beta itself; FISTA writes each iterate over
+        # z and the next z over the previous iterate
+        z = beta.copy() if momentum else beta
         image = synthesis_bands(beta, levels)
         beta_hat = np.fft.rfft2(image)
-        residual = otf_half * beta_hat - y_hat
-        z, residual_z = beta, residual
+        residual_z = residual = otf_half * beta_hat - y_hat
         t = 1.0
-        yield beta, image, beta_hat
+        yield beta, _l1(beta), image, beta_hat
         while True:
-            # g = z - step * grad, with the step's image analysed into g
-            analysis_bands(np.fft.irfft2(descent * residual_z, s=y.shape), levels, out=g)
-            g += z
-            prox(g, threshold, out=beta_next)
-            image = synthesis_bands(beta_next, levels)
-            beta_hat = np.fft.rfft2(image)
-            residual_next = otf_half * beta_hat - y_hat
             t_next = fista_momentum(t) if momentum else 1.0
             w = (t - 1.0) / t_next
             t = t_next
-            if w == 0.0:
-                z, residual_z = beta_next, residual_next
+            # the step's image analysed into g; the sweep adds z, so that
+            # g = z - step * grad, and thresholds it
+            analysis_bands(np.fft.irfft2(descent * residual_z, s=y.shape), levels, out=g)
+            if momentum:
+                l1 = _sweep(g, z, threshold, z, prev=beta, weight=w)
+                beta, z = z, beta
             else:
-                z = np.subtract(beta_next, beta, out=z_buf)
-                z *= w
-                z += beta_next
+                l1 = _sweep(g, beta, threshold, beta)
+            image = synthesis_bands(beta, levels)
+            beta_hat = np.fft.rfft2(image)
+            residual_next = otf_half * beta_hat - y_hat
+            if w == 0.0:
+                residual_z = residual_next
+            else:
                 residual_z = (1.0 + w) * residual_next - w * residual
-            beta, beta_next = beta_next, beta
             residual = residual_next
-            yield beta, image, beta_hat
+            yield beta, l1, image, beta_hat
 
     beta, image, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
     return FrameCoeffs(levels, beta), image, trace

@@ -322,12 +322,13 @@ def test_explicit_target_recorded():
 
 def test_divergence_recorded_not_raised():
     # with an "auto" target the probe that sets it diverges first; every
-    # solver is then recorded as diverged with the probe's error
-    x = phantom(32)
-    x[0, 0] = np.nan
+    # solver is then recorded as diverged with the probe's error.  The
+    # observation is finite (a non-finite one is rejected up front), but
+    # its squared residual overflows, so the objective is not finite.
+    x = phantom(32) * 1e300
     for target in (None, "auto"):
         spec = quick_spec(solvers=("salsa", "fista"), target_objective=target)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             report = run_experiment(spec, x)
         assert report.target_objective is None
         for r in report.results.values():
@@ -362,6 +363,22 @@ def test_solve_observation_rejects_truth_of_another_shape():
     y = degrade(phantom(32), build_psf(BlurKind.UNIFORM9), 0.25, 5)
     with pytest.raises(ValueError, match="shape mismatch"):
         solve_observation(y, quick_spec(), x_true=phantom(64))
+
+
+@pytest.mark.parametrize("name", ["y", "x_true"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_observation_rejects_non_finite_images(name, bad, monkeypatch):
+    # rejected up front, by name, instead of a divergence at iteration 0
+    y = degrade(phantom(32), build_psf(BlurKind.UNIFORM9), 0.25, 5)
+    images = {"y": y, "x_true": phantom(32)}
+    images[name][7, 3] = bad
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a non-finite observation")
+
+    monkeypatch.setattr(bench_module, "salsa_solve", no_solve)
+    with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
+        solve_observation(images["y"], quick_spec(), x_true=images["x_true"])
 
 
 def test_solve_observation_without_truth_has_no_isnr():

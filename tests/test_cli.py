@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import salsa_deconv
 from salsa_deconv.bench import degrade, phantom
 from salsa_deconv.cli import PgmError, main, parse_args, read_image, write_image
 from salsa_deconv.convolution import BlurKind, build_psf
@@ -202,6 +205,17 @@ def test_zero_tau_without_salsa_runs(tmp_path):
     assert json.loads((out / "1_report.json").read_text())["solvers"]["ist"]["iterations"] == 3
 
 
+def test_seed_is_a_run_flag_only(tmp_path, capsys):
+    # deblur adds no noise and no solver reads a seed, so deblur has no --seed
+    img = make_pgm(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["deblur", "--image", str(img), "--blur", "uniform9",
+                    "--tau", "0.1", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert parse_args(["run", "--experiment", "1", "--seed", "3"]).seed == 3
+
+
 def test_negative_tau_rejected(tmp_path):
     img = make_pgm(tmp_path)
     with pytest.raises(SystemExit):
@@ -285,8 +299,12 @@ def test_malformed_pgm_exits_one(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child process imports the package from this checkout's source root
+    src = str(Path(salsa_deconv.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "salsa_deconv.cli", "psf-dump", "--blur", "uniform9"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0
     assert "uniform9" in proc.stdout

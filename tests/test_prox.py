@@ -8,7 +8,7 @@ from salsa_deconv.convolution import (
     psf_to_otf,
 )
 from salsa_deconv.frame import analysis_bands, synthesis_bands
-from salsa_deconv.prox import objective_from_residual, prox
+from salsa_deconv.prox import _l1, _sweep, objective_from_residual, prox
 
 from oracles import (
     dense_blur_matrix,
@@ -115,6 +115,46 @@ def test_blocked_prox_and_l1_at_block_boundaries(n):
     want_l1 = float(np.abs(v).sum())
     got_l1 = objective_from_residual(np.zeros(1), v, 1.0)
     assert abs(got_l1 - want_l1) <= v.size * np.finfo(float).eps * want_l1
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sweep_equals_unfused_passes():
+    # the solvers' one blocked sweep against the whole-stack passes it
+    # replaces: values + addend, prox, _l1 and out + w (out - prev)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]),
+                      seed=st.integers(0, 2**32 - 1),
+                      t=st.sampled_from([0.0, 0.8]) | st.floats(0.0, 4.0),
+                      weight=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
+                      aliased=st.booleans(), keep_clip=st.booleans(),
+                      extrapolate=st.booleans())
+    def check(n, seed, t, weight, aliased, keep_clip, extrapolate):
+        rng = np.random.default_rng(seed)
+        values, addend, prev = rng.standard_normal((3, n))
+        # sums that land exactly on +-t and on zero
+        addend[::7] = 0.0
+        values[::7] = t
+        values[3::14] = -t
+        values[5::13] = -addend[5::13]
+        v = values + addend
+        want_out = prox(v, t)
+        want_values = v - want_out if keep_clip else v
+        want_prev = want_out + weight * (want_out - prev)
+        out = addend if aliased else np.full(n, np.nan)
+        got_prev = prev.copy() if extrapolate else None
+        l1 = _sweep(values, addend, t, out, keep_clip=keep_clip, prev=got_prev, weight=weight)
+        assert same_bits(out, want_out)
+        assert same_bits(values, want_values)
+        assert l1 == _l1(want_out)
+        assert got_prev is None or same_bits(got_prev, want_prev)
+
+    check()
 
 
 def test_full_shrinkage_to_zero():

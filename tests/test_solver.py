@@ -267,21 +267,22 @@ def test_salsa_stopped_at_start_has_zero_splitting_residual():
     assert np.array_equal(coeffs.bands, analysis_bands(y, 2))
 
 
-def test_salsa_memory_peak_below_five_and_a_half_stacks():
-    # a solve holds theta, v and their predecessors; the splitting residual
-    # is formed over a dead buffer, so the peak stays under 5.5 stacks
-    # (it was 6.1 with stack-sized temporaries for the residual)
+@pytest.mark.parametrize("solver", [salsa_solve, fista_solve])
+def test_memory_peak_below_four_and_a_half_stacks(solver):
+    # SALSA holds theta, c_k and c_{k-1}, FISTA the gradient step, beta
+    # and z; the shrinkage sweep and the splitting residual need no stack
+    # of their own, so the peak stays under 4.5 stacks
     y, otf, spec = small_problem(side=128, levels=4)
     cfg = SolverConfig(tau=0.05, max_iters=10, rel_tol=0.0)
     stack_bytes = spec.n_subbands * y.nbytes
     tracemalloc.start()
     try:
-        _, _, trace = salsa_solve(y, otf, spec, Regularizer(), cfg)
+        _, _, trace = solver(y, otf, spec, Regularizer(), cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert trace.final.iteration == 10
-    assert peak < 5.5 * stack_bytes, peak / stack_bytes
+    assert peak < 4.5 * stack_bytes, peak / stack_bytes
 
 
 @pytest.mark.parametrize("kind, size, square", [
