@@ -71,6 +71,8 @@ class ExperimentSpec:
     solver with this experiment's own ``rel_tol`` stopping rule and then
     runs every requested solver until it reaches that value, and an
     explicit float is used as-is.  ``max_iters`` caps every run.
+    ``solvers`` names each solver at most once, and ``seed``, the noise
+    seed, is nonnegative.
     """
 
     id: str
@@ -95,6 +97,11 @@ class ExperimentSpec:
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ValueError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")
+        repeated = sorted({s for s in self.solvers if self.solvers.count(s) > 1})
+        if repeated:
+            raise ValueError(f"solver(s) {repeated} requested more than once")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         auto = self.target_objective == "auto"
         if isinstance(self.target_objective, str) and not auto:
             raise ValueError("target_objective must be a number, 'auto' or None")

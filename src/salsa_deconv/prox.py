@@ -13,11 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = [
-    "Regularizer",
-    "prox",
-    "objective_from_residual",
-]
+__all__ = ["Regularizer", "prox"]
 
 
 @dataclass(frozen=True)
@@ -54,9 +50,7 @@ def prox(values: np.ndarray, threshold: float,
     ``v - clip(v, -threshold, threshold)``, into ``out`` when given and
     into a new array otherwise, leaving ``values`` untouched.  Zeros in
     the result are ``+0.0``.  ``out`` must not share memory with
-    ``values``: the clip would overwrite the values it subtracts.  When
-    both are C-contiguous and of one shape, the two passes run block by
-    block, so the subtraction reads what the clip left in cache.
+    ``values``: the clip would overwrite the values it subtracts.
     """
     if threshold < 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
@@ -65,14 +59,8 @@ def prox(values: np.ndarray, threshold: float,
         out = np.empty(values.shape, dtype=np.result_type(values, threshold))
     elif np.may_share_memory(values, out):
         raise ValueError("out must not share memory with values")
-    if values.shape == out.shape and values.flags.c_contiguous and out.flags.c_contiguous:
-        pairs = _blocks(values, out)
-    else:
-        pairs = [(values, out)]
-    for v, o in pairs:
-        np.clip(v, -threshold, threshold, out=o)
-        np.subtract(v, o, out=o)
-    return out
+    np.clip(values, -threshold, threshold, out=out)
+    return np.subtract(values, out, out=out)
 
 
 def _l1(bands: np.ndarray) -> float:
@@ -122,13 +110,3 @@ def _objective(residual: np.ndarray, l1: float, tau: float) -> float:
     """``0.5*||residual||^2 + tau*l1``, given the iterate's l1 norm ``l1``."""
     return 0.5 * float((residual**2).sum()) + tau * l1
 
-
-def objective_from_residual(residual: np.ndarray, bands: np.ndarray, tau: float) -> float:
-    """The objective ``0.5*||residual||^2 + tau*||bands||_1``.
-
-    ``residual`` is the data residual ``blur(synth(bands)) - y`` of the
-    coefficients ``bands``.  The l1 norm is summed block by block, with
-    no stack-sized temporary, exactly as the solvers' shrinkage sweep
-    sums it.
-    """
-    return _objective(residual, _l1(bands), tau)

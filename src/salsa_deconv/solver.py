@@ -296,18 +296,17 @@ def ist_solve(
     frame: FrameSpec,
     reg: Regularizer,
     cfg: SolverConfig,
-    step_size: float | None = None,
     isnr_fn: Callable[[np.ndarray], float] | None = None,
 ) -> tuple[FrameCoeffs, np.ndarray, SolverTrace]:
     """Iterative shrinkage/thresholding baseline.
 
     One iteration is a gradient step on the data term followed by the
     soft threshold: ``beta <- soft(beta - s * Wt Ht (H W beta - y),
-    tau * s)``.  With the default step ``s = 1 / max|OTF|^2`` the
+    tau * s)``, with the 1/L step ``s = 1 / max|OTF|^2``, so the
     objective is nonincreasing.  This is :func:`fista_solve` without
     the extrapolation.
     """
-    return _proximal_gradient(y, otf, frame, cfg, step_size, isnr_fn, momentum=False)
+    return _proximal_gradient(y, otf, frame, cfg, isnr_fn, momentum=False)
 
 
 def fista_momentum(t: float) -> float:
@@ -321,20 +320,19 @@ def fista_solve(
     frame: FrameSpec,
     reg: Regularizer,
     cfg: SolverConfig,
-    step_size: float | None = None,
     isnr_fn: Callable[[np.ndarray], float] | None = None,
 ) -> tuple[FrameCoeffs, np.ndarray, SolverTrace]:
     """Accelerated shrinkage/thresholding baseline.
 
-    IST step taken at an extrapolated point, with the extrapolation
-    weight ``(t_k - 1) / t_{k+1}`` driven by :func:`fista_momentum`.
-    Unlike IST the objective need not decrease monotonically.
+    The IST step, with its 1/L step size ``1 / max|OTF|^2``, taken at
+    an extrapolated point with the weight ``(t_k - 1) / t_{k+1}``
+    driven by :func:`fista_momentum`.  Unlike IST the objective need
+    not decrease monotonically.
     """
-    return _proximal_gradient(y, otf, frame, cfg, step_size, isnr_fn, momentum=True)
+    return _proximal_gradient(y, otf, frame, cfg, isnr_fn, momentum=True)
 
 
 def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: SolverConfig,
-                       step_size: float | None,
                        isnr_fn: Callable[[np.ndarray], float] | None,
                        momentum: bool) -> tuple[FrameCoeffs, np.ndarray, SolverTrace]:
     """IST, or FISTA when ``momentum`` is set.
@@ -350,15 +348,12 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     the gradient and one forward FFT of the new iterate's image.  One
     sweep adds ``z`` into the analysed gradient step, thresholds it and,
     for FISTA, writes the next ``z``, so FISTA holds three coefficient
-    stacks (the step, ``beta`` and ``z``) and IST two.  The
-    default step ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz
-    bound of the data-term gradient (the frame is Parseval, so
-    ``||W|| = 1``).
+    stacks (the step, ``beta`` and ``z``) and IST two.  The step
+    ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz bound of
+    the data-term gradient (the frame is Parseval, so ``||W|| = 1``).
     """
     levels = frame.levels
-    step = 1.0 / float(np.max(np.abs(otf) ** 2)) if step_size is None else step_size
-    if step <= 0:
-        raise ValueError(f"step_size must be positive, got {step}")
+    step = 1.0 / float(np.max(np.abs(otf) ** 2))
     threshold = cfg.tau * step
     otf_half = _half_spectrum(otf)
 

@@ -152,13 +152,17 @@ def roll_synthesis_bands(bands, levels):
 
 
 def dense_analysis_matrix(side, levels):
-    """Analysis operator as a dense ((3L+1)*n, n) matrix, via basis images."""
-    n = side * side
+    """Analysis operator as a dense ((3L+1)*n, n) matrix, via basis images.
+
+    ``side`` is the image's side, or its ``(height, width)``.
+    """
+    shape = (side, side) if np.isscalar(side) else side
+    n = shape[0] * shape[1]
     cols = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        cols.append(analysis_bands(e.reshape(side, side), levels).ravel())
+        cols.append(analysis_bands(e.reshape(shape), levels).ravel())
     return np.array(cols).T
 
 
@@ -175,13 +179,17 @@ def dense_synthesis_matrix(side, levels):
 
 
 def dense_blur_matrix(psf, side):
-    """Periodic blur as a dense (n, n) matrix built from the direct sum."""
-    n = side * side
+    """Periodic blur as a dense (n, n) matrix built from the direct sum.
+
+    ``side`` is the image's side, or its ``(height, width)``.
+    """
+    shape = (side, side) if np.isscalar(side) else side
+    n = shape[0] * shape[1]
     cols = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        cols.append(direct_convolve(e.reshape(side, side), psf).ravel())
+        cols.append(direct_convolve(e.reshape(shape), psf).ravel())
     return np.array(cols).T
 
 

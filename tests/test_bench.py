@@ -170,6 +170,8 @@ def test_spec_rejects_non_finite(name, value):
     ({"tau": 0.0}, "tau"),  # automatic mu with SALSA
     ({"tau": 0.0, "solvers": ("ist",), "target_objective": "auto"}, "tau"),  # SALSA probe
     ({"target_objective": math.nan}, "target_objective"),
+    ({"seed": -5}, "seed"),  # the noise stream's seed
+    ({"solvers": ("ist", "salsa", "ist")}, r"\['ist'\] requested more than once"),
 ])
 def test_spec_rejects_bad_solver_settings(overrides, field):
     with pytest.raises(ValueError, match=field):

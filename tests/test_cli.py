@@ -186,6 +186,8 @@ def test_unknown_flag_is_usage_error():
     (["--mu", "0"], "mu"),
     (["--sigma2", "-1"], "noise_variance"),
     (["--tau", "0", "--solver", "salsa"], "tau"),  # automatic mu needs tau > 0
+    (["--seed", "-5"], "seed"),
+    (["--solver", "ist", "--solver", "ist"], "['ist'] requested more than once"),
 ])
 def test_setting_the_library_rejects_is_usage_error(tmp_path, capsys, flags, field):
     out = tmp_path / "out"

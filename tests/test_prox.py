@@ -8,7 +8,7 @@ from salsa_deconv.convolution import (
     psf_to_otf,
 )
 from salsa_deconv.frame import analysis_bands, synthesis_bands
-from salsa_deconv.prox import _l1, _sweep, objective_from_residual, prox
+from salsa_deconv.prox import _l1, _objective, _sweep, prox
 
 from oracles import (
     dense_blur_matrix,
@@ -25,7 +25,7 @@ def coeffs_from(rng, levels, side):
 def objective(y, otf, levels, bands, tau):
     """The solvers' objective of ``bands``: their blur and synthesis, then the reductions."""
     residual = filter_real(_half_spectrum(otf), synthesis_bands(bands, levels)) - y
-    return objective_from_residual(residual, bands, tau)
+    return _objective(residual, _l1(bands), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_soft_threshold_rejects_out_sharing_values():
     assert np.array_equal(v, before)
 
 
-# prox and the objective's l1 term work in blocks of this many elements
+# the shrinkage sweep and the l1 sum work in blocks of this many elements
 BLOCK = 1 << 15
 
 
@@ -113,7 +113,7 @@ def test_blocked_prox_and_l1_at_block_boundaries(n):
     with pytest.raises(ValueError, match="share memory"):
         prox(v, t, out=v)
     want_l1 = float(np.abs(v).sum())
-    got_l1 = objective_from_residual(np.zeros(1), v, 1.0)
+    got_l1 = _l1(v)
     assert abs(got_l1 - want_l1) <= v.size * np.finfo(float).eps * want_l1
 
 
@@ -183,6 +183,29 @@ def test_prox_matches_grid_argmin():
         f_got = 0.5 * (got - a) ** 2 + t * abs(got)
         f_best = 0.5 * (best - a) ** 2 + t * abs(best)
         assert f_got <= f_best + 1e-8
+
+
+def test_prox_optimality_conditions():
+    # 0 is in the subdifferential of 0.5*(b - a)^2 + t*|b| at b = prox(a, t):
+    # a - b = t*sign(b) where b != 0, and |a| <= t where b == 0
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    magnitudes = st.just(0.0) | st.floats(1e-5, 1e5)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(a=st.lists(st.tuples(magnitudes, st.booleans()), min_size=1, max_size=64),
+                      t=st.just(0.0) | st.floats(1e-5, 1e5), t_is_first=st.booleans())
+    def check(a, t, t_is_first):
+        a = np.array([-m if negative else m for m, negative in a])
+        if t_is_first:  # the threshold exactly at an input's magnitude
+            t = float(abs(a[0]))
+        b = prox(a, t)
+        nonzero = b != 0.0
+        slack = 4.0 * np.spacing(np.abs(a))
+        assert np.all(np.abs(a - b - t * np.sign(b))[nonzero] <= slack[nonzero])
+        assert np.all(np.abs(a[~nonzero]) <= t)
+
+    check()
 
 
 def test_prox_nonexpansive():
