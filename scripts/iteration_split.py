@@ -1,0 +1,125 @@
+"""Median time per iteration of each part of one solver iteration.
+
+Runs one solver on experiment 1's problem (its blur, noise, seed and tau)
+at an N x N phantom, with rel_tol 0 so that it takes exactly --iters
+iterations, after a two-iteration warm-up solve.  The parts are timed by
+wrapping what the solver module calls:
+
+- ``analysis`` and ``synthesis``: the frame transforms;
+- ``sweep``: ``prox._sweep`` (add, soft threshold, l1 norm, extrapolation);
+- ``rfft2`` and ``irfft2``: each real FFT;
+- ``spectral step``: the rest of the generator step, i.e. the arithmetic
+  on half spectra (SALSA's quadratic step, ``V`` and ``R``; IST's and
+  FISTA's gradient filter, ``R`` and ``R_z``) and the Python around it;
+- ``objective``: ``prox._objective``, the trace's data term by Parseval;
+- ``remainder``: the rest of the iteration's wall time (the trace record
+  and the stopping rule).
+
+Iteration 0, the setup, is left out.  Each row is the median over the
+iterations, in ms; ``iteration`` is the median wall time of a whole
+iteration.  The wrappers cost about a microsecond per call.
+
+Usage: python3 scripts/iteration_split.py [--size 256] [--solver salsa] [--iters 20]
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from collections import defaultdict
+
+import numpy as np
+
+from salsa_deconv import solver as solver_module
+from salsa_deconv.bench import DEFAULT_EXPERIMENTS, degrade, phantom
+from salsa_deconv.convolution import psf_to_otf
+from salsa_deconv.frame import FrameSpec
+from salsa_deconv.prox import Regularizer
+
+SOLVES = {"salsa": "salsa_solve", "ist": "ist_solve", "fista": "fista_solve"}
+CALLS = {"analysis": (solver_module, "analysis_bands"),
+         "synthesis": (solver_module, "synthesis_bands"),
+         "sweep": (solver_module, "_sweep"),
+         "rfft2": (np.fft, "rfft2"),
+         "irfft2": (np.fft, "irfft2"),
+         "objective": (solver_module, "_objective")}
+STEP_CALLS = ("analysis", "synthesis", "sweep", "rfft2", "irfft2")
+ROWS = STEP_CALLS + ("spectral step", "objective", "remainder", "iteration")
+
+
+def split(size: int, solver: str, iters: int) -> dict[str, float]:
+    """Median ms per iteration of each row of ``ROWS``."""
+    spec = DEFAULT_EXPERIMENTS["1"]
+    x = phantom(size)
+    y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+    otf = psf_to_otf(spec.psf(), y.shape)
+    solve = getattr(solver_module, SOLVES[solver])
+
+    def run(max_iters):
+        cfg = solver_module.SolverConfig(tau=spec.tau, max_iters=max_iters, rel_tol=0.0)
+        return solve(y, otf, FrameSpec(spec.levels), Regularizer(), cfg)
+
+    run(2)
+    spent = defaultdict(float)  # seconds in each wrapped call this iteration
+    samples = defaultdict(list)
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - t0
+        return wrapper
+
+    def timed_steps(steps):
+        # an iteration runs from the start of its step to the start of the
+        # next one, so the last iteration (one past --iters) is not recorded
+        previous = None
+        for k in range(iters + 2):
+            start = time.perf_counter()
+            if previous is not None:
+                step_start, step_s = previous
+                for name in STEP_CALLS + ("objective",):
+                    samples[name].append(spent[name])
+                samples["spectral step"].append(step_s - sum(spent[n] for n in STEP_CALLS))
+                samples["remainder"].append(start - step_start - step_s - spent["objective"])
+                samples["iteration"].append(start - step_start)
+            spent.clear()
+            item = next(steps)
+            if k:
+                previous = start, time.perf_counter() - start
+            yield item
+
+    drive = solver_module._drive
+    patched = dict(CALLS, drive=(solver_module, "_drive"))
+    originals = {name: getattr(owner, attr) for name, (owner, attr) in patched.items()}
+    try:
+        for name, (owner, attr) in CALLS.items():
+            setattr(owner, attr, timed(name, originals[name]))
+        solver_module._drive = lambda steps, *args: drive(timed_steps(steps), *args)
+        run(iters + 1)
+    finally:
+        for name, (owner, attr) in patched.items():
+            setattr(owner, attr, originals[name])
+    return {row: 1e3 * statistics.median(samples[row]) for row in ROWS}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--size", type=int, default=256)
+    parser.add_argument("--solver", choices=sorted(SOLVES), default="salsa")
+    parser.add_argument("--iters", type=int, default=20)
+    args = parser.parse_args(argv)
+    if args.iters < 1:
+        parser.error("--iters must be >= 1")
+
+    medians = split(args.size, args.solver, args.iters)
+    print(f"{args.solver} at {args.size}x{args.size}, median of {args.iters} iterations "
+          f"(numpy {np.__version__})")
+    for row, ms in medians.items():
+        print(f"{row:<15s}{ms:10.3f} ms")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,7 +72,9 @@ class ExperimentSpec:
     runs every requested solver until it reaches that value, and an
     explicit float is used as-is.  ``max_iters`` caps every run.
     ``solvers`` names each solver at most once, and ``seed``, the noise
-    seed, is nonnegative.
+    seed, is nonnegative.  The frame (``levels``) and the blur
+    (``blur_kind``, ``blur_size``, ``blur_sigma``) are also built at
+    construction, so their settings fail there too.
     """
 
     id: str
@@ -108,6 +110,8 @@ class ExperimentSpec:
         cfg = _solver_cfg(self, None if auto else self.target_objective)
         if auto or "salsa" in self.solvers:  # "auto" probes with SALSA
             cfg.resolved_mu()
+        FrameSpec(self.levels)
+        self.psf()
 
     def psf(self) -> Psf:
         return build_psf(self.blur_kind, size=self.blur_size, sigma=self.blur_sigma)

@@ -106,8 +106,8 @@ def build_psf(kind: BlurKind | str, size: int | None = None,
     elif kind is BlurKind.GAUSSIAN:
         if sigma is None:
             sigma = _DEFAULT_GAUSSIAN_SIGMA
-        if sigma <= 0:
-            raise ValueError(f"gaussian sigma must be positive, got {sigma}")
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"gaussian sigma must be finite and positive, got {sigma}")
         taps = np.exp(-(ii**2 + jj**2) / (2.0 * sigma**2))
     else:
         taps = 1.0 / (1.0 + ii**2 + jj**2)

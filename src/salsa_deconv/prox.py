@@ -73,17 +73,15 @@ def _l1(bands: np.ndarray) -> float:
 
 
 def _sweep(values: np.ndarray, addend: np.ndarray, threshold: float, out: np.ndarray,
-           keep_clip: bool = False, prev: np.ndarray | None = None,
-           weight: float = 0.0) -> float:
+           prev: np.ndarray | None = None, weight: float = 0.0) -> float:
     """A solver's shrinkage step in one blocked pass; returns ``||out||_1``.
 
     For each ``_BLOCK``-element block of the flattened stacks it adds
     ``addend`` into ``values``, soft-thresholds the sum into ``out`` with
     :func:`prox` and sums ``|out|`` as :func:`_l1` does, so ``out``,
     ``values`` and the sum are bitwise those of the whole-stack passes
-    ``values += addend``, ``prox`` and ``_l1``.  With ``keep_clip`` it
-    then leaves the prox's clip ``values - out`` in ``values``; with
-    ``prev`` it overwrites ``prev`` with the extrapolated point
+    ``values += addend``, ``prox`` and ``_l1``.  With ``prev`` it
+    overwrites ``prev`` with the extrapolated point
     ``out + weight * (out - prev)``.  ``out`` may be ``addend``, whose
     block is read before it is written.  The stacks must be C-contiguous
     and of one shape: a block of any other stack is a copy, and what the
@@ -96,8 +94,6 @@ def _sweep(values: np.ndarray, addend: np.ndarray, threshold: float, out: np.nda
         v += a
         prox(v, threshold, out=o)
         total += float(np.abs(o, out=scratch[:o.size]).sum())
-        if keep_clip:
-            v -= o
         if rest:
             (p,) = rest
             np.subtract(o, p, out=p)
@@ -106,7 +102,26 @@ def _sweep(values: np.ndarray, addend: np.ndarray, threshold: float, out: np.nda
     return total
 
 
-def _objective(residual: np.ndarray, l1: float, tau: float) -> float:
-    """``0.5*||residual||^2 + tau*l1``, given the iterate's l1 norm ``l1``."""
-    return 0.5 * float((residual**2).sum()) + tau * l1
+def _objective(residual_half: np.ndarray, l1: float, tau: float,
+               shape: tuple[int, int]) -> float:
+    """``0.5*||r||^2 + tau*l1`` for ``r = irfft2(residual_half, s=shape)``, by Parseval.
 
+    ``residual_half`` is the C-contiguous ``rfft2`` half spectrum of the
+    real ``(h, w)`` data residual and ``l1`` the iterate's l1 norm.  A
+    half-spectrum column other than 0 and, for even ``w``, ``w/2`` stands
+    for itself and its mirror in the full spectrum, so it counts twice;
+    ``||r||^2`` is the weighted sum of ``|R|^2`` divided by ``h*w``.
+    """
+    h, w = shape
+    # the real and imaginary parts of one column are two float columns
+    parts = residual_half.view(np.float64)
+    total = 2.0 * _sum_of_squares(parts) - _sum_of_squares(parts[:, :2])
+    if w % 2 == 0:
+        total -= _sum_of_squares(parts[:, -2:])
+    return 0.5 * total / (h * w) + tau * l1
+
+
+def _sum_of_squares(a: np.ndarray) -> float:
+    """``sum(a**2)`` in one pass with no temporary, on one thread (no BLAS call)."""
+    flat = a.ravel()
+    return float(np.einsum("i,i->", flat, flat))

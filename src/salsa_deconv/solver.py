@@ -16,31 +16,35 @@ the extrapolation.
 
 Blurs and inversion filters are products with half spectra on real
 FFTs, and every solver carries the half spectrum of its synthesized
-iterate from one iteration to the next, so that an iteration runs three
+iterate from one iteration to the next, so that an iteration runs two
 real 2-D FFTs: SALSA's inverse FFT of its quadratic step and forward FFT
-of the image of theta, IST's and FISTA's inverse FFT of the gradient and
-forward FFT of the image of beta, and for all three the inverse FFT of
-the blurred iterate that gives the trace its residual.
+of the image of theta, IST's and FISTA's inverse FFT of the gradient
+step and forward FFT of the image of beta.  The trace's data term takes
+no FFT: each solver hands ``_drive`` the half spectrum ``R = H X - Y``
+of its data residual ``blur(synth(beta)) - y``, with ``X`` the spectrum
+of the iterate's image and ``Y`` that of ``y``, and ``prox._objective``
+forms ``0.5*||r||^2`` from ``R`` by Parseval.
 
 The recorded elapsed seconds count solver work only, so timings compare
 algorithms rather than instrumentation: the time spent inside the
-generator's steps.  Work is everything an iteration needs to produce its
-iterate and the next one: for every solver, one blocked sweep over the
-coefficients (``prox._sweep``: the carried stack's addition, the soft
-threshold, the iterate's l1 norm and FISTA's extrapolation), the
-synthesis of the iterate and that image's forward FFT, which the next
-quadratic step or gradient starts from.  The sweep hands the l1 norm to
-``_drive`` with the iterate, so ``_drive`` reads no stack.
-Bookkeeping is left out: the inverse FFT that turns the blurred
-spectrum into the data residual ``blur(synth(beta)) - y``, the
-reductions that turn the residual into the data term, and ISNR.  The
-synthesized iterate is also the image the trace uses for the ISNR.  A
-non-finite iterate shows as a non-finite objective, on which ``_drive``
-raises :class:`DivergenceError`.
+generator's steps.  Work is everything a generator step does: for every
+solver, one blocked sweep over the coefficients (``prox._sweep``: the
+carried stack's addition, the soft threshold, the iterate's l1 norm and
+FISTA's extrapolation), the synthesis of the iterate, that image's
+forward FFT and the residual spectrum ``R``.  IST's and FISTA's next
+gradient step starts from ``R``; SALSA needs it only for the trace, but
+forms it inside its step (one multiply and one subtract on half
+spectra), so it counts as work there too.  The sweep hands the l1 norm
+to ``_drive`` with the iterate, so ``_drive`` reads no stack.
+Bookkeeping is left out: the reductions that turn ``R`` into the data
+term, and ISNR.  The synthesized iterate is also the image the trace
+uses for the ISNR.  A non-finite iterate shows as a non-finite
+objective, on which ``_drive`` raises :class:`DivergenceError`.
 
-Each solver allocates its coefficient stacks once and overwrites them in
-place from iteration to iteration: SALSA and FISTA hold three stacks,
-IST two.  The coefficients a solver returns are never written again.
+Each solver allocates its coefficient stacks and half-spectrum buffers
+once and overwrites them in place from iteration to iteration: SALSA
+and FISTA hold three stacks, IST two.  The coefficients a solver returns
+are never written again.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import numpy as np
 
 from .convolution import _half_spectrum, build_inversion_filter
 from .frame import FrameCoeffs, FrameSpec, analysis_bands, synthesis_bands
-from .prox import Regularizer, _l1, _objective, _sweep
+from .prox import Regularizer, _l1, _objective, _sum_of_squares, _sweep
 
 __all__ = [
     "DivergenceError",
@@ -142,30 +146,28 @@ class SolverTrace:
 
 def _drive(steps: Iterator[tuple[np.ndarray, float, np.ndarray, np.ndarray]],
            cfg: SolverConfig, isnr_fn: Callable[[np.ndarray], float] | None,
-           y: np.ndarray, otf_half: np.ndarray) -> tuple[np.ndarray, np.ndarray, SolverTrace]:
+           shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, SolverTrace]:
     """Run a solver's iterations to the stopping rule and trace each one.
 
     ``steps`` is a generator that does its setup and then one iteration's
     work per ``next``, each time yielding the iterate's coefficient stack,
-    its l1 norm, its synthesis and that image's ``rfft2`` half spectrum,
-    from which ``_drive`` forms the data residual ``blur(image) - y``; the
-    stack itself is only handed back.  Only the ``next`` calls count as
-    work.  Iteration 0 is the starting point; ``cfg.max_iters`` caps the
-    iterations after it.  Returns the last iterate, its image and the
-    trace.
+    its l1 norm, its synthesis and the half spectrum of its data residual
+    ``blur(image) - y``, an image of ``shape``; the stack itself is only
+    handed back.  Only the ``next`` calls count as work.  Iteration 0 is
+    the starting point; ``cfg.max_iters`` caps the iterations after it.
+    Returns the last iterate, its image and the trace.
     """
     trace = SolverTrace()
     work_seconds = 0.0
     prev_objective = None
     for k in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
-        bands, l1, image, spectrum = next(steps)
+        bands, l1, image, residual_half = next(steps)
         work_seconds += time.perf_counter() - t0
 
-        residual = np.fft.irfft2(otf_half * spectrum, s=y.shape) - y
         # a non-finite coefficient makes the l1 term non-finite, so this
         # also catches an iterate that stopped being finite
-        f = _objective(residual, l1, cfg.tau)
+        f = _objective(residual_half, l1, cfg.tau, shape)
         if not math.isfinite(f):
             raise DivergenceError(f"non-finite objective at iteration {k}")
         isnr = None if isnr_fn is None else isnr_fn(image)
@@ -182,18 +184,33 @@ def _drive(steps: Iterator[tuple[np.ndarray, float, np.ndarray, np.ndarray]],
     return bands, image, trace
 
 
-def _quadratic_step(hty: np.ndarray | float, u: np.ndarray, inv_filter: np.ndarray,
-                    mu: float) -> np.ndarray:
-    """SALSA's quadratic step on half spectra, ``G = (Ht Y - F U) / mu``.
+def _quadratic_step(a: np.ndarray | float, theta_hat: np.ndarray, v_hat: np.ndarray,
+                    inv_filter: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """SALSA's quadratic step on half spectra, ``G = A - F (2 Theta - V)``.
 
-    ``u`` and ``hty`` are ``rfft2`` half spectra and ``inv_filter`` is the
-    half spectrum of F from :func:`build_inversion_filter`; the step's
-    image is ``g = irfft2(G)``.  For ``r = Wt Ht y + mu c`` and ``u`` the
-    spectrum of ``W r``, the solution of ``(Wt Ht H W + mu I) beta = r``
-    is ``beta = c + Wt g``, by the Woodbury identity and ``W Wt = I``;
-    with ``hty = 0`` that is ``r / mu + Wt g``.
+    ``theta_hat`` and ``v_hat`` are ``rfft2`` half spectra, ``inv_filter``
+    is the half spectrum of F from :func:`build_inversion_filter` and
+    ``a`` the once-per-solve constant ``A = (1 - F) Ht Y / mu``; the
+    step's image is ``g = irfft2(G)``.  ``G`` is written into ``out`` in
+    four passes that allocate nothing.  For
+    ``r = Wt Ht y + mu c`` and ``2 Theta - V`` the spectrum of ``W c``,
+    the solution of ``(Wt Ht H W + mu I) beta = r`` is
+    ``beta = c + Wt g``, by the Woodbury identity and ``W Wt = I``: with
+    ``U = Ht Y + mu (2 Theta - V)`` the spectrum of ``W r``,
+    ``G = (Ht Y - F U) / mu``.  With ``a = 0`` that is ``r / mu + Wt g``
+    for ``r = mu c``.
     """
-    return (hty - inv_filter * u) / mu
+    np.multiply(theta_hat, 2.0, out=out)
+    out -= v_hat
+    out *= inv_filter
+    return np.subtract(a, out, out=out)
+
+
+def _residual_half(otf_half: np.ndarray, x_hat: np.ndarray, y_hat: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """``R = H X - Y`` into ``out``: the half spectrum of ``blur(x) - y``."""
+    np.multiply(otf_half, x_hat, out=out)
+    return np.subtract(out, y_hat, out=out)
 
 
 def salsa_solve(
@@ -222,72 +239,84 @@ def salsa_solve(
     ``Y = rfft2(y)``, H the OTF's half spectrum and ``d_k = theta_k - v_k``,
     iteration ``k`` is
 
-        U_k      = Ht Y + mu * (2 Theta_{k-1} - V_{k-1})   (spectrum of W r_k)
-        G_k      = (Ht Y - F U_k) / mu                  (:func:`_quadratic_step`)
-        v_k      = theta_{k-1} + Wt irfft2(G_k)           (= beta_k - d_{k-1})
+        G_k      = A - F (2 Theta_{k-1} - V_{k-1})     (:func:`_quadratic_step`)
+        v_k      = theta_{k-1} + Wt irfft2(G_k)        (= beta_k - d_{k-1})
         V_k      = Theta_{k-1} + G_k
         theta_k  = soft(v_k, tau / mu)
-        c_k      = v_k - theta_k                       (the prox's clip, -d_k)
         Theta_k  = rfft2(synth(theta_k))
 
-    from ``v_0 = theta_0 = Wt y`` and ``c_0 = 0``: one inversion filter,
-    one inverse and one forward FFT, one analysis, one sweep and one
-    synthesis per iteration.  The sweep adds ``theta_{k-1}`` into the
-    analysed step, thresholds the sum into theta's own stack and leaves
-    ``c_k`` where the analysis wrote, so a solve holds three coefficient
-    stacks: ``theta``, ``c_k`` and ``c_{k-1}``.  The synthesis of
-    ``theta_k`` is also the returned image, and its spectrum gives the
-    trace its residual.
+    with the constant ``A = (1 - F) Ht Y / mu``, formed once per solve:
+    ``G_k`` is ``(Ht Y - F U_k) / mu`` for
+    ``U_k = Ht Y + mu (2 Theta_{k-1} - V_{k-1})``, the spectrum of
+    ``W r_k``.  It starts from
+    ``v_0 = theta_0 = Wt y`` and ``d_0 = 0``: one inversion filter, one
+    inverse and one forward FFT, one analysis, one sweep and one synthesis
+    per iteration.  The step and ``V`` make five passes over half spectra
+    and write into buffers allocated once per solve.  The sweep adds
+    ``theta_{k-1}`` into the analysed step, which leaves ``v_k`` where the
+    analysis wrote, and thresholds the sum into theta's own stack, so a
+    solve holds three coefficient stacks: ``theta``, ``v_k`` and
+    ``v_{k-1}``.  The synthesis of ``theta_k`` is also the returned image,
+    and its spectrum gives the trace its residual spectrum
+    ``H Theta_k - Y``.
 
     The returned solution is ``theta`` (the prox output, exactly sparse)
     together with its synthesis and the per-iteration trace, whose
     ``splitting_residual`` is ``||beta_K - theta_K|| / ||theta_K||`` at
-    the last iteration, with ``beta_K - theta_K = v_K + d_{K-1} - theta_K
-    = c_K - c_{K-1}``.  ``reg`` is the :class:`Regularizer`; the l1 norm
-    is the only penalty.
+    the last iteration.  With the prox's clip
+    ``c_k = v_k - theta_k = clip(v_k, -tau/mu, tau/mu) = -d_k``, that is
+    ``beta_K - theta_K = v_K + d_{K-1} - theta_K = c_K - c_{K-1}``; the
+    two clips are formed once, at the end of the solve, in the buffers of
+    ``v_K`` and ``v_{K-1}`` (``c_0 = 0``).  ``reg`` is the
+    :class:`Regularizer`; the l1 norm is the only penalty.
     """
     levels = frame.levels
     mu = cfg.resolved_mu()
     threshold = cfg.tau / mu
     otf_half = _half_spectrum(otf)
-    # iteration k leaves c_k in clips[k % 2], so c_{k-1} survives it
-    clips = []
+    # iteration k leaves v_k in prox_inputs[k % 2], so v_{k-1} survives it;
+    # the zeros stand in for v_0, whose clip c_0 is 0
+    prox_inputs = []
 
     def steps():
         inv_filter = build_inversion_filter(otf_half, mu)
-        hty = np.conj(otf_half) * np.fft.rfft2(y)
+        y_hat = np.fft.rfft2(y)
+        a = (1.0 - inv_filter) * (np.conj(otf_half) * y_hat) / mu
         theta = analysis_bands(y, levels)
         w_theta = synthesis_bands(theta, levels)
-        theta_hat = v_hat = np.fft.rfft2(w_theta)
-        clips[:] = np.zeros_like(theta), np.empty_like(theta)
-        yield theta, _l1(theta), w_theta, theta_hat
+        theta_hat = np.fft.rfft2(w_theta)
+        v_hat = theta_hat.copy()
+        g_hat = np.empty_like(theta_hat)
+        residual_half = _residual_half(otf_half, theta_hat, y_hat, np.empty_like(theta_hat))
+        prox_inputs[:] = np.zeros_like(theta), np.empty_like(theta)
+        yield theta, _l1(theta), w_theta, residual_half
         for k in itertools.count(1):
-            u = hty + mu * (2.0 * theta_hat - v_hat)
-            g_hat = _quadratic_step(hty, u, inv_filter, mu)
-            c = analysis_bands(np.fft.irfft2(g_hat, s=y.shape), levels, out=clips[k % 2])
-            v_hat = theta_hat + g_hat
-            # c + theta_{k-1} is v_k; theta_k replaces theta_{k-1}, c_k replaces c
-            l1 = _sweep(c, theta, threshold, theta, keep_clip=True)
+            _quadratic_step(a, theta_hat, v_hat, inv_filter, g_hat)
+            v = analysis_bands(np.fft.irfft2(g_hat, s=y.shape), levels, out=prox_inputs[k % 2])
+            np.add(theta_hat, g_hat, out=v_hat)
+            # v + theta_{k-1} is v_k; theta_k replaces theta_{k-1}
+            l1 = _sweep(v, theta, threshold, theta)
             w_theta = synthesis_bands(theta, levels)
-            theta_hat = np.fft.rfft2(w_theta)
-            yield theta, l1, w_theta, theta_hat
+            np.fft.rfft2(w_theta, out=theta_hat)
+            yield theta, l1, w_theta, _residual_half(otf_half, theta_hat, y_hat, residual_half)
 
-    theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
+    theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y.shape)
     last = trace.final.iteration
     if last == 0:  # stopped at iteration 0, where beta = theta
         gap = 0.0
     else:
-        # formed over c_{K-1}'s buffer, which nothing reads again
-        c_prev = clips[(last - 1) % 2]
-        gap = _norm(np.subtract(clips[last % 2], c_prev, out=c_prev))
+        # formed over v_K's and v_{K-1}'s buffers, which nothing reads again
+        c_last, c_prev = prox_inputs[last % 2], prox_inputs[(last - 1) % 2]
+        np.clip(c_last, -threshold, threshold, out=c_last)
+        np.clip(c_prev, -threshold, threshold, out=c_prev)
+        gap = _norm(np.subtract(c_last, c_prev, out=c_prev))
     size = _norm(theta)
     trace.splitting_residual = gap / size if size > 0 else gap
     return FrameCoeffs(levels, theta), w_theta, trace
 
 
 def _norm(bands: np.ndarray) -> float:
-    flat = bands.ravel()
-    return math.sqrt(np.dot(flat, flat))
+    return math.sqrt(_sum_of_squares(bands))
 
 
 def ist_solve(
@@ -343,12 +372,15 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     residual is affine in the coefficients, so it is kept as the half
     spectrum ``R = H B - Y`` of ``blur(synth(beta)) - y``, with
     ``B = rfft2(synth(beta))`` and ``Y = rfft2(y)``; the residual at
-    ``z`` is ``R_z = (1 + w) R - w R_prev``.  The step's coefficients are
+    ``z`` is ``R_z = (1 + w) R - w R_prev``, formed as
+    ``R + w (R - R_prev)``.  The step's coefficients are
     ``z + Wt irfft2(-s Ht R_z)``, so an iteration runs one inverse FFT for
-    the gradient and one forward FFT of the new iterate's image.  One
-    sweep adds ``z`` into the analysed gradient step, thresholds it and,
-    for FISTA, writes the next ``z``, so FISTA holds three coefficient
-    stacks (the step, ``beta`` and ``z``) and IST two.  The step
+    the gradient and one forward FFT of the new iterate's image; ``B``,
+    ``R``, ``R_prev``, ``R_z`` and ``-s Ht R_z`` are written into
+    half-spectrum buffers allocated once per solve.  One sweep adds ``z``
+    into the analysed gradient step, thresholds it and, for FISTA, writes
+    the next ``z``, so FISTA holds three coefficient stacks (the step,
+    ``beta`` and ``z``) and IST two.  The step
     ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz bound of
     the data-term gradient (the frame is Parseval, so ``||W|| = 1``).
     """
@@ -368,30 +400,38 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         z = beta.copy() if momentum else beta
         image = synthesis_bands(beta, levels)
         beta_hat = np.fft.rfft2(image)
-        residual_z = residual = otf_half * beta_hat - y_hat
+        step_hat = np.empty_like(beta_hat)
+        residual_z = residual = _residual_half(otf_half, beta_hat, y_hat,
+                                               np.empty_like(beta_hat))
+        # IST never extrapolates, so it keeps one residual buffer
+        residual_prev = np.empty_like(residual) if momentum else residual
+        extrapolated = np.empty_like(residual) if momentum else None
         t = 1.0
-        yield beta, _l1(beta), image, beta_hat
+        yield beta, _l1(beta), image, residual
         while True:
             t_next = fista_momentum(t) if momentum else 1.0
             w = (t - 1.0) / t_next
             t = t_next
             # the step's image analysed into g; the sweep adds z, so that
             # g = z - step * grad, and thresholds it
-            analysis_bands(np.fft.irfft2(descent * residual_z, s=y.shape), levels, out=g)
+            np.multiply(descent, residual_z, out=step_hat)
+            analysis_bands(np.fft.irfft2(step_hat, s=y.shape), levels, out=g)
             if momentum:
                 l1 = _sweep(g, z, threshold, z, prev=beta, weight=w)
                 beta, z = z, beta
             else:
                 l1 = _sweep(g, beta, threshold, beta)
             image = synthesis_bands(beta, levels)
-            beta_hat = np.fft.rfft2(image)
-            residual_next = otf_half * beta_hat - y_hat
+            np.fft.rfft2(image, out=beta_hat)
+            residual, residual_prev = residual_prev, residual
+            _residual_half(otf_half, beta_hat, y_hat, residual)
             if w == 0.0:
-                residual_z = residual_next
+                residual_z = residual
             else:
-                residual_z = (1.0 + w) * residual_next - w * residual
-            residual = residual_next
-            yield beta, l1, image, beta_hat
+                residual_z = np.subtract(residual, residual_prev, out=extrapolated)
+                residual_z *= w
+                residual_z += residual
+            yield beta, l1, image, residual
 
-    beta, image, trace = _drive(steps(), cfg, isnr_fn, y, otf_half)
+    beta, image, trace = _drive(steps(), cfg, isnr_fn, y.shape)
     return FrameCoeffs(levels, beta), image, trace

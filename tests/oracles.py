@@ -8,8 +8,8 @@ solvers' literal recursions on complex FFTs (with :func:`adjoint_filter`
 and :func:`beta_update`), which the solvers are checked against, and
 :func:`roll_analysis_bands` and :func:`roll_synthesis_bands`, the frame
 transforms in their ``np.roll`` form, which the package's transforms must
-match bitwise, and :func:`filter_real`, the blur on real FFTs that the
-solvers' trace evaluates, which the final-record tests match bitwise.
+match bitwise, and :func:`filter_real`, the blur on real FFTs as the
+solvers apply it.
 """
 
 import numpy as np
@@ -219,8 +219,7 @@ def subgradient_residual(bands, grad_bands, tau):
 def filter_real(half, image):
     """``apply_filter`` for a Hermitian filter given by its half spectrum, on real FFTs.
 
-    The solvers' trace forms its residual with exactly this expression;
-    the complex conjugate of ``half`` applies the transpose.
+    The complex conjugate of ``half`` applies the transpose.
     """
     return np.fft.irfft2(half * np.fft.rfft2(image), s=image.shape)
 

@@ -105,9 +105,11 @@ def test_criterion_2_dense_subproblem():
             for _ in range(20):
                 r = rng.standard_normal((3 * levels + 1, side, side))
                 want = np.linalg.solve(q, r.ravel())
-                # the solver's quadratic step, without the Ht y it carries
-                u = synthesis_bands(r, levels)
-                g = np.fft.irfft2(_quadratic_step(0.0, np.fft.rfft2(u), filt, mu), s=u.shape)
+                # the solver's quadratic step without the Ht y it carries
+                # (A = 0), at Theta = V = the spectrum of W r / mu
+                c_hat = np.fft.rfft2(synthesis_bands(r, levels)) / mu
+                g_hat = _quadratic_step(0.0, c_hat, c_hat, filt, np.empty_like(c_hat))
+                g = np.fft.irfft2(g_hat, s=r.shape[1:])
                 got = (r / mu + analysis_bands(g, levels)).ravel()
                 denom = max(1.0, float(np.abs(want).max()))
                 assert np.abs(got - want).max() <= 1e-8 * denom

@@ -178,6 +178,19 @@ def test_spec_rejects_bad_solver_settings(overrides, field):
         quick_spec(**overrides)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"levels": 0}, "levels must be >= 1"),
+    ({"blur_size": 0}, "kernel size must be odd"),
+    ({"blur_kind": BlurKind.GAUSSIAN, "blur_sigma": -1.0}, "gaussian sigma"),
+    ({"blur_kind": BlurKind.GAUSSIAN, "blur_sigma": math.nan}, "gaussian sigma"),
+    ({"blur_sigma": 2.0}, "sigma is only meaningful for gaussian"),  # uniform9 blur
+])
+def test_spec_rejects_bad_blur_and_frame_settings(overrides, message):
+    # checked at construction, not first when the spec is run
+    with pytest.raises(ValueError, match=message):
+        quick_spec(**overrides)
+
+
 def test_spec_zero_tau_needs_no_mu_without_salsa():
     spec = quick_spec(tau=0.0, solvers=("ist", "fista"), max_iters=3)
     report = run_experiment(spec, phantom(32))

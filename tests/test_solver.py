@@ -31,7 +31,6 @@ from oracles import (
     data_gradient,
     dense_analysis_matrix,
     dense_blur_matrix,
-    filter_real,
     reference_fista,
     reference_salsa,
     subgradient_residual,
@@ -89,8 +88,10 @@ def test_mu_rule_of_thumb():
 def beta_update(r, otf, levels, mu):
     """beta solving ``(Wt Ht H W + mu I) beta = r``, by the solver's quadratic step."""
     inv_half = build_inversion_filter(_half_spectrum(otf), mu)
-    u = synthesis_bands(r, levels)
-    g = np.fft.irfft2(_quadratic_step(0.0, np.fft.rfft2(u), inv_half, mu), s=u.shape)
+    # without data (A = 0), and with 2 Theta - V the spectrum of W c for c = r / mu
+    c_hat = np.fft.rfft2(synthesis_bands(r, levels)) / mu
+    g_hat = _quadratic_step(0.0, c_hat, c_hat, inv_half, np.empty_like(c_hat))
+    g = np.fft.irfft2(g_hat, s=r.shape[1:])
     return r / mu + analysis_bands(g, levels)
 
 
@@ -163,9 +164,9 @@ def test_beta_update_satisfies_normal_equations_matrix_free():
 
 
 def test_quadratic_step_with_data_matches_dense_solve():
-    # as SALSA calls it, with hty = Ht Y: for r = Wt Ht y + mu c and u the
-    # spectrum of W r, beta = c + Wt irfft2(G) solves
-    # (Wt Ht H W + mu I) beta = r
+    # as SALSA calls it, with A = (1 - F) Ht Y / mu: for r = Wt Ht y + mu c
+    # and Theta, V the spectra of W theta, W v with c = 2 theta - v,
+    # beta = c + Wt irfft2(G) solves (Wt Ht H W + mu I) beta = r
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     levels = 1
@@ -182,14 +183,16 @@ def test_quadratic_step_with_data_matches_dense_solve():
         mu = 10.0 ** log_mu
         rng = np.random.default_rng(seed)
         y = rng.standard_normal(shape)
-        c = rng.standard_normal((3 * levels + 1,) + shape)
+        theta, v = rng.standard_normal((2, 3 * levels + 1) + shape)
+        c = 2.0 * theta - v
         hw, normal = matrices[shape]
         r = hw.T @ y.ravel() + mu * c.ravel()
         want = np.linalg.solve(normal + mu * np.eye(r.size), r)
         otf_half = _half_spectrum(psf_to_otf(psf, shape))
-        hty = np.conj(otf_half) * np.fft.rfft2(y)
-        u = np.fft.rfft2(synthesis_bands(r.reshape(c.shape), levels))
-        g_hat = _quadratic_step(hty, u, build_inversion_filter(otf_half, mu), mu)
+        inv_filter = build_inversion_filter(otf_half, mu)
+        a = (1.0 - inv_filter) * (np.conj(otf_half) * np.fft.rfft2(y)) / mu
+        theta_hat, v_hat = (np.fft.rfft2(synthesis_bands(b, levels)) for b in (theta, v))
+        g_hat = _quadratic_step(a, theta_hat, v_hat, inv_filter, np.empty_like(a))
         got = c + analysis_bands(np.fft.irfft2(g_hat, s=shape), levels)
         assert np.abs(got.ravel() - want).max() <= 1e-9 * max(1.0, float(np.abs(want).max()))
 
@@ -495,18 +498,20 @@ def test_final_record_is_taken_at_the_returned_iterate(solver):
     coeffs, image, trace = solver(y, otf, spec, Regularizer(), cfg, isnr_fn=isnr_fn)
     assert trace.final.iteration == 12
     assert len(seen) == len(trace.records)
-    residual = filter_real(_half_spectrum(otf), synthesis_bands(coeffs.bands, spec.levels)) - y
-    assert trace.final.objective == _objective(residual, _l1(coeffs.bands), tau)
+    image_hat = np.fft.rfft2(synthesis_bands(coeffs.bands, spec.levels))
+    residual_half = _half_spectrum(otf) * image_hat - np.fft.rfft2(y)
+    assert trace.final.objective == _objective(residual_half, _l1(coeffs.bands), tau, y.shape)
     assert np.array_equal(seen[-1], image)
     assert np.array_equal(image, synthesis_bands(coeffs.bands, spec.levels))
 
 
 @pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
-def test_three_real_ffts_per_iteration(solver, monkeypatch):
+def test_two_real_ffts_per_iteration(solver, monkeypatch):
     # each solver carries its iterate's half spectrum into the next
-    # iteration: one inverse FFT for the step, one forward FFT of the new
-    # image and one inverse FFT for the trace residual; the setup
-    # transforms y and the starting image and traces iteration 0
+    # iteration: one inverse FFT for the step and one forward FFT of the
+    # new image, whose spectrum also gives the trace its data term by
+    # Parseval; the setup transforms y and the starting image and traces
+    # iteration 0
     calls = []
     for name in ("rfft2", "irfft2"):
         def counted(*args, _fft=getattr(np.fft, name), **kwargs):
@@ -519,7 +524,7 @@ def test_three_real_ffts_per_iteration(solver, monkeypatch):
         _, _, trace = solver(y, otf, spec, Regularizer(),
                              SolverConfig(tau=0.05, max_iters=iters, rel_tol=0.0))
         assert trace.final.iteration == iters
-        assert len(calls) == 3 + 3 * iters
+        assert len(calls) == 2 + 2 * iters
 
 
 @pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
