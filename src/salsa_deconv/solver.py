@@ -41,10 +41,10 @@ term, and ISNR.  The synthesized iterate is also the image the trace
 uses for the ISNR.  A non-finite iterate shows as a non-finite
 objective, on which ``_drive`` raises :class:`DivergenceError`.
 
-Each solver allocates its coefficient stacks and half-spectrum buffers
-once and overwrites them in place from iteration to iteration: SALSA
-and FISTA hold three stacks, IST two.  The coefficients a solver returns
-are never written again.
+Each solver allocates its coefficient stacks once and overwrites them in
+place from iteration to iteration: SALSA and FISTA hold three stacks,
+IST two.  SALSA does the same with its step's half spectra.  The
+coefficients a solver returns are never written again.
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ def salsa_solve(
             # v + theta_{k-1} is v_k; theta_k replaces theta_{k-1}
             l1 = _sweep(v, theta, threshold, theta)
             w_theta = synthesis_bands(theta, levels)
-            np.fft.rfft2(w_theta, out=theta_hat)
+            theta_hat = np.fft.rfft2(w_theta)
             yield theta, l1, w_theta, _residual_half(otf_half, theta_hat, y_hat, residual_half)
 
     theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y.shape)
@@ -372,12 +372,10 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     residual is affine in the coefficients, so it is kept as the half
     spectrum ``R = H B - Y`` of ``blur(synth(beta)) - y``, with
     ``B = rfft2(synth(beta))`` and ``Y = rfft2(y)``; the residual at
-    ``z`` is ``R_z = (1 + w) R - w R_prev``, formed as
-    ``R + w (R - R_prev)``.  The step's coefficients are
+    ``z`` is ``R_z = (1 + w) R - w R_prev``.  The step's coefficients are
     ``z + Wt irfft2(-s Ht R_z)``, so an iteration runs one inverse FFT for
-    the gradient and one forward FFT of the new iterate's image; ``B``,
-    ``R``, ``R_prev``, ``R_z`` and ``-s Ht R_z`` are written into
-    half-spectrum buffers allocated once per solve.  One sweep adds ``z``
+    the gradient and one forward FFT of the new iterate's image, and
+    ``R`` is also the trace's residual spectrum.  One sweep adds ``z``
     into the analysed gradient step, thresholds it and, for FISTA, writes
     the next ``z``, so FISTA holds three coefficient stacks (the step,
     ``beta`` and ``z``) and IST two.  The step
@@ -399,13 +397,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         # z and the next z over the previous iterate
         z = beta.copy() if momentum else beta
         image = synthesis_bands(beta, levels)
-        beta_hat = np.fft.rfft2(image)
-        step_hat = np.empty_like(beta_hat)
-        residual_z = residual = _residual_half(otf_half, beta_hat, y_hat,
-                                               np.empty_like(beta_hat))
-        # IST never extrapolates, so it keeps one residual buffer
-        residual_prev = np.empty_like(residual) if momentum else residual
-        extrapolated = np.empty_like(residual) if momentum else None
+        residual_z = residual = otf_half * np.fft.rfft2(image) - y_hat
         t = 1.0
         yield beta, _l1(beta), image, residual
         while True:
@@ -414,23 +406,19 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             t = t_next
             # the step's image analysed into g; the sweep adds z, so that
             # g = z - step * grad, and thresholds it
-            np.multiply(descent, residual_z, out=step_hat)
-            analysis_bands(np.fft.irfft2(step_hat, s=y.shape), levels, out=g)
+            analysis_bands(np.fft.irfft2(descent * residual_z, s=y.shape), levels, out=g)
             if momentum:
                 l1 = _sweep(g, z, threshold, z, prev=beta, weight=w)
                 beta, z = z, beta
             else:
                 l1 = _sweep(g, beta, threshold, beta)
             image = synthesis_bands(beta, levels)
-            np.fft.rfft2(image, out=beta_hat)
-            residual, residual_prev = residual_prev, residual
-            _residual_half(otf_half, beta_hat, y_hat, residual)
+            residual_next = otf_half * np.fft.rfft2(image) - y_hat
             if w == 0.0:
-                residual_z = residual
+                residual_z = residual_next
             else:
-                residual_z = np.subtract(residual, residual_prev, out=extrapolated)
-                residual_z *= w
-                residual_z += residual
+                residual_z = (1.0 + w) * residual_next - w * residual
+            residual = residual_next
             yield beta, l1, image, residual
 
     beta, image, trace = _drive(steps(), cfg, isnr_fn, y.shape)
