@@ -1,0 +1,107 @@
+"""Solver time per iteration of two checkouts, measured in one process.
+
+Copies ``src/salsa_deconv`` of each checkout into a temporary directory
+under its own package name (``ab_base``, ``ab_change``) and imports both,
+so that the two sides share one interpreter, one numpy and one heap, and
+the host's drift over the run reaches both alike.  Each side builds
+experiment 1's problem (its blur, noise, seed and tau) at an N x N
+phantom with its own package, and so its own OTF format, and solves it
+with rel_tol 0, so that every solve takes exactly --iters iterations.
+
+After one warm-up solve per side, it runs --reps pairs of solves and
+alternates which side goes first.  A sample is the wall time of one
+solve, setup included, divided by --iters.  It prints each side's median
+and quartiles in ms per iteration, the median over the pairs of the
+change/base ratio, and the number of pairs the change won.
+
+Usage: python3 scripts/ab_iterations.py --base DIR --change DIR
+           [--size 256] [--solver salsa] [--iters 20] [--reps 10]
+"""
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("base", "change")
+SOLVES = {"salsa": "salsa_solve", "ist": "ist_solve", "fista": "fista_solve"}
+
+
+def load(checkout: Path, name: str, root: Path):
+    """Import ``checkout``'s package as ``name``, from a copy under ``root``."""
+    src = checkout / "src" / "salsa_deconv"
+    if not (src / "__init__.py").is_file():
+        raise SystemExit(f"{checkout} has no src/salsa_deconv package")
+    shutil.copytree(src, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]  # left by an earlier call in this process
+    return importlib.import_module(name)
+
+
+def solve_fn(pkg, size: int, solver: str, iters: int):
+    """A no-argument call that solves ``pkg``'s experiment-1 problem in ``iters`` iterations."""
+    spec = pkg.DEFAULT_EXPERIMENTS["1"]
+    psf = spec.psf()
+    y = pkg.degrade(pkg.phantom(size), psf, spec.noise_variance, spec.seed)
+    otf = pkg.psf_to_otf(psf, y.shape)
+    frame = pkg.FrameSpec(spec.levels)
+    cfg = pkg.SolverConfig(tau=spec.tau, max_iters=iters, rel_tol=0.0)
+    solve = getattr(pkg, SOLVES[solver])
+    return lambda: solve(y, otf, frame, pkg.Regularizer(), cfg)
+
+
+def run_pairs(runs: dict, iters: int, reps: int) -> dict[str, list[float]]:
+    """``reps`` alternating pairs of solves; ms per iteration of each side, pair by pair."""
+    for run in runs.values():
+        run()  # warm-up
+    samples = {side: [] for side in SIDES}
+    for i in range(reps):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            t0 = time.perf_counter()
+            runs[side]()
+            samples[side].append(1e3 * (time.perf_counter() - t0) / iters)
+    return samples
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--base", type=Path, required=True, help="checkout of the base")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--size", type=int, default=256)
+    parser.add_argument("--solver", choices=sorted(SOLVES), default="salsa")
+    parser.add_argument("--iters", type=int, default=20)
+    parser.add_argument("--reps", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.iters < 1 or args.reps < 1:
+        parser.error("--iters and --reps must be >= 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        sys.path.insert(0, tmp)
+        try:
+            runs = {side: solve_fn(load(getattr(args, side).resolve(), f"ab_{side}", root),
+                                   args.size, args.solver, args.iters)
+                    for side in SIDES}
+        finally:
+            sys.path.remove(tmp)
+        samples = run_pairs(runs, args.iters, args.reps)
+
+    print(f"{args.solver} at {args.size}x{args.size}, {args.iters} iterations per solve, "
+          f"{args.reps} pairs (numpy {np.__version__})")
+    for side in SIDES:
+        q1, median, q3 = np.percentile(samples[side], [25, 50, 75])
+        print(f"{side:<8s}median {median:9.3f} ms/iter  quartiles {q1:9.3f} {q3:9.3f}")
+    ratios = [c / b for b, c in zip(samples["base"], samples["change"])]
+    wins = sum(c < b for b, c in zip(samples["base"], samples["change"]))
+    print(f"change/base median ratio {statistics.median(ratios):.3f}, "
+          f"change faster in {wins}/{args.reps} pairs")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -71,10 +71,10 @@ class ExperimentSpec:
     solver with this experiment's own ``rel_tol`` stopping rule and then
     runs every requested solver until it reaches that value, and an
     explicit float is used as-is.  ``max_iters`` caps every run.
-    ``solvers`` names each solver at most once, and ``seed``, the noise
-    seed, is nonnegative.  The frame (``levels``) and the blur
-    (``blur_kind``, ``blur_size``, ``blur_sigma``) are also built at
-    construction, so their settings fail there too.
+    ``solvers`` names at least one solver and each at most once, and
+    ``seed``, the noise seed, is nonnegative.  The frame (``levels``) and
+    the blur (``blur_kind``, ``blur_size``, ``blur_sigma``) are also built
+    at construction, so their settings fail there too.
     """
 
     id: str
@@ -96,6 +96,8 @@ class ExperimentSpec:
             raise ValueError(f"noise_variance must be finite, got {self.noise_variance}")
         if self.noise_variance < 0:
             raise ValueError(f"noise_variance must be nonnegative, got {self.noise_variance}")
+        if not self.solvers:
+            raise ValueError("solvers must name at least one solver")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise ValueError(f"unknown solver(s) {unknown}; choose from {SOLVER_NAMES}")

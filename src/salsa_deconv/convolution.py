@@ -4,14 +4,15 @@ Blur kernels are small, odd-sized, unit-sum stencils (:class:`Psf`).  The
 image boundary model is periodic, so the blur matrix diagonalizes in the
 2-D DFT basis: a kernel is converted once into its optical transfer
 function (OTF) with :func:`psf_to_otf`, and every product with the blur
-matrix or its transpose is two FFTs plus a pointwise multiply.
+matrix or its transpose is two real FFTs plus a pointwise multiply.
 
-The regularized inverse used by the quadratic solve of the split
-augmented-Lagrangian iteration is also a DFT-domain filter; see
-:func:`build_inversion_filter`.  The solvers apply these filters, which
-are Hermitian for real kernels, as products with half spectra from real
-FFTs (``rfft2``/``irfft2``), and the transpose of the blur as the
-conjugate half spectrum; :func:`apply_filter` takes any complex filter.
+A filter is a real operator's DFT-domain gains, so it is Hermitian and
+given by its half spectrum: for an ``(h, w)`` image, the ``(h, w//2 + 1)``
+array of ``rfft2``.  :func:`apply_filter` multiplies by it between
+``rfft2`` and ``irfft2``, and its complex conjugate applies the transpose,
+correlation with the kernel.  The regularized inverse used by the
+quadratic solve of the split augmented-Lagrangian iteration is such a
+filter too; see :func:`build_inversion_filter`.
 """
 
 from __future__ import annotations
@@ -116,11 +117,12 @@ def build_psf(kind: BlurKind | str, size: int | None = None,
 
 
 def psf_to_otf(psf: Psf, shape: tuple[int, int]) -> np.ndarray:
-    """Embed a PSF into an image-sized grid and return its 2-D DFT.
+    """Embed a PSF into an image-sized grid and return its DFT half spectrum.
 
     The kernel is zero-padded to ``shape`` and circularly shifted so its
-    center lands at index (0, 0); applying the returned filter with
-    :func:`apply_filter` then implements periodic convolution by the
+    center lands at index (0, 0); the result is the ``rfft2`` of that
+    grid, shape ``(h, w//2 + 1)`` for ``shape = (h, w)``.  Applying it
+    with :func:`apply_filter` implements periodic convolution by the
     kernel.  An identity (1x1) kernel maps to an all-ones OTF.
     """
     kh, kw = psf.taps.shape
@@ -130,38 +132,35 @@ def psf_to_otf(psf: Psf, shape: tuple[int, int]) -> np.ndarray:
     pad = np.zeros(shape)
     pad[:kh, :kw] = psf.taps
     pad = np.roll(pad, (-psf.center[0], -psf.center[1]), axis=(0, 1))
-    return np.fft.fft2(pad)
+    return np.fft.rfft2(pad)
 
 
 def apply_filter(filt: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Pointwise DFT-domain filtering: real(IDFT(filt * DFT(image)))."""
-    if filt.shape != image.shape:
-        raise ValueError(f"filter shape {filt.shape} != image shape {image.shape}")
-    return np.fft.ifft2(filt * np.fft.fft2(image)).real
+    """Pointwise DFT-domain filtering: ``irfft2(filt * rfft2(image))``.
+
+    ``filt`` is the half spectrum of the filter for ``image``'s shape.
+    """
+    _check_half_spectrum(filt, image.shape)
+    return np.fft.irfft2(filt * np.fft.rfft2(image), s=image.shape)
+
+
+def _check_half_spectrum(filt: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``filt`` has the half-spectrum shape for images of ``shape``."""
+    h, w = shape
+    if filt.shape != (h, w // 2 + 1):
+        raise ValueError(f"expected a filter of shape {(h, w // 2 + 1)}, the half spectrum "
+                         f"of a {h}x{w} image, got shape {filt.shape}")
 
 
 def build_inversion_filter(otf: np.ndarray, mu: float) -> np.ndarray:
     """Gains of the regularized inverse H^T (H H^T + mu I)^{-1} H.
 
     Returns the DFT-domain filter with value ``|d|^2 / (|d|^2 + mu)`` at
-    each OTF bin ``d``, as a real ``float64`` array of the OTF's shape.
-    The gains lie in [0, 1) and depend on the OTF only through its
-    squared magnitude, so the filter of a half spectrum (see
-    :func:`_half_spectrum`) is the half spectrum of the filter.
+    each OTF bin ``d``, as a real ``float64`` array of the OTF's shape,
+    so the half spectrum of an OTF gives the half spectrum of the filter.
+    The gains lie in [0, 1).
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     g = np.abs(otf) ** 2
     return g / (g + mu)
-
-
-def _half_spectrum(filt: np.ndarray) -> np.ndarray:
-    """The ``w//2 + 1`` leading columns of a full ``(h, w)`` DFT-domain filter.
-
-    A filter of a real operator (the OTF of a real kernel, or a real
-    even-symmetric gain such as the inversion filter) is Hermitian, so
-    these columns determine it: ``irfft2(half * rfft2(image), s)`` is
-    :func:`apply_filter`, and the complex conjugate of ``half`` applies
-    the transpose, correlation with the kernel.
-    """
-    return filt[:, : filt.shape[1] // 2 + 1]

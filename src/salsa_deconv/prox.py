@@ -52,7 +52,7 @@ def prox(values: np.ndarray, threshold: float,
     the result are ``+0.0``.  ``out`` must not share memory with
     ``values``: the clip would overwrite the values it subtracts.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     values = np.asarray(values)
     if out is None:

@@ -14,10 +14,11 @@ loop owns the work clock, the trace, the stopping rule of
 :class:`SolverConfig` and the divergence check.  IST is FISTA without
 the extrapolation.
 
-Blurs and inversion filters are products with half spectra on real
-FFTs, and every solver carries the half spectrum of its synthesized
-iterate from one iteration to the next, so that an iteration runs two
-real 2-D FFTs: SALSA's inverse FFT of its quadratic step and forward FFT
+The OTF every solver takes is the ``rfft2`` half spectrum that
+:func:`~salsa_deconv.convolution.psf_to_otf` returns, so blurs and
+inversion filters are products with half spectra on real FFTs.  Every
+solver carries the half spectrum of its synthesized iterate from one
+iteration to the next, so that an iteration runs two real 2-D FFTs: SALSA's inverse FFT of its quadratic step and forward FFT
 of the image of theta, IST's and FISTA's inverse FFT of the gradient
 step and forward FFT of the image of beta.  The trace's data term takes
 no FFT: each solver hands ``_drive`` the half spectrum ``R = H X - Y``
@@ -57,7 +58,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .convolution import _half_spectrum, build_inversion_filter
+from .convolution import _check_half_spectrum, build_inversion_filter
 from .frame import FrameCoeffs, FrameSpec, analysis_bands, synthesis_bands
 from .prox import Regularizer, _l1, _objective, _sum_of_squares, _sweep
 
@@ -69,7 +70,6 @@ __all__ = [
     "salsa_solve",
     "ist_solve",
     "fista_solve",
-    "fista_momentum",
 ]
 
 
@@ -136,10 +136,6 @@ class SolverTrace:
     splitting_residual: float | None = None
 
     @property
-    def objectives(self) -> list[float]:
-        return [r.objective for r in self.records]
-
-    @property
     def final(self) -> TraceRecord:
         return self.records[-1]
 
@@ -189,7 +185,7 @@ def _quadratic_step(a: np.ndarray | float, theta_hat: np.ndarray, v_hat: np.ndar
     """SALSA's quadratic step on half spectra, ``G = A - F (2 Theta - V)``.
 
     ``theta_hat`` and ``v_hat`` are ``rfft2`` half spectra, ``inv_filter``
-    is the half spectrum of F from :func:`build_inversion_filter` and
+    is F from :func:`build_inversion_filter` and
     ``a`` the once-per-solve constant ``A = (1 - F) Ht Y / mu``; the
     step's image is ``g = irfft2(G)``.  ``G`` is written into ``out`` in
     four passes that allocate nothing.  For
@@ -236,7 +232,7 @@ def salsa_solve(
     so the images ``W theta`` and ``W v`` of ``theta`` and of the prox
     input ``v_k = beta_k - d_{k-1}`` enter only through their half spectra
     ``Theta = rfft2(W theta)`` and ``V = rfft2(W v)``.  With
-    ``Y = rfft2(y)``, H the OTF's half spectrum and ``d_k = theta_k - v_k``,
+    ``Y = rfft2(y)``, H the OTF and ``d_k = theta_k - v_k``,
     iteration ``k`` is
 
         G_k      = A - F (2 Theta_{k-1} - V_{k-1})     (:func:`_quadratic_step`)
@@ -270,24 +266,24 @@ def salsa_solve(
     ``v_K`` and ``v_{K-1}`` (``c_0 = 0``).  ``reg`` is the
     :class:`Regularizer`; the l1 norm is the only penalty.
     """
+    _check_half_spectrum(otf, y.shape)
     levels = frame.levels
     mu = cfg.resolved_mu()
     threshold = cfg.tau / mu
-    otf_half = _half_spectrum(otf)
     # iteration k leaves v_k in prox_inputs[k % 2], so v_{k-1} survives it;
     # the zeros stand in for v_0, whose clip c_0 is 0
     prox_inputs = []
 
     def steps():
-        inv_filter = build_inversion_filter(otf_half, mu)
+        inv_filter = build_inversion_filter(otf, mu)
         y_hat = np.fft.rfft2(y)
-        a = (1.0 - inv_filter) * (np.conj(otf_half) * y_hat) / mu
+        a = (1.0 - inv_filter) * (np.conj(otf) * y_hat) / mu
         theta = analysis_bands(y, levels)
         w_theta = synthesis_bands(theta, levels)
         theta_hat = np.fft.rfft2(w_theta)
         v_hat = theta_hat.copy()
         g_hat = np.empty_like(theta_hat)
-        residual_half = _residual_half(otf_half, theta_hat, y_hat, np.empty_like(theta_hat))
+        residual_half = _residual_half(otf, theta_hat, y_hat, np.empty_like(theta_hat))
         prox_inputs[:] = np.zeros_like(theta), np.empty_like(theta)
         yield theta, _l1(theta), w_theta, residual_half
         for k in itertools.count(1):
@@ -298,7 +294,7 @@ def salsa_solve(
             l1 = _sweep(v, theta, threshold, theta)
             w_theta = synthesis_bands(theta, levels)
             theta_hat = np.fft.rfft2(w_theta)
-            yield theta, l1, w_theta, _residual_half(otf_half, theta_hat, y_hat, residual_half)
+            yield theta, l1, w_theta, _residual_half(otf, theta_hat, y_hat, residual_half)
 
     theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y.shape)
     last = trace.final.iteration
@@ -382,14 +378,14 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz bound of
     the data-term gradient (the frame is Parseval, so ``||W|| = 1``).
     """
+    _check_half_spectrum(otf, y.shape)
     levels = frame.levels
     step = 1.0 / float(np.max(np.abs(otf) ** 2))
     threshold = cfg.tau * step
-    otf_half = _half_spectrum(otf)
 
     def steps():
         # the gradient step's filter, applied to the residual spectrum
-        descent = -step * np.conj(otf_half)
+        descent = -step * np.conj(otf)
         y_hat = np.fft.rfft2(y)
         beta = analysis_bands(y, levels)
         g = np.empty_like(beta)
@@ -397,7 +393,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         # z and the next z over the previous iterate
         z = beta.copy() if momentum else beta
         image = synthesis_bands(beta, levels)
-        residual_z = residual = otf_half * np.fft.rfft2(image) - y_hat
+        residual_z = residual = otf * np.fft.rfft2(image) - y_hat
         t = 1.0
         yield beta, _l1(beta), image, residual
         while True:
@@ -413,7 +409,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             else:
                 l1 = _sweep(g, beta, threshold, beta)
             image = synthesis_bands(beta, levels)
-            residual_next = otf_half * np.fft.rfft2(image) - y_hat
+            residual_next = otf * np.fft.rfft2(image) - y_hat
             if w == 0.0:
                 residual_z = residual_next
             else:

@@ -4,17 +4,20 @@ Everything here deliberately avoids the FFT/vectorized code paths under
 test: convolution is the literal periodic sum, transforms are dense
 matrices or scalar loops, and the proximal map is a grid search.  The
 exceptions are :func:`reference_salsa` and :func:`reference_fista`, the
-solvers' literal recursions on complex FFTs (with :func:`adjoint_filter`
-and :func:`beta_update`), which the solvers are checked against, and
-:func:`roll_analysis_bands` and :func:`roll_synthesis_bands`, the frame
-transforms in their ``np.roll`` form, which the package's transforms must
-match bitwise, and :func:`filter_real`, the blur on real FFTs as the
-solvers apply it.
+solvers' literal recursions on complex FFTs (with :func:`filter_full`,
+:func:`adjoint_filter` and :func:`beta_update`), which the solvers are
+checked against, and :func:`roll_analysis_bands` and
+:func:`roll_synthesis_bands`, the frame transforms in their ``np.roll``
+form, which the package's transforms must match bitwise.
+
+The package filters by ``rfft2`` half spectra; the references here filter
+by complex full spectra, and complete a half spectrum they are given with
+:func:`full_spectrum`.
 """
 
 import numpy as np
 
-from salsa_deconv.convolution import apply_filter, build_inversion_filter
+from salsa_deconv.convolution import build_inversion_filter
 from salsa_deconv.frame import analysis_bands, synthesis_bands
 from salsa_deconv.prox import prox
 
@@ -216,27 +219,43 @@ def subgradient_residual(bands, grad_bands, tau):
     return worst
 
 
-def filter_real(half, image):
-    """``apply_filter`` for a Hermitian filter given by its half spectrum, on real FFTs.
+def full_spectrum(filt, shape):
+    """The full ``shape`` spectrum of a filter given by its ``rfft2`` half spectrum.
 
-    The complex conjugate of ``half`` applies the transpose.
+    Completes the columns past ``w//2`` by Hermitian symmetry,
+    ``F[k, m] = conj(F[-k mod h, w - m])``.  A full ``shape`` spectrum,
+    Hermitian or not, is returned as it is (for ``w <= 2`` the two shapes
+    are one).
     """
-    return np.fft.irfft2(half * np.fft.rfft2(image), s=image.shape)
+    h, w = shape
+    n = filt.shape[1]
+    if n == w:
+        return filt
+    mirrored = np.conj(filt[-np.arange(h) % h][:, w - np.arange(n, w)])
+    return np.concatenate([filt, mirrored], axis=1)
+
+
+def filter_full(filt, image):
+    """``real(IDFT(F * DFT(image)))`` on complex FFTs, for ``F = full_spectrum(filt)``."""
+    return np.fft.ifft2(full_spectrum(filt, image.shape) * np.fft.fft2(image)).real
 
 
 def adjoint_filter(filt, image):
-    """Transpose of ``apply_filter(filt, .)``: filtering by the conjugate, on complex FFTs.
+    """Transpose of ``filter_full(filt, .)``: filtering by the conjugate, on complex FFTs.
 
     For a convolution OTF this is correlation with the kernel; it
-    satisfies ``<apply_filter(D, a), b> == <a, adjoint_filter(D, b)>``
-    for any complex ``D``.
+    satisfies ``<filter_full(D, a), b> == <a, adjoint_filter(D, b)>``
+    for any complex full spectrum ``D``.
     """
-    return np.fft.ifft2(np.conj(filt) * np.fft.fft2(image)).real
+    return np.fft.ifft2(np.conj(full_spectrum(filt, image.shape)) * np.fft.fft2(image)).real
 
 
 def data_gradient(y, otf, levels, bands):
-    """Gradient of 0.5*||H W beta - y||^2, i.e. Wt Ht (H W beta - y)."""
-    residual = apply_filter(otf, synthesis_bands(bands, levels)) - y
+    """Gradient of 0.5*||H W beta - y||^2, i.e. Wt Ht (H W beta - y).
+
+    ``otf`` is a half spectrum from ``psf_to_otf`` or a full spectrum.
+    """
+    residual = filter_full(otf, synthesis_bands(bands, levels)) - y
     return analysis_bands(adjoint_filter(otf, residual), levels)
 
 
@@ -248,7 +267,7 @@ def beta_update(r, inv_filter, levels, mu):
     full-spectrum inversion filter from ``build_inversion_filter``,
     applied on complex FFTs.
     """
-    filtered = apply_filter(inv_filter, synthesis_bands(r, levels))
+    filtered = filter_full(inv_filter, synthesis_bands(r, levels))
     return (r - analysis_bands(filtered, levels)) / mu
 
 
@@ -263,8 +282,10 @@ def reference_salsa(y, otf, levels, tau, mu, max_iters, rel_tol, on_iteration=No
     each call gets new arrays.  Returns the final theta and the objective
     at every iteration, starting with iteration 0.
     """
+    otf = full_spectrum(otf, y.shape)
+
     def objective(bands):
-        residual = apply_filter(otf, synthesis_bands(bands, levels)) - y
+        residual = filter_full(otf, synthesis_bands(bands, levels)) - y
         return 0.5 * float((residual**2).sum()) + tau * float(np.abs(bands).sum())
 
     inv_filter = build_inversion_filter(otf, mu)
@@ -293,8 +314,10 @@ def reference_fista(y, otf, levels, tau, step, iters, momentum):
     whose gradient step is taken at ``beta`` itself.  Returns the final
     beta and the objective at every iteration, starting with iteration 0.
     """
+    otf = full_spectrum(otf, y.shape)
+
     def residual(bands):
-        return apply_filter(otf, synthesis_bands(bands, levels)) - y
+        return filter_full(otf, synthesis_bands(bands, levels)) - y
 
     def objective(bands):
         return 0.5 * float((residual(bands) ** 2).sum()) + tau * float(np.abs(bands).sum())

@@ -15,7 +15,7 @@ MODULE_ALL = {
     "frame": ["FrameSpec", "FrameCoeffs", "analysis_bands", "synthesis_bands"],
     "prox": ["Regularizer", "prox"],
     "solver": ["DivergenceError", "SolverConfig", "TraceRecord", "SolverTrace",
-               "salsa_solve", "ist_solve", "fista_solve", "fista_momentum"],
+               "salsa_solve", "ist_solve", "fista_solve"],
 }
 MODULES = tuple(MODULE_ALL)
 

@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from salsa_deconv.convolution import (
     BlurKind,
-    _half_spectrum,
     apply_filter,
     build_inversion_filter,
     build_psf,
@@ -15,7 +16,7 @@ from oracles import (
     dft_otf,
     direct_convolve,
     direct_convolve_scalar,
-    filter_real,
+    full_spectrum,
 )
 
 
@@ -90,6 +91,7 @@ def test_build_psf_accepts_string_kind():
 def test_identity_otf_is_all_ones():
     psf = build_psf(BlurKind.UNIFORM9, size=1)
     otf = psf_to_otf(psf, (8, 8))
+    assert otf.shape == (8, 5)
     assert np.allclose(otf, 1.0 + 0.0j, rtol=0, atol=1e-14)
 
 
@@ -106,10 +108,16 @@ def test_symmetric_psf_gives_real_otf():
 
 
 def test_otf_matches_dft_sum_oracle():
+    # the rfft2 half spectrum: the first w//2 + 1 columns of the full DFT,
+    # whose Hermitian completion is that DFT
     for kind in BlurKind:
         psf = build_psf(kind, size=3)
-        otf = psf_to_otf(psf, (8, 8))
-        assert np.abs(otf - dft_otf(psf, (8, 8))).max() <= 1e-12
+        for h, w in ((8, 8), (8, 7), (6, 9)):
+            otf = psf_to_otf(psf, (h, w))
+            want = dft_otf(psf, (h, w))
+            assert otf.shape == (h, w // 2 + 1)
+            assert np.abs(otf - want[:, : w // 2 + 1]).max() <= 1e-12
+            assert np.abs(full_spectrum(otf, (h, w)) - want).max() <= 1e-12
 
 
 def test_psf_larger_than_image_rejected():
@@ -119,18 +127,18 @@ def test_psf_larger_than_image_rejected():
 
 
 # ---------------------------------------------------------------------------
-# apply_filter, and the solvers' real-FFT filtering with its transpose
+# apply_filter and its transpose
 
 
 def adjoint(filt, image):
     """The transpose of the blur as the solvers apply it: the conjugate half spectrum."""
-    return filter_real(np.conj(_half_spectrum(filt)), image)
+    return apply_filter(np.conj(filt), image)
 
 
 def test_all_ones_filter_is_identity():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((12, 16))
-    ones = np.ones((12, 16), dtype=complex)
+    ones = np.ones((12, 9), dtype=complex)
     assert np.abs(apply_filter(ones, x) - x).max() <= 1e-10
     assert np.abs(adjoint(ones, x) - x).max() <= 1e-10
 
@@ -159,7 +167,8 @@ def test_direct_convolution_oracle_self_consistent():
 
 
 def test_fft_convolution_equivalence_property():
-    # every kernel family, odd sizes up to 9, images up to 32x32
+    # every kernel family, odd sizes up to 9, images up to 32x32, square
+    # and with an odd width, where irfft2 needs the width it is given
     rng = np.random.default_rng(15)
     cases = [
         (BlurKind.UNIFORM9, dict(size=9)),
@@ -171,10 +180,10 @@ def test_fft_convolution_equivalence_property():
     ]
     for kind, params in cases:
         psf = build_psf(kind, **params)
-        for side in (8, 16, 32):
-            if psf.support[0] > side:
+        for shape in ((8, 8), (16, 16), (32, 32), (16, 9), (10, 15), (32, 31)):
+            if psf.support[0] > min(shape):
                 continue
-            x = rng.standard_normal((side, side)) * 100.0
+            x = rng.standard_normal(shape) * 100.0
             got = apply_filter(psf_to_otf(psf, x.shape), x)
             assert np.abs(got - direct_convolve(x, psf)).max() <= 1e-9
 
@@ -202,17 +211,20 @@ def test_adjoint_inner_product_identity():
     for _ in range(100):
         a, b = rng.standard_normal((2, 16, 16))
         # the OTF of a real, non-symmetric kernel: Hermitian, with any phase
-        filt = np.fft.fft2(rng.standard_normal((16, 16)))
-        lhs = float((filter_real(_half_spectrum(filt), a) * b).sum())
+        filt = np.fft.rfft2(rng.standard_normal((16, 16)))
+        lhs = float((apply_filter(filt, a) * b).sum())
         rhs = float((a * adjoint(filt, b)).sum())
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_filter_shape_mismatch_rejected():
+    # (8, 8) is the full spectrum a filter used to be given as
     x = np.zeros((8, 8))
-    f = np.ones((4, 4), dtype=complex)
-    with pytest.raises(ValueError):
-        apply_filter(f, x)
+    for shape in ((4, 4), (8, 8), (8, 4), (16, 5)):
+        want = re.escape(f"expected a filter of shape (8, 5), the half spectrum of a 8x8 "
+                         f"image, got shape {shape}")
+        with pytest.raises(ValueError, match=want):
+            apply_filter(np.ones(shape, dtype=complex), x)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +267,8 @@ def test_inversion_filter_matches_dense_eigen_gains():
     hth = hd.T @ hd
     dense = hth @ np.linalg.inv(hth + mu * np.eye(side * side))
     got = np.sort(np.linalg.eigvalsh(0.5 * (dense + dense.T)))
-    want = np.sort((np.abs(otf) ** 2 / (np.abs(otf) ** 2 + mu)).ravel())
+    full = dft_otf(psf, (side, side))  # one gain per eigenvalue
+    want = np.sort((np.abs(full) ** 2 / (np.abs(full) ** 2 + mu)).ravel())
     assert np.abs(got - want).max() <= 1e-10
 
     # and as an operator, filtering equals the dense matrix action

@@ -3,7 +3,6 @@ import pytest
 
 from salsa_deconv.convolution import (
     BlurKind,
-    _half_spectrum,
     build_psf,
     psf_to_otf,
 )
@@ -23,8 +22,7 @@ def coeffs_from(rng, levels, side):
 
 def objective(y, otf, levels, bands, tau):
     """The solvers' objective of ``bands``: the residual's half spectrum, then the reductions."""
-    residual_half = (_half_spectrum(otf) * np.fft.rfft2(synthesis_bands(bands, levels))
-                     - np.fft.rfft2(y))
+    residual_half = otf * np.fft.rfft2(synthesis_bands(bands, levels)) - np.fft.rfft2(y)
     return _objective(residual_half, _l1(bands), tau, y.shape)
 
 
@@ -159,11 +157,14 @@ def test_full_shrinkage_to_zero():
     rng = np.random.default_rng(32)
     c = coeffs_from(rng, 2, 8)
     assert not prox(c, float(np.abs(c).max()) + 0.1).any()
+    assert not prox(c, np.inf).any()
 
 
 def test_negative_threshold_rejected():
-    with pytest.raises(ValueError):
-        prox(np.zeros((4, 8, 8)), -0.5)
+    # and NaN, which would turn every output into NaN
+    for threshold in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            prox(np.zeros((4, 8, 8)), threshold)
 
 
 def test_prox_matches_grid_argmin():
@@ -232,7 +233,7 @@ def test_objective_zero_coeffs_is_half_y_norm():
 def test_objective_exact_fit_is_zero():
     rng = np.random.default_rng(37)
     x = rng.standard_normal((16, 16))
-    otf = np.ones((16, 16), dtype=complex)
+    otf = np.ones((16, 9), dtype=complex)
     f = objective(x, otf, 2, analysis_bands(x, 2), 0.0)
     assert abs(f) <= 1e-18 * max(1.0, float((x**2).sum()))
 
@@ -295,6 +296,6 @@ def test_norm1_consistency_with_objective():
     rng = np.random.default_rng(40)
     c = coeffs_from(rng, 1, 8)
     y = np.zeros((8, 8))
-    otf = np.zeros((8, 8), dtype=complex)  # blur annihilates everything
+    otf = np.zeros((8, 5), dtype=complex)  # blur annihilates everything
     f = objective(y, otf, 1, c, 2.0)
     assert f == pytest.approx(2.0 * float(np.abs(c).sum()), rel=1e-12)

@@ -1,4 +1,5 @@
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -29,3 +30,19 @@ def test_iteration_split_prints_every_part(capsys):
         assert list(parts) == ["analysis", "synthesis", "sweep", "rfft2", "irfft2",
                                "spectral step", "objective", "remainder", "iteration"]
         assert all(ms >= 0.0 for ms in parts.values())
+
+
+def test_ab_iterations_compares_two_checkouts(capsys):
+    # the in-process A/B timing, cut to a smoke run with both sides this checkout
+    main = runpy.run_path(str(SCRIPTS / "ab_iterations.py"))["main"]
+    repo = str(SCRIPTS.parent)
+    main(["--base", repo, "--change", repo, "--size", "32", "--iters", "2", "--reps", "3"])
+    header, base, change, summary = capsys.readouterr().out.splitlines()
+    assert header.startswith("salsa at 32x32, 2 iterations per solve, 3 pairs")
+    for side, row in (("base", base), ("change", change)):
+        assert row.split()[0] == side
+        median, q1, q3 = (float(row.split()[i]) for i in (2, 5, 6))
+        assert 0.0 < q1 <= median <= q3
+    ratio, wins = re.fullmatch(r"change/base median ratio (\S+), change faster in (\d)/3 pairs",
+                               summary).groups()
+    assert float(ratio) > 0.0 and 0 <= int(wins) <= 3

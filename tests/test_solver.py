@@ -7,7 +7,6 @@ import pytest
 from salsa_deconv.bench import degrade, phantom
 from salsa_deconv.convolution import (
     BlurKind,
-    _half_spectrum,
     apply_filter,
     build_inversion_filter,
     build_psf,
@@ -31,6 +30,7 @@ from oracles import (
     data_gradient,
     dense_analysis_matrix,
     dense_blur_matrix,
+    full_spectrum,
     reference_fista,
     reference_salsa,
     subgradient_residual,
@@ -87,7 +87,7 @@ def test_mu_rule_of_thumb():
 
 def beta_update(r, otf, levels, mu):
     """beta solving ``(Wt Ht H W + mu I) beta = r``, by the solver's quadratic step."""
-    inv_half = build_inversion_filter(_half_spectrum(otf), mu)
+    inv_half = build_inversion_filter(otf, mu)
     # without data (A = 0), and with 2 Theta - V the spectrum of W c for c = r / mu
     c_hat = np.fft.rfft2(synthesis_bands(r, levels)) / mu
     g_hat = _quadratic_step(0.0, c_hat, c_hat, inv_half, np.empty_like(c_hat))
@@ -124,7 +124,7 @@ def test_beta_update_matches_dense_solve():
 
 def test_beta_update_identity_otf():
     side, levels, mu = 8, 1, 1.0
-    otf = np.ones((side, side), dtype=complex)
+    otf = np.ones((side, side // 2 + 1), dtype=complex)
     assert np.allclose(build_inversion_filter(otf, mu), 0.5)
     a_mat = dense_analysis_matrix(side, levels)
     q = a_mat @ a_mat.T + mu * np.eye(a_mat.shape[0])
@@ -188,9 +188,9 @@ def test_quadratic_step_with_data_matches_dense_solve():
         hw, normal = matrices[shape]
         r = hw.T @ y.ravel() + mu * c.ravel()
         want = np.linalg.solve(normal + mu * np.eye(r.size), r)
-        otf_half = _half_spectrum(psf_to_otf(psf, shape))
-        inv_filter = build_inversion_filter(otf_half, mu)
-        a = (1.0 - inv_filter) * (np.conj(otf_half) * np.fft.rfft2(y)) / mu
+        otf = psf_to_otf(psf, shape)
+        inv_filter = build_inversion_filter(otf, mu)
+        a = (1.0 - inv_filter) * (np.conj(otf) * np.fft.rfft2(y)) / mu
         theta_hat, v_hat = (np.fft.rfft2(synthesis_bands(b, levels)) for b in (theta, v))
         g_hat = _quadratic_step(a, theta_hat, v_hat, inv_filter, np.empty_like(a))
         got = c + analysis_bands(np.fft.irfft2(g_hat, s=shape), levels)
@@ -206,7 +206,7 @@ def test_quadratic_step_with_data_matches_dense_solve():
 def test_salsa_unregularized_identity_recovers_observation():
     rng = np.random.default_rng(55)
     y = rng.uniform(0.0, 255.0, (16, 16))
-    otf = np.ones((16, 16), dtype=complex)
+    otf = np.ones((16, 9), dtype=complex)
     cfg = SolverConfig(tau=1e-12, mu=0.1, max_iters=300, rel_tol=1e-14)
     _, image, _ = salsa_solve(y, otf, FrameSpec(2), Regularizer(), cfg)
     assert np.abs(image - y).max() <= 1e-6
@@ -246,7 +246,7 @@ def test_salsa_trace_is_deterministic():
     isnr_fn = lambda img: float((img**2).sum())
     _, _, t1 = salsa_solve(y, otf, spec, Regularizer(), cfg, isnr_fn=isnr_fn)
     _, _, t2 = salsa_solve(y, otf, spec, Regularizer(), cfg, isnr_fn=isnr_fn)
-    assert t1.objectives == t2.objectives
+    assert [r.objective for r in t1.records] == [r.objective for r in t2.records]
     assert [r.isnr_db for r in t1.records] == [r.isnr_db for r in t2.records]
     assert [r.iteration for r in t1.records] == [r.iteration for r in t2.records]
 
@@ -342,8 +342,8 @@ def test_salsa_matches_literal_coefficient_recursion(kind, size, square):
     coeffs, _, trace = salsa_solve(y, otf, spec, Regularizer(), cfg)
     want_theta, want_objectives = reference_salsa(y, otf, levels, tau, mu,
                                                   cfg.max_iters, cfg.rel_tol)
-    assert len(trace.objectives) == len(want_objectives) <= cfg.max_iters
-    got = np.array(trace.objectives)
+    got = np.array([r.objective for r in trace.records])
+    assert len(got) == len(want_objectives) <= cfg.max_iters
     want = np.array(want_objectives)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     assert np.abs(coeffs.bands - want_theta).max() <= 1e-8 * np.abs(want_theta).max()
@@ -396,7 +396,7 @@ def test_trace_monotonic_bookkeeping(solver):
 def test_ist_unregularized_identity_recovers_observation():
     rng = np.random.default_rng(56)
     y = rng.uniform(0.0, 255.0, (16, 16))
-    otf = np.ones((16, 16), dtype=complex)
+    otf = np.ones((16, 9), dtype=complex)
     cfg = SolverConfig(tau=0.0, max_iters=50, rel_tol=1e-14)
     _, image, trace = ist_solve(y, otf, FrameSpec(2), Regularizer(), cfg)
     assert np.abs(image - y).max() <= 1e-10
@@ -410,7 +410,7 @@ def test_ist_objective_monotone_nonincreasing():
     otf = psf_to_otf(psf, (64, 64))
     cfg = SolverConfig(tau=0.05, max_iters=200, rel_tol=0.0)
     _, _, trace = ist_solve(y, otf, FrameSpec(4), Regularizer(), cfg)
-    objs = trace.objectives
+    objs = [r.objective for r in trace.records]
     assert len(objs) == 201
     for a, b in zip(objs, objs[1:]):
         assert b <= a + 1e-10 * max(1.0, abs(a))
@@ -423,7 +423,7 @@ def test_ist_objective_monotone_nonincreasing():
 def test_fista_unregularized_identity_recovers_observation():
     rng = np.random.default_rng(57)
     y = rng.uniform(0.0, 255.0, (16, 16))
-    otf = np.ones((16, 16), dtype=complex)
+    otf = np.ones((16, 9), dtype=complex)
     cfg = SolverConfig(tau=0.0, max_iters=50, rel_tol=1e-14)
     _, image, _ = fista_solve(y, otf, FrameSpec(2), Regularizer(), cfg)
     assert np.abs(image - y).max() <= 1e-10
@@ -455,7 +455,7 @@ def test_proximal_gradient_matches_literal_recursion(solver, momentum, shape):
     step = 1.0 / float(np.max(np.abs(otf) ** 2))
     want_beta, want_objectives = reference_fista(y, otf, levels, tau, step, iters,
                                                  momentum)
-    got = np.array(trace.objectives)
+    got = np.array([r.objective for r in trace.records])
     want = np.array(want_objectives)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -499,7 +499,7 @@ def test_final_record_is_taken_at_the_returned_iterate(solver):
     assert trace.final.iteration == 12
     assert len(seen) == len(trace.records)
     image_hat = np.fft.rfft2(synthesis_bands(coeffs.bands, spec.levels))
-    residual_half = _half_spectrum(otf) * image_hat - np.fft.rfft2(y)
+    residual_half = otf * image_hat - np.fft.rfft2(y)
     assert trace.final.objective == _objective(residual_half, _l1(coeffs.bands), tau, y.shape)
     assert np.array_equal(seen[-1], image)
     assert np.array_equal(image, synthesis_bands(coeffs.bands, spec.levels))
@@ -542,6 +542,16 @@ def test_solvers_hand_out_arrays_they_no_longer_write(solver):
     assert np.array_equal(c1.bands, first[0]) and np.array_equal(img1, first[1])
     assert np.array_equal(c1.bands, c2.bands)
     assert np.array_equal(y, y_before) and np.array_equal(otf, otf_before)
+
+
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_solvers_reject_a_full_spectrum_otf(solver):
+    # the full (h, w) spectrum is the OTF format before half spectra
+    y, otf, spec = small_problem(side=16, levels=1)
+    with pytest.raises(ValueError, match=r"expected a filter of shape \(16, 9\), the half "
+                                         r"spectrum of a 16x16 image, got shape \(16, 16\)"):
+        solver(y, full_spectrum(otf, y.shape), spec, Regularizer(),
+               SolverConfig(tau=0.05, max_iters=2))
 
 
 def test_salsa_zero_tau_needs_explicit_mu():
