@@ -5,8 +5,11 @@ at an N x N phantom, with rel_tol 0 so that it takes exactly --iters
 iterations, after a two-iteration warm-up solve.  The parts are timed by
 wrapping what the solver module calls:
 
-- ``analysis`` and ``synthesis``: the frame transforms;
-- ``sweep``: ``prox._sweep`` (add, soft threshold, l1 norm, extrapolation);
+- ``analysis+sweep``: the frame analysis of the step's image and
+  ``prox._sweep`` (add, soft threshold, l1 norm, extrapolation), timed
+  together because IST and FISTA sweep each band as soon as the analysis
+  writes it, inside the sweep's call;
+- ``synthesis``: the inverse frame transform;
 - ``rfft2`` and ``irfft2``: each real FFT;
 - ``spectral step``: the rest of the generator step, i.e. the arithmetic
   on half spectra (SALSA's quadratic step, ``V`` and ``R``; IST's and
@@ -37,13 +40,13 @@ from salsa_deconv.frame import FrameSpec
 from salsa_deconv.prox import Regularizer
 
 SOLVES = {"salsa": "salsa_solve", "ist": "ist_solve", "fista": "fista_solve"}
-CALLS = {"analysis": (solver_module, "analysis_bands"),
-         "synthesis": (solver_module, "synthesis_bands"),
-         "sweep": (solver_module, "_sweep"),
-         "rfft2": (np.fft, "rfft2"),
-         "irfft2": (np.fft, "irfft2"),
-         "objective": (solver_module, "_objective")}
-STEP_CALLS = ("analysis", "synthesis", "sweep", "rfft2", "irfft2")
+CALLS = {(solver_module, "analysis_bands"): "analysis+sweep",
+         (solver_module, "_sweep"): "analysis+sweep",
+         (solver_module, "synthesis_bands"): "synthesis",
+         (np.fft, "rfft2"): "rfft2",
+         (np.fft, "irfft2"): "irfft2",
+         (solver_module, "_objective"): "objective"}
+STEP_CALLS = ("analysis+sweep", "synthesis", "rfft2", "irfft2")
 ROWS = STEP_CALLS + ("spectral step", "objective", "remainder", "iteration")
 
 
@@ -92,16 +95,15 @@ def split(size: int, solver: str, iters: int) -> dict[str, float]:
             yield item
 
     drive = solver_module._drive
-    patched = dict(CALLS, drive=(solver_module, "_drive"))
-    originals = {name: getattr(owner, attr) for name, (owner, attr) in patched.items()}
+    originals = {target: getattr(*target) for target in [*CALLS, (solver_module, "_drive")]}
     try:
-        for name, (owner, attr) in CALLS.items():
-            setattr(owner, attr, timed(name, originals[name]))
+        for (owner, attr), name in CALLS.items():
+            setattr(owner, attr, timed(name, originals[owner, attr]))
         solver_module._drive = lambda steps, *args: drive(timed_steps(steps), *args)
         run(iters + 1)
     finally:
-        for name, (owner, attr) in patched.items():
-            setattr(owner, attr, originals[name])
+        for (owner, attr), fn in originals.items():
+            setattr(owner, attr, fn)
     return {row: 1e3 * statistics.median(samples[row]) for row in ROWS}
 
 

@@ -54,8 +54,10 @@ def read_image(path: str | Path) -> np.ndarray:
     """Decode a binary 8-bit PGM (P5) file into a float array.
 
     Header comments and arbitrary whitespace are tolerated; maxval above
-    255 (16-bit PGM) is rejected.  Errors report the byte offset of the
-    problem.
+    255 (16-bit PGM) is rejected, and so is a raster byte above maxval.
+    A raster with ``maxval < 255`` is scaled by ``255 / maxval`` onto the
+    0-255 scale that the experiments' taus and noise variances assume.
+    Errors report the byte offset of the problem.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -106,7 +108,18 @@ def read_image(path: str | Path) -> np.ndarray:
             f"(have {len(raster)} of {expected} pixel bytes)"
         )
     pixels = np.frombuffer(raster, dtype=np.uint8)
-    return pixels.reshape(height, width).astype(float)
+    image = pixels.reshape(height, width).astype(float)
+    if maxval < 255:
+        above = np.flatnonzero(pixels > maxval)
+        if above.size:
+            first = int(above[0])
+            raise PgmError(
+                f"{path}: pixel value {pixels[first]} above maxval {maxval} at byte {pos + first}"
+            )
+        # multiplying first keeps the product an integer, so maxval lands on exactly 255
+        image *= 255.0
+        image /= maxval
+    return image
 
 
 def write_image(image: np.ndarray, path: str | Path) -> None:

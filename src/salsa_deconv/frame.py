@@ -19,11 +19,18 @@ both axes.  Level 1 is the finest scale.
 Image dimensions must be divisible by ``2**levels``; anything else is
 rejected rather than padded, since padding would silently change the
 operator the solvers work with.
+
+The analysis runs in one private generator, ``_analysis_steps``, which
+yields each band as soon as it is written: :func:`analysis_bands` drains
+it into a stack, and IST and FISTA soft-threshold each band while it is
+still in cache, so they never hold their analysed gradient step as a
+stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -112,30 +119,55 @@ def analysis_bands(image: np.ndarray, levels: int, out: np.ndarray | None = None
     form.
     """
     a = _check_image(image, levels)
-    shape = (3 * levels + 1,) + a.shape
     if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(
-            f"out must be a C-contiguous float64 array of shape {shape}, "
-            f"got {out.dtype} {out.shape}"
-        )
-    elif np.may_share_memory(a, out):
-        raise ValueError("out must not share memory with the image")
+        out = np.empty((3 * levels + 1,) + a.shape)
+    for _ in _analysis_steps(a, levels, out):
+        pass
+    return out
+
+
+def _analysis_steps(image: np.ndarray, levels: int,
+                    out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The analysis of :func:`analysis_bands`, yielding ``(index, band)`` as each band is written.
+
+    Bands come in stack order, the approximation last, each with the
+    values :func:`analysis_bands` gives it.  With ``out`` (checked as
+    there) band ``index`` is ``out[index]``.  Without it every detail band
+    is written into one reused image buffer and the approximation into a
+    second, so a band holds its values only until the next one is
+    requested; a consumer that shrinks each band while it is still in
+    cache needs no stack for the analysis.  The consumer may overwrite a
+    yielded band: no later band reads it.
+    """
+    a = _check_image(image, levels)
+    if out is None:
+        band, approx = np.empty(a.shape), np.empty(a.shape)
+    else:
+        shape = (3 * levels + 1,) + a.shape
+        if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        if np.may_share_memory(a, out):
+            raise ValueError("out must not share memory with the image")
+        approx = out[-1]
     lo = np.empty(a.shape)
     hi = np.empty(a.shape)
-    approx = out[-1]
     shift = 1
     for j in range(levels):
         np.multiply(approx if j else a, 0.25, out=approx)
         _pair(np.add, approx, shift, 0, lo)
         _pair(np.subtract, approx, shift, 0, hi)
-        _pair(np.subtract, lo, shift, 1, out[3 * j])      # horizontal detail
-        _pair(np.add, hi, shift, 1, out[3 * j + 1])       # vertical detail
-        _pair(np.subtract, hi, shift, 1, out[3 * j + 2])  # diagonal detail
+        # horizontal, vertical and diagonal detail
+        for index, op, rows in ((3 * j, np.subtract, lo), (3 * j + 1, np.add, hi),
+                                (3 * j + 2, np.subtract, hi)):
+            target = band if out is None else out[index]
+            _pair(op, rows, shift, 1, target)
+            yield index, target
         _pair(np.add, lo, shift, 1, approx)
         shift *= 2
-    return out
+    yield 3 * levels, approx
 
 
 def synthesis_bands(bands: np.ndarray, levels: int) -> np.ndarray:

@@ -9,7 +9,7 @@ proximal map is the elementwise soft threshold
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,16 +64,21 @@ def prox(values: np.ndarray, threshold: float,
 
 
 def _l1(bands: np.ndarray) -> float:
-    """``||bands||_1``, summed block by block through a block-sized scratch."""
+    """``||bands||_1``, summed block by block through a block-sized scratch.
+
+    Each block's sum is ``np.add.reduce``, the reduction ``ndarray.sum``
+    runs, called without that method's Python wrapper.
+    """
     scratch = np.empty(min(bands.size, _BLOCK))
     total = 0.0
     for (block,) in _blocks(bands):
-        total += float(np.abs(block, out=scratch[:block.size]).sum())
+        total += float(np.add.reduce(np.abs(block, out=scratch[:block.size])))
     return total
 
 
-def _sweep(values: np.ndarray, addend: np.ndarray, threshold: float, out: np.ndarray,
-           prev: np.ndarray | None = None, weight: float = 0.0) -> float:
+def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.ndarray,
+           threshold: float, out: np.ndarray, prev: np.ndarray | None = None,
+           weight: float = 0.0) -> float:
     """A solver's shrinkage step in one blocked pass; returns ``||out||_1``.
 
     For each ``_BLOCK``-element block of the flattened stacks it adds
@@ -83,23 +88,44 @@ def _sweep(values: np.ndarray, addend: np.ndarray, threshold: float, out: np.nda
     ``values += addend``, ``prox`` and ``_l1``.  With ``prev`` it
     overwrites ``prev`` with the extrapolated point
     ``out + weight * (out - prev)``.  ``out`` may be ``addend``, whose
-    block is read before it is written.  The stacks must be C-contiguous
-    and of one shape: a block of any other stack is a copy, and what the
-    sweep writes there is lost.
+    block is read before it is written.
+
+    ``values`` may also come band by band, as an iterator of
+    ``(index, band)`` pairs that stand for ``values[index]``, such as
+    :func:`~salsa_deconv.frame._analysis_steps`: each band is swept
+    before the next is requested, so it can be shrunk while it is still
+    in cache and need not be kept.  The band is cut on the stack's block
+    grid and its ``|out|`` collected in the block's scratch, so the sum is
+    bitwise that of the whole stack at every band size.
+
+    The stacks must be C-contiguous and of one shape: a block of any
+    other stack is a copy, and what the sweep writes there is lost.
     """
-    stacks = (values, addend, out) if prev is None else (values, addend, out, prev)
-    scratch = np.empty(min(values.size, _BLOCK))
-    total = 0.0
-    for v, a, o, *rest in _blocks(*stacks):
-        v += a
-        prox(v, threshold, out=o)
-        total += float(np.abs(o, out=scratch[:o.size]).sum())
-        if rest:
-            (p,) = rest
-            np.subtract(o, p, out=p)
-            p *= weight
-            p += o
-    return total
+    pieces = [(..., values)] if isinstance(values, np.ndarray) else values
+    scratch = np.empty(min(addend.size, _BLOCK))
+    filled, total = 0, 0.0
+    for index, piece in pieces:
+        stacks = (piece, addend[index], out[index]) + (() if prev is None else (prev[index],))
+        flat = [s.reshape(-1) for s in stacks]
+        start = 0
+        while start < flat[0].size:
+            # up to the end of the stack's current block
+            stop = min(flat[0].size, start + scratch.size - filled)
+            v, a, o, *rest = (f[start:stop] for f in flat)
+            v += a
+            prox(v, threshold, out=o)
+            np.abs(o, out=scratch[filled:filled + o.size])
+            filled += o.size
+            if filled == scratch.size:
+                total += float(np.add.reduce(scratch))
+                filled = 0
+            if rest:
+                (p,) = rest
+                np.subtract(o, p, out=p)
+                p *= weight
+                p += o
+            start = stop
+    return total + float(np.add.reduce(scratch[:filled])) if filled else total
 
 
 def _objective(residual_half: np.ndarray, l1: float, tau: float,

@@ -29,10 +29,12 @@ forms ``0.5*||r||^2`` from ``R`` by Parseval.
 The recorded elapsed seconds count solver work only, so timings compare
 algorithms rather than instrumentation: the time spent inside the
 generator's steps.  Work is everything a generator step does: for every
-solver, one blocked sweep over the coefficients (``prox._sweep``: the
-carried stack's addition, the soft threshold, the iterate's l1 norm and
-FISTA's extrapolation), the synthesis of the iterate, that image's
-forward FFT and the residual spectrum ``R``.  IST's and FISTA's next
+solver, the analysis of its step's image and one blocked sweep over the
+coefficients (``prox._sweep``: the carried stack's addition, the soft
+threshold, the iterate's l1 norm and FISTA's extrapolation), which IST
+and FISTA feed band by band as the analysis writes each band; the
+synthesis of the iterate, that image's forward FFT and the residual
+spectrum ``R``.  IST's and FISTA's next
 gradient step starts from ``R``; SALSA needs it only for the trace, but
 forms it inside its step (one multiply and one subtract on half
 spectra), so it counts as work there too.  The sweep hands the l1 norm
@@ -43,8 +45,8 @@ uses for the ISNR.  A non-finite iterate shows as a non-finite
 objective, on which ``_drive`` raises :class:`DivergenceError`.
 
 Each solver allocates its coefficient stacks once and overwrites them in
-place from iteration to iteration: SALSA and FISTA hold three stacks,
-IST two.  SALSA does the same with its step's half spectra.  The
+place from iteration to iteration: SALSA holds three stacks, FISTA two
+and IST one.  SALSA does the same with its step's half spectra.  The
 coefficients a solver returns are never written again.
 """
 
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -59,7 +62,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .convolution import _check_half_spectrum, build_inversion_filter
-from .frame import FrameCoeffs, FrameSpec, analysis_bands, synthesis_bands
+from .frame import FrameCoeffs, FrameSpec, _analysis_steps, analysis_bands, synthesis_bands
 from .prox import Regularizer, _l1, _objective, _sum_of_squares, _sweep
 
 __all__ = [
@@ -101,6 +104,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.tau < 0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        # a bool is an int to Python, and a float fails only in _drive's range
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.rel_tol < 0:
@@ -372,9 +378,12 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     ``z + Wt irfft2(-s Ht R_z)``, so an iteration runs one inverse FFT for
     the gradient and one forward FFT of the new iterate's image, and
     ``R`` is also the trace's residual spectrum.  One sweep adds ``z``
-    into the analysed gradient step, thresholds it and, for FISTA, writes
-    the next ``z``, so FISTA holds three coefficient stacks (the step,
-    ``beta`` and ``z``) and IST two.  The step
+    into the analysed gradient step, thresholds it into ``z`` and, for
+    FISTA, writes the next ``z`` over ``beta``.  The analysis feeds the
+    sweep band by band (``frame._analysis_steps``), each band shrunk while
+    it is still in cache and then overwritten by the next, so the step is
+    never a stack: FISTA holds two coefficient stacks (``beta`` and ``z``)
+    and IST one, since its ``z`` is ``beta``.  The step
     ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz bound of
     the data-term gradient (the frame is Parseval, so ``||W|| = 1``).
     """
@@ -388,7 +397,6 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         descent = -step * np.conj(otf)
         y_hat = np.fft.rfft2(y)
         beta = analysis_bands(y, levels)
-        g = np.empty_like(beta)
         # IST thresholds into beta itself; FISTA writes each iterate over
         # z and the next z over the previous iterate
         z = beta.copy() if momentum else beta
@@ -400,14 +408,12 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             t_next = fista_momentum(t) if momentum else 1.0
             w = (t - 1.0) / t_next
             t = t_next
-            # the step's image analysed into g; the sweep adds z, so that
-            # g = z - step * grad, and thresholds it
-            analysis_bands(np.fft.irfft2(descent * residual_z, s=y.shape), levels, out=g)
+            # each band of the step's analysis plus z's is z - step * grad,
+            # thresholded into z as soon as the analysis writes it
+            bands = _analysis_steps(np.fft.irfft2(descent * residual_z, s=y.shape), levels)
+            l1 = _sweep(bands, z, threshold, z, prev=beta if momentum else None, weight=w)
             if momentum:
-                l1 = _sweep(g, z, threshold, z, prev=beta, weight=w)
                 beta, z = z, beta
-            else:
-                l1 = _sweep(g, beta, threshold, beta)
             image = synthesis_bands(beta, levels)
             residual_next = otf * np.fft.rfft2(image) - y_hat
             if w == 0.0:

@@ -173,6 +173,8 @@ def test_spec_rejects_non_finite(name, value):
     ({"seed": -5}, "seed"),  # the noise stream's seed
     ({"solvers": ("ist", "salsa", "ist")}, r"\['ist'\] requested more than once"),
     ({"solvers": ()}, "at least one solver"),  # else the report has no results
+    ({"max_iters": 2.5}, "max_iters must be an integer"),
+    ({"max_iters": True}, "max_iters must be an integer"),
 ])
 def test_spec_rejects_bad_solver_settings(overrides, field):
     with pytest.raises(ValueError, match=field):

@@ -43,6 +43,24 @@ def test_pgm_header_comments_and_whitespace(tmp_path):
     assert np.array_equal(read_image(p), [[9.0, 8.0, 7.0]])
 
 
+def test_pgm_byte_above_maxval_names_offset(tmp_path):
+    # the header is 10 bytes, so the raster's third byte is byte 12
+    p = tmp_path / "over.pgm"
+    p.write_bytes(b"P5 2 2 15\n" + bytes([0, 15, 200, 255]))
+    with pytest.raises(PgmError, match=r"pixel value 200 above maxval 15 at byte 12$"):
+        read_image(p)
+
+
+def test_pgm_small_maxval_scales_to_255(tmp_path):
+    # the taus and noise variances assume the 0-255 scale
+    p = tmp_path / "four_bit.pgm"
+    p.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 1, 8, 15]))
+    assert np.array_equal(read_image(p), [[0.0, 17.0], [136.0, 255.0]])
+    q = tmp_path / "hundred.pgm"
+    q.write_bytes(b"P5\n3 1\n100\n" + bytes([0, 33, 100]))
+    assert np.array_equal(read_image(q), [[0.0, 33 * 255 / 100, 255.0]])
+
+
 def test_pgm_sixteen_bit_rejected(tmp_path):
     p = tmp_path / "deep.pgm"
     p.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))

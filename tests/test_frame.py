@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from salsa_deconv.frame import FrameSpec, analysis_bands, synthesis_bands
+from salsa_deconv.frame import FrameSpec, _analysis_steps, analysis_bands, synthesis_bands
 
 from oracles import (
     dense_analysis_matrix,
@@ -114,6 +114,36 @@ def test_transforms_equal_roll_reference_property():
                               roll_synthesis_bands(bands, levels))
         assert np.array_equal(synthesis_bands(want, levels),
                               roll_synthesis_bands(want, levels))
+
+    check()
+
+
+def test_analysis_steps_yield_the_bands_of_analysis_bands():
+    # the band-by-band analysis the solvers shrink as it goes: bands in
+    # stack order, bitwise those of analysis_bands, into the given stack
+    # or into reused image buffers; band sizes below, at and above the
+    # 2**15-element block of the sweep
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(levels=st.integers(1, 4),
+                      shape=st.tuples(st.integers(1, 5), st.integers(1, 5))
+                      | st.sampled_from([(8, 16), (12, 12)]),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(levels, shape, seed):
+        rng = np.random.default_rng(seed)
+        # scaled by 16, (8, 16) and (12, 12) give bands of 2**15 and 36864 elements
+        scale = 1 << levels if max(shape) <= 5 else 16
+        x = rng.standard_normal((shape[0] * scale, shape[1] * scale))
+        want = analysis_bands(x, levels)
+        seen = [(i, band.copy()) for i, band in _analysis_steps(x, levels)]
+        assert [i for i, _ in seen] == list(range(3 * levels + 1))
+        assert all(np.array_equal(band, want[i]) for i, band in seen)
+        out = np.full(want.shape, np.nan)
+        for i, band in _analysis_steps(x, levels, out):
+            assert np.shares_memory(band, out[i]) and band.shape == want.shape[1:]
+        assert np.array_equal(out, want)
 
     check()
 

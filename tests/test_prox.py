@@ -6,7 +6,7 @@ from salsa_deconv.convolution import (
     build_psf,
     psf_to_otf,
 )
-from salsa_deconv.frame import analysis_bands, synthesis_bands
+from salsa_deconv.frame import _analysis_steps, analysis_bands, synthesis_bands
 from salsa_deconv.prox import _l1, _objective, _sweep, prox
 
 from oracles import (
@@ -149,6 +149,44 @@ def test_sweep_equals_unfused_passes():
         assert same_bits(values, v)
         assert l1 == _l1(want_out)
         assert got_prev is None or same_bits(got_prev, want_prev)
+
+    check()
+
+
+def test_band_by_band_shrink_equals_whole_stack_sweep():
+    # the sweep fed band by band as the analysis writes each band, against
+    # analysis_bands followed by one whole-stack sweep: IST's form (in
+    # place), FISTA's (with the extrapolation) and one that keeps the
+    # analysis in a stack, as SALSA keeps its prox input; bands below, at
+    # and above one block
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(shape=st.sampled_from([(16, 16), (16, 48), (128, 256), (192, 192)]),
+                      levels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+                      t=st.sampled_from([0.0]) | st.floats(0.0, 2.0),
+                      weight=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
+                      form=st.sampled_from(["ist", "fista", "salsa"]))
+    def check(shape, levels, seed, t, weight, form):
+        rng = np.random.default_rng(seed)
+        image = rng.standard_normal(shape)
+        size = (3 * levels + 1,) + shape
+        addend, prev = rng.standard_normal((2,) + size)
+        want_addend, want_prev = addend.copy(), prev.copy()
+        want_stack = analysis_bands(image, levels)
+        if form == "fista":
+            want = _sweep(want_stack, want_addend, t, want_addend, prev=want_prev, weight=weight)
+            got = _sweep(_analysis_steps(image, levels), addend, t, addend,
+                         prev=prev, weight=weight)
+        else:
+            want = _sweep(want_stack, want_addend, t, want_addend)
+            stack = np.full(size, np.nan) if form == "salsa" else None
+            got = _sweep(_analysis_steps(image, levels, stack), addend, t, addend)
+            assert stack is None or same_bits(stack, want_stack)
+        assert same_bits(addend, want_addend)
+        assert same_bits(prev, want_prev)
+        assert got == want == _l1(want_addend)
 
     check()
 
