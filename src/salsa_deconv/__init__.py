@@ -23,7 +23,6 @@ from .bench import (
 )
 from .convolution import (
     BlurKind,
-    Psf,
     apply_filter,
     build_inversion_filter,
     build_psf,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlurKind",
-    "Psf",
     "build_psf",
     "psf_to_otf",
     "apply_filter",

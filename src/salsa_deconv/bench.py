@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .convolution import BlurKind, Psf, apply_filter, build_psf, psf_to_otf
+from .convolution import BlurKind, apply_filter, build_psf, psf_to_otf
 from .frame import FrameSpec
 from .prox import Regularizer
 from .solver import (
@@ -115,7 +115,8 @@ class ExperimentSpec:
         FrameSpec(self.levels)
         self.psf()
 
-    def psf(self) -> Psf:
+    def psf(self) -> np.ndarray:
+        """The blur kernel's taps."""
         return build_psf(self.blur_kind, size=self.blur_size, sigma=self.blur_sigma)
 
 
@@ -191,8 +192,8 @@ def phantom(size: int = 256) -> np.ndarray:
     return np.rint(np.clip(img, 0.0, 255.0))
 
 
-def degrade(x: np.ndarray, blur: Psf, noise_variance: float, seed: int) -> np.ndarray:
-    """Observation model: periodic blur plus seeded white Gaussian noise.
+def degrade(x: np.ndarray, blur: np.ndarray, noise_variance: float, seed: int) -> np.ndarray:
+    """Observation model: periodic blur by the taps ``blur`` plus seeded white Gaussian noise.
 
     Noise generation is frozen for reproducibility: a PCG64 stream
     seeded with ``seed`` yields two uniform draws per pixel, combined by
@@ -201,7 +202,7 @@ def degrade(x: np.ndarray, blur: Psf, noise_variance: float, seed: int) -> np.nd
     if noise_variance < 0:
         raise ValueError(f"noise_variance must be nonnegative, got {noise_variance}")
     x = np.asarray(x, dtype=float)
-    if blur.taps.size == 1:
+    if blur.size == 1:
         y = x.copy()  # identity kernel: skip the FFT round-trip
     else:
         y = apply_filter(psf_to_otf(blur, x.shape), x)
@@ -244,37 +245,24 @@ def _input_digest(y: np.ndarray, otf: np.ndarray, tau: float, levels: int) -> st
 
 
 def _run_one(name: str, y, otf, frame, reg, cfg, isnr_fn) -> SolverResult:
-    result = SolverResult(name=name)
+    # looked up at each call, so a solver wrapped in this module by name is the one called
+    solve = {"salsa": salsa_solve, "ist": ist_solve, "fista": fista_solve}[name]
     try:
-        if name == "salsa":
-            coeffs, image, trace = salsa_solve(y, otf, frame, reg, cfg, isnr_fn=isnr_fn)
-        elif name == "ist":
-            coeffs, image, trace = ist_solve(y, otf, frame, reg, cfg, isnr_fn=isnr_fn)
-        elif name == "fista":
-            coeffs, image, trace = fista_solve(y, otf, frame, reg, cfg, isnr_fn=isnr_fn)
-        else:
-            raise ValueError(f"unknown solver {name!r}")
+        _, image, trace = solve(y, otf, frame, reg, cfg, isnr_fn=isnr_fn)
     except DivergenceError as exc:
-        result.diverged = True
-        result.error = str(exc)
-        return result
-
+        return SolverResult(name=name, diverged=True, error=str(exc))
     final = trace.final
-    result.objective = final.objective
-    result.iterations = final.iteration
-    result.seconds = final.elapsed_s
-    result.isnr_db = final.isnr_db
-    result.trace = trace
-    result.image = image
-    if cfg.target_objective is not None:
-        result.reached_target = final.objective <= cfg.target_objective
-    result.splitting_residual = trace.splitting_residual
-    return result
+    reached = None if cfg.target_objective is None else final.objective <= cfg.target_objective
+    return SolverResult(name=name, objective=final.objective, iterations=final.iteration,
+                        seconds=final.elapsed_s, isnr_db=final.isnr_db, reached_target=reached,
+                        splitting_residual=trace.splitting_residual, trace=trace, image=image)
 
 
-def _finite(name: str, image) -> np.ndarray:
-    """``image`` as a float array; raises ``ValueError`` naming it if not all finite."""
+def _image(name: str, image) -> np.ndarray:
+    """``image`` as a float array; raises ``ValueError`` naming it unless 2-D and all finite."""
     image = np.asarray(image, dtype=float)
+    if image.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D image, got shape {image.shape}")
     if not np.isfinite(image).all():
         raise ValueError(f"{name} holds NaN or inf values")
     return image
@@ -291,22 +279,22 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     raised; when the probe that sets an ``"auto"`` target diverges, every
     solver is recorded as diverged with the probe's error and the target
     stays ``None``.  ISNR is only tracked when the ground truth ``x_true``
-    is supplied.  A ``y`` or ``x_true`` holding NaN or inf raises
-    ``ValueError`` before any solve.
+    is supplied.  A ``y`` or ``x_true`` that is not a 2-D image or holds NaN
+    or inf raises ``ValueError`` before any solve.
 
     The ``"auto"`` probe is SALSA's own solve under ``rel_tol``.  When its
     objective first reaches its final value at its last record, a SALSA
     solve stopped at that target would stop there too, so the probe is
     reported as SALSA's result instead of solving again.
     """
-    y = _finite("y", y)
+    y = _image("y", y)
     otf = psf_to_otf(spec.psf(), y.shape)
     frame = FrameSpec(spec.levels)
     reg = Regularizer()
 
     isnr_fn = None
     if x_true is not None:
-        truth = _finite("x_true", x_true)
+        truth = _image("x_true", x_true)
         if truth.shape != y.shape:
             raise ValueError(f"shape mismatch: x {truth.shape}, y {y.shape}")
         ref = float(((y - truth) ** 2).sum())

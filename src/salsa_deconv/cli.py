@@ -266,9 +266,10 @@ def _cmd_solve(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_psf_dump(cfg: argparse.Namespace) -> int:
-    psf = build_psf(cfg.blur)
-    print(f"{cfg.blur.value}: {psf.support[0]}x{psf.support[1]}, center {psf.center}")
-    for row in psf.taps:
+    taps = build_psf(cfg.blur)
+    kh, kw = taps.shape
+    print(f"{cfg.blur.value}: {kh}x{kw}, center {(kh // 2, kw // 2)}")
+    for row in taps:
         print(" ".join(format(v, ".17g") for v in row))
     return 0
 

@@ -1,10 +1,11 @@
 """Circular-convolution blur operators represented in the DFT domain.
 
-Blur kernels are small, odd-sized, unit-sum stencils (:class:`Psf`).  The
-image boundary model is periodic, so the blur matrix diagonalizes in the
-2-D DFT basis: a kernel is converted once into its optical transfer
-function (OTF) with :func:`psf_to_otf`, and every product with the blur
-matrix or its transpose is two real FFTs plus a pointwise multiply.
+A blur kernel is its taps: a small 2-D array with odd sides that sums
+to 1, whose origin is the centre tap (:func:`build_psf`).  The image
+boundary model is periodic, so the blur matrix diagonalizes in the 2-D
+DFT basis: a kernel is converted once into its optical transfer function
+(OTF) with :func:`psf_to_otf`, and every product with the blur matrix or
+its transpose is two real FFTs plus a pointwise multiply.
 
 A filter is a real operator's DFT-domain gains, so it is Hermitian and
 given by its half spectrum: for an ``(h, w)`` image, the ``(h, w//2 + 1)``
@@ -17,14 +18,13 @@ filter too; see :func:`build_inversion_filter`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "BlurKind",
-    "Psf",
     "build_psf",
     "psf_to_otf",
     "apply_filter",
@@ -49,29 +49,8 @@ _DEFAULT_SIZE = {
 _DEFAULT_GAUSSIAN_SIGMA = 2.0
 
 
-@dataclass(frozen=True)
-class Psf:
-    """Normalized point-spread function on an odd-sized support.
-
-    Attributes
-    ----------
-    taps : ndarray
-        Kernel weights, shape ``(kh, kw)`` with ``kh``, ``kw`` odd.
-        Sums to 1 so the blur preserves DC gain.
-    center : tuple of int
-        Index of the kernel origin, ``(kh // 2, kw // 2)``.
-    """
-
-    taps: np.ndarray
-    center: tuple[int, int]
-
-    @property
-    def support(self) -> tuple[int, int]:
-        return self.taps.shape
-
-
 def build_psf(kind: BlurKind | str, size: int | None = None,
-              sigma: float | None = None) -> Psf:
+              sigma: float | None = None) -> np.ndarray:
     """Construct a normalized blur kernel.
 
     Parameters
@@ -89,12 +68,15 @@ def build_psf(kind: BlurKind | str, size: int | None = None,
 
     Returns
     -------
-    Psf
-        Kernel with taps normalized to unit sum.
+    ndarray
+        The ``(size, size)`` taps, normalized to unit sum.
     """
     kind = BlurKind(kind)
     if size is None:
         size = _DEFAULT_SIZE[kind]
+    # a bool is an int to Python, and a float would build a kernel of its floor
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+        raise ValueError(f"kernel size must be an integer, got {size!r}")
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, got {size}")
     if sigma is not None and kind is not BlurKind.GAUSSIAN:
@@ -112,26 +94,31 @@ def build_psf(kind: BlurKind | str, size: int | None = None,
         taps = np.exp(-(ii**2 + jj**2) / (2.0 * sigma**2))
     else:
         taps = 1.0 / (1.0 + ii**2 + jj**2)
-    taps = taps / taps.sum()
-    return Psf(taps=taps, center=(r, r))
+    return taps / taps.sum()
 
 
-def psf_to_otf(psf: Psf, shape: tuple[int, int]) -> np.ndarray:
-    """Embed a PSF into an image-sized grid and return its DFT half spectrum.
+def psf_to_otf(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Embed a kernel's taps into an image-sized grid and return its DFT half spectrum.
 
-    The kernel is zero-padded to ``shape`` and circularly shifted so its
-    center lands at index (0, 0); the result is the ``rfft2`` of that
-    grid, shape ``(h, w//2 + 1)`` for ``shape = (h, w)``.  Applying it
-    with :func:`apply_filter` implements periodic convolution by the
-    kernel.  An identity (1x1) kernel maps to an all-ones OTF.
+    ``taps`` is a 2-D array with odd sides, no larger than ``shape``,
+    whose origin is the centre tap ``(kh // 2, kw // 2)``.  It is
+    zero-padded to ``shape`` and circularly shifted so that origin lands
+    at index (0, 0); the result is the ``rfft2`` of that grid, shape
+    ``(h, w//2 + 1)`` for ``shape = (h, w)``.  Applying it with
+    :func:`apply_filter` implements periodic convolution by the kernel.
+    An identity (1x1) kernel maps to an all-ones OTF.
     """
-    kh, kw = psf.taps.shape
+    taps = np.asarray(taps)
+    if taps.ndim != 2 or taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
+        raise ValueError(f"kernel taps must be a 2-D array with odd sides, "
+                         f"got shape {taps.shape}")
+    kh, kw = taps.shape
     h, w = shape
     if kh > h or kw > w:
-        raise ValueError(f"PSF support {kh}x{kw} exceeds image shape {h}x{w}")
+        raise ValueError(f"kernel support {kh}x{kw} exceeds image shape {h}x{w}")
     pad = np.zeros(shape)
-    pad[:kh, :kw] = psf.taps
-    pad = np.roll(pad, (-psf.center[0], -psf.center[1]), axis=(0, 1))
+    pad[:kh, :kw] = taps
+    pad = np.roll(pad, (-(kh // 2), -(kw // 2)), axis=(0, 1))
     return np.fft.rfft2(pad)
 
 

@@ -9,7 +9,7 @@ proximal map is the elementwise soft threshold
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -29,17 +29,6 @@ class Regularizer:
 # 256 KiB, so a block read by one pass is still in a 2 MiB L2 cache when
 # the next pass over it reads it again.
 _BLOCK = 1 << 15
-
-
-def _blocks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """Matching flat slices of at most ``_BLOCK`` elements of same-shape arrays.
-
-    The slices are views of C-contiguous arrays; any other array is read
-    from a flattened copy.
-    """
-    flat = [a.reshape(-1) for a in arrays]
-    for start in range(0, flat[0].size, _BLOCK):
-        yield tuple(f[start:start + _BLOCK] for f in flat)
 
 
 def prox(values: np.ndarray, threshold: float,
@@ -66,12 +55,16 @@ def prox(values: np.ndarray, threshold: float,
 def _l1(bands: np.ndarray) -> float:
     """``||bands||_1``, summed block by block through a block-sized scratch.
 
-    Each block's sum is ``np.add.reduce``, the reduction ``ndarray.sum``
-    runs, called without that method's Python wrapper.
+    The blocks are flat slices of at most ``_BLOCK`` elements: views of a
+    C-contiguous stack, and of a flattened copy of any other.  Each block's
+    sum is ``np.add.reduce``, the reduction ``ndarray.sum`` runs, called
+    without that method's Python wrapper.
     """
-    scratch = np.empty(min(bands.size, _BLOCK))
+    flat = bands.reshape(-1)
+    scratch = np.empty(min(flat.size, _BLOCK))
     total = 0.0
-    for (block,) in _blocks(bands):
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
         total += float(np.add.reduce(np.abs(block, out=scratch[:block.size])))
     return total
 

@@ -18,8 +18,9 @@ The OTF every solver takes is the ``rfft2`` half spectrum that
 :func:`~salsa_deconv.convolution.psf_to_otf` returns, so blurs and
 inversion filters are products with half spectra on real FFTs.  Every
 solver carries the half spectrum of its synthesized iterate from one
-iteration to the next, so that an iteration runs two real 2-D FFTs: SALSA's inverse FFT of its quadratic step and forward FFT
-of the image of theta, IST's and FISTA's inverse FFT of the gradient
+iteration to the next, so that an iteration runs two real 2-D FFTs:
+SALSA's inverse FFT of its quadratic step and forward FFT of the image
+of theta, IST's and FISTA's inverse FFT of the gradient
 step and forward FFT of the image of beta.  The trace's data term takes
 no FFT: each solver hands ``_drive`` the half spectrum ``R = H X - Y``
 of its data residual ``blur(synth(beta)) - y``, with ``X`` the spectrum
@@ -277,7 +278,8 @@ def salsa_solve(
     mu = cfg.resolved_mu()
     threshold = cfg.tau / mu
     # iteration k leaves v_k in prox_inputs[k % 2], so v_{k-1} survives it;
-    # the zeros stand in for v_0, whose clip c_0 is 0
+    # both start as zeros, whose clip is c_0 = 0, so a solve stopped at
+    # iteration 0, where beta = theta, has a gap of 0
     prox_inputs = []
 
     def steps():
@@ -290,7 +292,7 @@ def salsa_solve(
         v_hat = theta_hat.copy()
         g_hat = np.empty_like(theta_hat)
         residual_half = _residual_half(otf, theta_hat, y_hat, np.empty_like(theta_hat))
-        prox_inputs[:] = np.zeros_like(theta), np.empty_like(theta)
+        prox_inputs[:] = np.zeros_like(theta), np.zeros_like(theta)
         yield theta, _l1(theta), w_theta, residual_half
         for k in itertools.count(1):
             _quadratic_step(a, theta_hat, v_hat, inv_filter, g_hat)
@@ -304,14 +306,11 @@ def salsa_solve(
 
     theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y.shape)
     last = trace.final.iteration
-    if last == 0:  # stopped at iteration 0, where beta = theta
-        gap = 0.0
-    else:
-        # formed over v_K's and v_{K-1}'s buffers, which nothing reads again
-        c_last, c_prev = prox_inputs[last % 2], prox_inputs[(last - 1) % 2]
-        np.clip(c_last, -threshold, threshold, out=c_last)
-        np.clip(c_prev, -threshold, threshold, out=c_prev)
-        gap = _norm(np.subtract(c_last, c_prev, out=c_prev))
+    # formed over v_K's and v_{K-1}'s buffers, which nothing reads again
+    c_last, c_prev = prox_inputs[last % 2], prox_inputs[(last - 1) % 2]
+    np.clip(c_last, -threshold, threshold, out=c_last)
+    np.clip(c_prev, -threshold, threshold, out=c_prev)
+    gap = _norm(np.subtract(c_last, c_prev, out=c_prev))
     size = _norm(theta)
     trace.splitting_residual = gap / size if size > 0 else gap
     return FrameCoeffs(levels, theta), w_theta, trace

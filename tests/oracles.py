@@ -22,41 +22,42 @@ from salsa_deconv.frame import analysis_bands, synthesis_bands
 from salsa_deconv.prox import prox
 
 
-def direct_convolve(image, psf):
+def direct_convolve(image, taps):
     """Periodic convolution as an explicit sum over kernel taps.
 
-    out[p] = sum_{t} taps[t] * image[(p - (t - center)) mod shape]
+    out[p] = sum_{t} taps[t] * image[(p - (t - center)) mod shape], with
+    the centre tap ``(kh // 2, kw // 2)`` of the odd-sided taps as origin.
     """
     out = np.zeros(image.shape)
-    ci, cj = psf.center
-    kh, kw = psf.taps.shape
+    kh, kw = taps.shape
+    ci, cj = kh // 2, kw // 2
     for i in range(kh):
         for j in range(kw):
-            out += psf.taps[i, j] * np.roll(image, (i - ci, j - cj), axis=(0, 1))
+            out += taps[i, j] * np.roll(image, (i - ci, j - cj), axis=(0, 1))
     return out
 
 
-def direct_convolve_scalar(image, psf):
+def direct_convolve_scalar(image, taps):
     """Same sum with pure scalar indexing; slow, for small images only."""
     h, w = image.shape
-    ci, cj = psf.center
-    kh, kw = psf.taps.shape
+    kh, kw = taps.shape
+    ci, cj = kh // 2, kw // 2
     out = np.zeros((h, w))
     for p in range(h):
         for q in range(w):
             acc = 0.0
             for i in range(kh):
                 for j in range(kw):
-                    acc += psf.taps[i, j] * image[(p - i + ci) % h, (q - j + cj) % w]
+                    acc += taps[i, j] * image[(p - i + ci) % h, (q - j + cj) % w]
             out[p, q] = acc
     return out
 
 
-def dft_otf(psf, shape):
-    """OTF by the defining DFT sum over kernel taps (no FFT)."""
+def dft_otf(taps, shape):
+    """OTF by the defining DFT sum over kernel taps (no FFT), origin at the centre tap."""
     h, w = shape
-    ci, cj = psf.center
-    kh, kw = psf.taps.shape
+    kh, kw = taps.shape
+    ci, cj = kh // 2, kw // 2
     out = np.zeros(shape, dtype=complex)
     for k in range(h):
         for m in range(w):
@@ -64,7 +65,7 @@ def dft_otf(psf, shape):
             for i in range(kh):
                 for j in range(kw):
                     phase = -2.0j * np.pi * (k * (i - ci) / h + m * (j - cj) / w)
-                    acc += psf.taps[i, j] * np.exp(phase)
+                    acc += taps[i, j] * np.exp(phase)
             out[k, m] = acc
     return out
 
@@ -181,7 +182,7 @@ def dense_synthesis_matrix(side, levels):
     return np.array(cols).T
 
 
-def dense_blur_matrix(psf, side):
+def dense_blur_matrix(taps, side):
     """Periodic blur as a dense (n, n) matrix built from the direct sum.
 
     ``side`` is the image's side, or its ``(height, width)``.
@@ -192,7 +193,7 @@ def dense_blur_matrix(psf, side):
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        cols.append(direct_convolve(e.reshape(shape), psf).ravel())
+        cols.append(direct_convolve(e.reshape(shape), taps).ravel())
     return np.array(cols).T
 
 

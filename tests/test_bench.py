@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,8 @@ def test_spec_rejects_bad_solver_settings(overrides, field):
     ({"blur_kind": BlurKind.GAUSSIAN, "blur_sigma": -1.0}, "gaussian sigma"),
     ({"blur_kind": BlurKind.GAUSSIAN, "blur_sigma": math.nan}, "gaussian sigma"),
     ({"blur_sigma": 2.0}, "sigma is only meaningful for gaussian"),  # uniform9 blur
+    ({"blur_size": 2.5}, "kernel size must be an integer"),
+    ({"levels": 2.5}, "levels must be an integer"),
 ])
 def test_spec_rejects_bad_blur_and_frame_settings(overrides, message):
     # checked at construction, not first when the spec is run
@@ -396,6 +399,23 @@ def test_solve_observation_rejects_non_finite_images(name, bad, monkeypatch):
 
     monkeypatch.setattr(bench_module, "salsa_solve", no_solve)
     with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
+        solve_observation(images["y"], quick_spec(), x_true=images["x_true"])
+
+
+@pytest.mark.parametrize("name", ["y", "x_true"])
+@pytest.mark.parametrize("shape", [(1024,), (2, 32, 32)], ids=["1-D", "3-D"])
+def test_solve_observation_rejects_non_2d_images(name, shape, monkeypatch):
+    # rejected up front, naming the shape, instead of failing to unpack it
+    images = {"y": degrade(phantom(32), build_psf(BlurKind.UNIFORM9), 0.25, 5),
+              "x_true": phantom(32)}
+    images[name] = np.ones(shape)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a non-2-D image")
+
+    monkeypatch.setattr(bench_module, "salsa_solve", no_solve)
+    want = re.escape(f"{name} must be a 2-D image, got shape {shape}")
+    with pytest.raises(ValueError, match=want):
         solve_observation(images["y"], quick_spec(), x_true=images["x_true"])
 
 

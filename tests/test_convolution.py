@@ -25,41 +25,40 @@ from oracles import (
 
 
 def test_uniform9_taps():
-    psf = build_psf(BlurKind.UNIFORM9)
-    assert psf.support == (9, 9)
-    assert psf.center == (4, 4)
-    assert np.allclose(psf.taps, 1.0 / 81.0, rtol=0, atol=1e-15)
+    taps = build_psf(BlurKind.UNIFORM9)
+    assert taps.shape == (9, 9)
+    assert np.allclose(taps, 1.0 / 81.0, rtol=0, atol=1e-15)
 
 
 def test_inverse_quadratic_tap_ratios():
-    psf = build_psf(BlurKind.INVERSE_QUADRATIC, size=15)
+    taps = build_psf(BlurKind.INVERSE_QUADRATIC, size=15)
     c = 7
     # unnormalized taps are 1 at the center and 1/3 at (1, 1)
-    assert psf.taps[c + 1, c + 1] / psf.taps[c, c] == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert psf.taps[c + 2, c] / psf.taps[c, c] == pytest.approx(1.0 / 5.0, rel=1e-14)
-    assert psf.taps.sum() == pytest.approx(1.0, abs=1e-12)
+    assert taps[c + 1, c + 1] / taps[c, c] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert taps[c + 2, c] / taps[c, c] == pytest.approx(1.0 / 5.0, rel=1e-14)
+    assert taps.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identity_psf_is_single_unit_tap():
-    psf = build_psf(BlurKind.UNIFORM9, size=1)
-    assert psf.support == (1, 1)
-    assert psf.taps[0, 0] == 1.0
+    taps = build_psf(BlurKind.UNIFORM9, size=1)
+    assert taps.shape == (1, 1)
+    assert taps[0, 0] == 1.0
 
 
 def test_gaussian_tap_ratio_matches_width():
-    psf = build_psf(BlurKind.GAUSSIAN)
-    assert psf.support == (15, 15)
+    taps = build_psf(BlurKind.GAUSSIAN)
+    assert taps.shape == (15, 15)
     c = 7
-    assert psf.taps[c + 1, c] / psf.taps[c, c] == pytest.approx(np.exp(-1.0 / 8.0), rel=1e-13)
+    assert taps[c + 1, c] / taps[c, c] == pytest.approx(np.exp(-1.0 / 8.0), rel=1e-13)
     narrow = build_psf(BlurKind.GAUSSIAN, size=5, sigma=1.0)
-    assert narrow.taps[3, 2] / narrow.taps[2, 2] == pytest.approx(np.exp(-0.5), rel=1e-13)
+    assert narrow[3, 2] / narrow[2, 2] == pytest.approx(np.exp(-0.5), rel=1e-13)
 
 
 def test_all_kinds_normalized():
     for kind in BlurKind:
-        psf = build_psf(kind)
-        assert abs(psf.taps.sum() - 1.0) <= 1e-12
-        assert psf.support[0] % 2 == 1 and psf.support[1] % 2 == 1
+        taps = build_psf(kind)
+        assert abs(taps.sum() - 1.0) <= 1e-12
+        assert taps.shape[0] % 2 == 1 and taps.shape[1] % 2 == 1
 
 
 def test_build_psf_rejects_bad_sizes():
@@ -69,6 +68,12 @@ def test_build_psf_rejects_bad_sizes():
         build_psf(BlurKind.UNIFORM9, size=0)
     with pytest.raises(ValueError):
         build_psf(BlurKind.UNIFORM9, size=-3)
+    # a float would build a kernel of its floor, and True a 1x1 one
+    for kind in BlurKind:
+        for size in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="kernel size must be an integer"):
+                build_psf(kind, size=size)
+    assert build_psf(BlurKind.GAUSSIAN, size=np.int64(5)).shape == (5, 5)
 
 
 def test_build_psf_rejects_misplaced_sigma():
@@ -79,7 +84,7 @@ def test_build_psf_rejects_misplaced_sigma():
 
 
 def test_build_psf_accepts_string_kind():
-    assert build_psf("invquad").support == (15, 15)
+    assert build_psf("invquad").shape == (15, 15)
     with pytest.raises(ValueError):
         build_psf("boxcar")
 
@@ -122,8 +127,17 @@ def test_otf_matches_dft_sum_oracle():
 
 def test_psf_larger_than_image_rejected():
     psf = build_psf(BlurKind.GAUSSIAN)  # 15x15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="support 15x15 exceeds image shape 8x8"):
         psf_to_otf(psf, (8, 8))
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 3, 3), (4, 5), (5, 4), (1, 2)],
+                         ids=["1-D", "3-D", "even-rows", "even-columns", "1x2"])
+def test_psf_to_otf_rejects_taps_without_a_centre_tap(shape):
+    # the origin is the centre tap, which only a 2-D array with odd sides has
+    taps = np.full(shape, 1.0 / np.prod(shape))
+    with pytest.raises(ValueError, match=re.escape(f"odd sides, got shape {shape}")):
+        psf_to_otf(taps, (16, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +195,7 @@ def test_fft_convolution_equivalence_property():
     for kind, params in cases:
         psf = build_psf(kind, **params)
         for shape in ((8, 8), (16, 16), (32, 32), (16, 9), (10, 15), (32, 31)):
-            if psf.support[0] > min(shape):
+            if psf.shape[0] > min(shape):
                 continue
             x = rng.standard_normal(shape) * 100.0
             got = apply_filter(psf_to_otf(psf, x.shape), x)

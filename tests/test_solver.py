@@ -332,7 +332,7 @@ def test_memory_peak_counts_coefficient_stacks(solver, held):
     # more stack of 19 bands
     y, otf, spec = small_problem(side=128, levels=6)
     cfg = SolverConfig(tau=0.05, max_iters=10, rel_tol=0.0)
-    stack_bytes = spec.n_subbands * y.nbytes
+    stack_bytes = (3 * spec.levels + 1) * y.nbytes
     tracemalloc.start()
     try:
         _, _, trace = solver(y, otf, spec, Regularizer(), cfg)
