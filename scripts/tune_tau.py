@@ -6,7 +6,7 @@ reports the tau with the best final ISNR.  The winners are frozen into
 DEFAULT_EXPERIMENTS; rerun this only when the phantom, noise model or
 solver defaults change.
 
-Usage: python3 scripts/tune_tau.py [--size 256] [--rel-tol 1e-5]
+Usage: python3 scripts/tune_tau.py [--size 256] [--rel-tol 1e-5] [--max-iters 300]
 """
 
 import argparse

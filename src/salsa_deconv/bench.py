@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,7 +73,7 @@ class ExperimentSpec:
     runs every requested solver until it reaches that value, and an
     explicit float is used as-is.  ``max_iters`` caps every run.
     ``solvers`` names at least one solver and each at most once, and
-    ``seed``, the noise seed, is nonnegative.  The frame (``levels``) and
+    ``seed``, the noise seed, is a nonnegative integer.  The frame (``levels``) and
     the blur (``blur_kind``, ``blur_size``, ``blur_sigma``) are also built
     at construction, so their settings fail there too.
     """
@@ -104,6 +105,8 @@ class ExperimentSpec:
         repeated = sorted({s for s in self.solvers if self.solvers.count(s) > 1})
         if repeated:
             raise ValueError(f"solver(s) {repeated} requested more than once")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         auto = self.target_objective == "auto"
@@ -172,6 +175,8 @@ def phantom(size: int = 256) -> np.ndarray:
     smooth bump; integer-valued so PGM round-trips are lossless.  Any
     size divisible by 16 works with the default 4-level frame.
     """
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+        raise ValueError(f"phantom size must be an integer, got {size!r}")
     if size < 16:
         raise ValueError(f"phantom size must be >= 16, got {size}")
     t = np.arange(size) / size
@@ -219,7 +224,7 @@ def isnr(x_true: np.ndarray, y: np.ndarray, x_hat: np.ndarray) -> float:
     """Improvement in SNR, 10*log10(||y - x||^2 / ||x_hat - x||^2), in dB.
 
     Positive iff the reconstruction is closer to the truth than the
-    observation; a perfect reconstruction returns ``inf``.
+    observation; ``inf`` for a perfect one, else ``-inf`` when ``y == x``.
     """
     if x_true.shape != y.shape or x_true.shape != x_hat.shape:
         raise ValueError(
@@ -233,7 +238,7 @@ def _isnr_db(ref: float, x_true: np.ndarray, x_hat: np.ndarray) -> float:
     err = float(((x_hat - x_true) ** 2).sum())
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(ref / err)
+    return 10.0 * math.log10(ref / err) if ref > 0.0 else -math.inf
 
 
 def _input_digest(y: np.ndarray, otf: np.ndarray, tau: float, levels: int) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -50,54 +51,48 @@ class PgmError(ValueError):
     """Malformed or unsupported PGM data."""
 
 
+# whitespace and '#' comments to the end of the line, then one header token
+_HEADER_FIELD = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+
+
 def read_image(path: str | Path) -> np.ndarray:
     """Decode a binary 8-bit PGM (P5) file into a float array.
 
-    Header comments and arbitrary whitespace are tolerated; maxval above
-    255 (16-bit PGM) is rejected, and so is a raster byte above maxval.
-    A raster with ``maxval < 255`` is scaled by ``255 / maxval`` onto the
-    0-255 scale that the experiments' taus and noise variances assume.
-    Errors report the byte offset of the problem.
+    The header is netpbm's: ``P5``, then width, height and maxval, each
+    ASCII decimal digits (no sign or ``_``) after whitespace or ``#``
+    comments to the end of a line, then one whitespace byte.  maxval
+    above 255 (16-bit PGM) and raster bytes above maxval are rejected;
+    errors name the byte offset.  ``maxval < 255`` is scaled by
+    ``255 / maxval`` onto the 0-255 scale the experiments' taus assume.
     """
     path = Path(path)
     data = path.read_bytes()
     if data[:2] != b"P5":
         raise PgmError(f"{path}: not a binary PGM (expected magic 'P5' at byte 0)")
     pos = 2
-
-    def next_int(name: str) -> int:
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
-            pos += 1
-        token = data[start:pos]
+    fields = []
+    for name in ("width", "height", "maxval"):
+        match = _HEADER_FIELD.match(data, pos)
+        start, pos = match.span(1)
+        token = match[1]
         if not token:
             raise PgmError(f"{path}: truncated header at byte {start} (missing {name})")
         try:
-            value = int(token)
+            if not token.isdigit():  # int() would also take a sign and '_'
+                raise ValueError
+            value = int(token)  # raises past Python's digit limit too
         except ValueError:
-            raise PgmError(
-                f"{path}: invalid {name} {token.decode('latin-1')!r} at byte {start}"
-            ) from None
-        if value <= 0:
-            raise PgmError(f"{path}: {name} must be positive, got {value} at byte {start}")
-        return value
-
-    width = next_int("width")
-    height = next_int("height")
-    maxval = next_int("maxval")
+            text = token.decode("latin-1")
+            raise PgmError(f"{path}: invalid {name} {text!r} at byte {start}") from None
+        if value == 0:
+            raise PgmError(f"{path}: {name} must be positive, got 0 at byte {start}")
+        if start == match.start():
+            raise PgmError(f"{path}: missing whitespace before {name} at byte {start}")
+        fields.append(value)
+    width, height, maxval = fields
     if maxval > 255:
         raise PgmError(f"{path}: unsupported maxval {maxval} (only 8-bit PGM, maxval <= 255)")
-    if pos >= len(data) or not data[pos:pos + 1].isspace():
+    if not data[pos:pos + 1].isspace():  # b"".isspace() is False at the end of data
         raise PgmError(f"{path}: missing whitespace after maxval at byte {pos}")
     pos += 1
     expected = width * height

@@ -49,6 +49,9 @@ def test_phantom_deterministic_and_in_range():
 def test_phantom_rejects_tiny_sizes():
     with pytest.raises(ValueError):
         phantom(8)
+    with pytest.raises(ValueError, match="phantom size must be an integer"):
+        phantom(16.5)  # else a 17x17 scene
+    assert phantom(np.int64(16)).shape == (16, 16)
 
 
 def test_phantom_has_structure():
@@ -138,6 +141,20 @@ def test_isnr_perfect_reconstruction_is_infinite():
     assert isnr(x, y, x.copy()) == math.inf
 
 
+def test_isnr_against_noiseless_identity_observation():
+    # ||y - x|| = 0: no estimate but x itself improves on y
+    x = phantom(32)
+    assert isnr(x, x, x + 1.0) == -math.inf
+    assert isnr(x, x, x.copy()) == math.inf
+    spec = quick_spec(blur_size=1, noise_variance=0.0, max_iters=3)
+    report = run_experiment(spec, x)
+    result = report.results["salsa"]
+    assert not result.diverged and result.isnr_db == -math.inf
+    # the solve starts from y, which is x here
+    assert [r.isnr_db for r in result.trace.records] == [math.inf] + [-math.inf] * 3
+    assert report_summary(report)["solvers"]["salsa"]["isnr_db"] is None
+
+
 def test_isnr_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         isnr(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((8, 8)))
@@ -176,6 +193,7 @@ def test_spec_rejects_non_finite(name, value):
     ({"solvers": ()}, "at least one solver"),  # else the report has no results
     ({"max_iters": 2.5}, "max_iters must be an integer"),
     ({"max_iters": True}, "max_iters must be an integer"),
+    ({"seed": 2.5}, "seed must be an integer"),  # else seed 2's noise
 ])
 def test_spec_rejects_bad_solver_settings(overrides, field):
     with pytest.raises(ValueError, match=field):

@@ -89,6 +89,92 @@ def test_pgm_bad_header_token(tmp_path):
         read_image(p)
 
 
+def assert_pgm_error(tmp_path, data, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(PgmError) as exc:
+        read_image(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P2\n2 2\n255\n0 1 2 3\n", "not a binary PGM (expected magic 'P5' at byte 0)"),
+    (b"P5", "truncated header at byte 2 (missing width)"),
+    (b"P5 2 # w\n", "truncated header at byte 9 (missing height)"),
+    (b"P5 2 2", "truncated header at byte 6 (missing maxval)"),
+    (b"P5\nx 2\n255\n" + bytes(2), "invalid width 'x' at byte 3"),
+    (b"P5 2 2.0 255\n", "invalid height '2.0' at byte 5"),
+    (b"P5 2 2 0x1f\n", "invalid maxval '0x1f' at byte 7"),
+    (b"P5 " + b"9" * 5000 + b" 2 255\n", f"invalid width '{'9' * 5000}' at byte 3"),
+    (b"P5 0 2 255\n", "width must be positive, got 0 at byte 3"),
+    (b"P5 2 00 255\n", "height must be positive, got 0 at byte 5"),
+    (b"P5 2 2 0\n", "maxval must be positive, got 0 at byte 7"),
+    (b"P5\n2 2\n65535\n" + bytes(8), "unsupported maxval 65535 (only 8-bit PGM, maxval <= 255)"),
+    (b"P5 1 1 255", "missing whitespace after maxval at byte 10"),
+    (b"P5 1 1 255#\n\x00", "missing whitespace after maxval at byte 10"),
+    (b"P5\n4 4\n255\n" + bytes(7), "truncated raster at byte 18 (have 7 of 16 pixel bytes)"),
+    (b"P5 2 2 15\n" + bytes([0, 15, 200, 255]), "pixel value 200 above maxval 15 at byte 12"),
+], ids=["magic", "missing-width", "missing-height", "missing-maxval", "invalid-width",
+        "invalid-height", "invalid-maxval", "width-past-int-digit-limit", "zero-width",
+        "zero-height", "zero-maxval", "maxval-above-255", "no-raster-whitespace",
+        "comment-before-raster", "truncated-raster", "byte-above-maxval"])
+def test_pgm_malformed_header_message(tmp_path, data, message):
+    # one header per message the reader gives, with its byte offset
+    assert_pgm_error(tmp_path, data, message)
+
+
+@pytest.mark.parametrize("data, message", [
+    # int() reads these as 2, 10 and 255; netpbm fields are decimal digits
+    (b"P5 +2 2 255\n" + bytes(4), "invalid width '+2' at byte 3"),
+    (b"P5 2 1_0 255\n" + bytes(20), "invalid height '1_0' at byte 5"),
+    (b"P5 2 2 2_55\n" + bytes(4), "invalid maxval '2_55' at byte 7"),
+    (b"P5 2 -2 255\n" + bytes(4), "invalid height '-2' at byte 5"),
+    # the magic needs whitespace or a comment after it
+    (b"P52 2 255\n" + bytes(4), "missing whitespace before width at byte 2"),
+], ids=["plus-sign", "underscore", "underscores", "minus-sign", "magic-glued-to-width"])
+def test_pgm_header_fields_are_decimal_digits(tmp_path, data, message):
+    assert_pgm_error(tmp_path, data, message)
+
+
+def test_pgm_header_separators_property(tmp_path):
+    # any runs of whitespace and '#' comments between the fields, one
+    # whitespace byte before the raster; arbitrary bytes decode or raise PgmError
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    space = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+    text = st.binary(max_size=8).map(lambda t: t.replace(b"\n", b"").replace(b"\r", b""))
+    comment = st.builds(lambda t, end: b"#" + t + end, text, st.sampled_from([b"\n", b"\r"]))
+    separator = st.lists(space | comment, min_size=1, max_size=4).map(b"".join)
+    p = tmp_path / "h.pgm"
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(seps=st.tuples(separator, separator, separator),
+                      last=space, width=st.integers(1, 4), height=st.integers(1, 3),
+                      seed=st.integers(0, 2**32 - 1))
+    def decodes(seps, last, width, height, seed):
+        raster = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+        fields = (b"%d" % width, b"%d" % height, b"255")
+        p.write_bytes(b"P5" + b"".join(s + f for s, f in zip(seps, fields))
+                      + last + raster.tobytes())
+        assert np.array_equal(read_image(p), raster)
+
+    token = st.sampled_from([b" ", b"\n", b"#", b"0", b"1", b"2", b"9", b"255", b"-",
+                             b"+", b"_", b"x", b"\xff", b"\x00"])
+    tail = st.binary(max_size=40) | st.lists(token, max_size=16).map(b"".join)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(rest=tail)
+    def decodes_or_rejects(rest):
+        p.write_bytes(b"P5" + rest)
+        try:
+            read_image(p)
+        except PgmError:
+            pass
+
+    decodes()
+    decodes_or_rejects()
+
+
 def test_write_image_clamps_and_rounds(tmp_path):
     p = tmp_path / "clamp.pgm"
     write_image(np.array([[-5.0, 300.7], [128.4, 127.5]]), p)
