@@ -18,13 +18,13 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_integer
 from .convolution import BlurKind, apply_filter, build_psf, psf_to_otf
 from .frame import FrameSpec
 from .prox import Regularizer
@@ -93,10 +93,7 @@ class ExperimentSpec:
     target_objective: float | str | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.noise_variance):
-            raise ValueError(f"noise_variance must be finite, got {self.noise_variance}")
-        if self.noise_variance < 0:
-            raise ValueError(f"noise_variance must be nonnegative, got {self.noise_variance}")
+        _check_noise_variance(self.noise_variance)
         if not self.solvers:
             raise ValueError("solvers must name at least one solver")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -105,10 +102,7 @@ class ExperimentSpec:
         repeated = sorted({s for s in self.solvers if self.solvers.count(s) > 1})
         if repeated:
             raise ValueError(f"solver(s) {repeated} requested more than once")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_integer("seed", self.seed, minimum=0)
         auto = self.target_objective == "auto"
         if isinstance(self.target_objective, str) and not auto:
             raise ValueError("target_objective must be a number, 'auto' or None")
@@ -121,6 +115,13 @@ class ExperimentSpec:
     def psf(self) -> np.ndarray:
         """The blur kernel's taps."""
         return build_psf(self.blur_kind, size=self.blur_size, sigma=self.blur_sigma)
+
+
+def _check_noise_variance(value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"noise_variance must be finite, got {value}")
+    if value < 0:
+        raise ValueError(f"noise_variance must be nonnegative, got {value}")
 
 
 def _solver_cfg(spec: ExperimentSpec, target: float | None) -> SolverConfig:
@@ -175,10 +176,7 @@ def phantom(size: int = 256) -> np.ndarray:
     smooth bump; integer-valued so PGM round-trips are lossless.  Any
     size divisible by 16 works with the default 4-level frame.
     """
-    if isinstance(size, bool) or not isinstance(size, numbers.Integral):
-        raise ValueError(f"phantom size must be an integer, got {size!r}")
-    if size < 16:
-        raise ValueError(f"phantom size must be >= 16, got {size}")
+    check_integer("phantom size", size, minimum=16)
     t = np.arange(size) / size
     xx, yy = np.meshgrid(t, t, indexing="ij")
     img = 40.0 + 110.0 * yy + 30.0 * xx
@@ -202,17 +200,19 @@ def degrade(x: np.ndarray, blur: np.ndarray, noise_variance: float, seed: int) -
 
     Noise generation is frozen for reproducibility: a PCG64 stream
     seeded with ``seed`` yields two uniform draws per pixel, combined by
-    Box-Muller as ``sqrt(-2 ln(1 - u1)) * cos(2 pi u2)``.
+    Box-Muller as ``sqrt(-2 ln(1 - u1)) * cos(2 pi u2)``.  ``seed`` is a
+    nonnegative integer and ``noise_variance`` a finite nonnegative number,
+    as in :class:`ExperimentSpec`.
     """
-    if noise_variance < 0:
-        raise ValueError(f"noise_variance must be nonnegative, got {noise_variance}")
+    _check_noise_variance(noise_variance)
+    check_integer("seed", seed, minimum=0)
     x = np.asarray(x, dtype=float)
     if blur.size == 1:
         y = x.copy()  # identity kernel: skip the FFT round-trip
     else:
         y = apply_filter(psf_to_otf(blur, x.shape), x)
     if noise_variance > 0:
-        rng = np.random.Generator(np.random.PCG64(int(seed)))
+        rng = np.random.Generator(np.random.PCG64(seed))
         u1 = rng.random(x.size)
         u2 = rng.random(x.size)
         normal = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)

@@ -18,10 +18,11 @@ filter too; see :func:`build_inversion_filter`.
 
 from __future__ import annotations
 
-import numbers
 from enum import Enum
 
 import numpy as np
+
+from ._checks import check_integer
 
 __all__ = [
     "BlurKind",
@@ -74,9 +75,7 @@ def build_psf(kind: BlurKind | str, size: int | None = None,
     kind = BlurKind(kind)
     if size is None:
         size = _DEFAULT_SIZE[kind]
-    # a bool is an int to Python, and a float would build a kernel of its floor
-    if isinstance(size, bool) or not isinstance(size, numbers.Integral):
-        raise ValueError(f"kernel size must be an integer, got {size!r}")
+    check_integer("kernel size", size)
     if size < 1 or size % 2 == 0:
         raise ValueError(f"kernel size must be odd and >= 1, got {size}")
     if sigma is not None and kind is not BlurKind.GAUSSIAN:
@@ -147,7 +146,7 @@ def build_inversion_filter(otf: np.ndarray, mu: float) -> np.ndarray:
     so the half spectrum of an OTF gives the half spectrum of the filter.
     The gains lie in [0, 1).
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     g = np.abs(otf) ** 2
     return g / (g + mu)

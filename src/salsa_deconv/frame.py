@@ -29,11 +29,12 @@ stack.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+
+from ._checks import check_integer
 
 __all__ = [
     "FrameSpec",
@@ -50,11 +51,7 @@ class FrameSpec:
     levels: int = 4
 
     def __post_init__(self) -> None:
-        # a bool is an int to Python, and a float fails only in the transforms' shifts
-        if isinstance(self.levels, bool) or not isinstance(self.levels, numbers.Integral):
-            raise ValueError(f"levels must be an integer, got {self.levels!r}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        check_integer("levels", self.levels, minimum=1)
 
 
 @dataclass

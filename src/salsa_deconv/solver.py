@@ -55,13 +55,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
+from ._checks import check_integer
 from .convolution import _check_half_spectrum, build_inversion_filter
 from .frame import FrameCoeffs, FrameSpec, _analysis_steps, analysis_bands, synthesis_bands
 from .prox import Regularizer, _l1, _objective, _sum_of_squares, _sweep
@@ -105,11 +105,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.tau < 0:
             raise ValueError(f"tau must be nonnegative, got {self.tau}")
-        # a bool is an int to Python, and a float fails only in _drive's range
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_integer("max_iters", self.max_iters, minimum=1)
         if self.rel_tol < 0:
             raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
         if self.mu is not None and self.mu <= 0:

@@ -1,8 +1,23 @@
 import importlib
+import math
+import re
 
+import numpy as np
 import pytest
 
 import salsa_deconv
+from salsa_deconv import (
+    BlurKind,
+    ExperimentSpec,
+    FrameSpec,
+    SolverConfig,
+    build_inversion_filter,
+    build_psf,
+    degrade,
+    phantom,
+    psf_to_otf,
+)
+from salsa_deconv.cli import write_image
 
 # Each module's ``__all__``, pinned the same way as the package's.
 MODULE_ALL = {
@@ -69,3 +84,77 @@ def test_package_surface_is_pinned():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_surface_is_pinned(name):
     assert importlib.import_module(f"salsa_deconv.{name}").__all__ == MODULE_ALL[name]
+
+
+# Every public entry that takes a number from outside, by the argument it checks.
+_X = phantom(16)
+_PSF = build_psf(BlurKind.UNIFORM9, size=3)
+ENTRIES = {
+    "SolverConfig(max_iters)": lambda v: SolverConfig(tau=0.1, max_iters=v),
+    "SolverConfig(tau)": lambda v: SolverConfig(tau=v),
+    "SolverConfig(mu)": lambda v: SolverConfig(tau=0.1, mu=v),
+    "SolverConfig(rel_tol)": lambda v: SolverConfig(tau=0.1, rel_tol=v),
+    "SolverConfig(target_objective)": lambda v: SolverConfig(tau=0.1, target_objective=v),
+    "ExperimentSpec(seed)": lambda v: ExperimentSpec(
+        id="t", blur_kind=BlurKind.UNIFORM9, noise_variance=1.0, tau=0.1, seed=v),
+    "ExperimentSpec(noise_variance)": lambda v: ExperimentSpec(
+        id="t", blur_kind=BlurKind.UNIFORM9, noise_variance=v, tau=0.1),
+    "FrameSpec(levels)": FrameSpec,
+    "build_psf(size)": lambda v: build_psf(BlurKind.UNIFORM9, size=v),
+    "build_psf(sigma)": lambda v: build_psf(BlurKind.GAUSSIAN, sigma=v),
+    "phantom(size)": phantom,
+    "degrade(seed)": lambda v: degrade(_X, _PSF, 1.0, v),
+    "degrade(noise_variance)": lambda v: degrade(_X, _PSF, v, 0),
+    "build_inversion_filter(mu)": lambda v: build_inversion_filter(psf_to_otf(_PSF, (16, 16)), v),
+    "write_image(pixel)": lambda v: write_image(np.array([[v, 1.0]]), "unwritten.pgm"),
+}
+
+
+def _integer_cases(entry, name, below_minimum):
+    """The integer rule's five rejections; ``below_minimum`` is the message for -1."""
+    return [(entry, True, f"{name} must be an integer, got True"),
+            (entry, 2.5, f"{name} must be an integer, got 2.5"),
+            (entry, -1, below_minimum),
+            (entry, math.nan, f"{name} must be an integer, got nan"),
+            (entry, math.inf, f"{name} must be an integer, got inf")]
+
+
+def _finite_cases(entry, name, negative):
+    """A real setting's rejections: -1 (``negative``'s message, if -1 is rejected), nan, inf."""
+    cases = [(entry, math.nan, f"{name} must be finite, got nan"),
+             (entry, math.inf, f"{name} must be finite, got inf")]
+    return cases if negative is None else [(entry, -1, negative), *cases]
+
+
+REJECTED = [
+    *_integer_cases("SolverConfig(max_iters)", "max_iters", "max_iters must be >= 1, got -1"),
+    *_finite_cases("SolverConfig(tau)", "tau", "tau must be nonnegative, got -1"),
+    *_finite_cases("SolverConfig(mu)", "mu", "mu must be positive, got -1"),
+    *_finite_cases("SolverConfig(rel_tol)", "rel_tol", "rel_tol must be nonnegative, got -1"),
+    *_finite_cases("SolverConfig(target_objective)", "target_objective", None),
+    *_integer_cases("ExperimentSpec(seed)", "seed", "seed must be >= 0, got -1"),
+    *_finite_cases("ExperimentSpec(noise_variance)", "noise_variance",
+                   "noise_variance must be nonnegative, got -1"),
+    *_integer_cases("FrameSpec(levels)", "levels", "levels must be >= 1, got -1"),
+    *_integer_cases("build_psf(size)", "kernel size", "kernel size must be odd and >= 1, got -1"),
+    ("build_psf(sigma)", -1, "gaussian sigma must be finite and positive, got -1"),
+    ("build_psf(sigma)", math.nan, "gaussian sigma must be finite and positive, got nan"),
+    ("build_psf(sigma)", math.inf, "gaussian sigma must be finite and positive, got inf"),
+    *_integer_cases("phantom(size)", "phantom size", "phantom size must be >= 16, got -1"),
+    *_integer_cases("degrade(seed)", "seed", "seed must be >= 0, got -1"),  # else truncated
+    *_finite_cases("degrade(noise_variance)", "noise_variance",
+                   "noise_variance must be nonnegative, got -1"),
+    ("build_inversion_filter(mu)", -1, "mu must be positive, got -1"),
+    ("build_inversion_filter(mu)", math.nan, "mu must be positive, got nan"),  # else all NaN
+    ("write_image(pixel)", math.nan, "image holds NaN or inf values"),  # else byte 0
+    ("write_image(pixel)", math.inf, "image holds NaN or inf values"),
+]
+
+
+@pytest.mark.parametrize("entry, value, message", REJECTED,
+                         ids=[f"{entry}={value!r}" for entry, value, _ in REJECTED])
+def test_public_entries_reject_bad_numbers(entry, value, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a write_image that fails to reject writes here
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ENTRIES[entry](value)
+    assert not (tmp_path / "unwritten.pgm").exists()

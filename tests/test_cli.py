@@ -238,7 +238,7 @@ def test_unknown_experiment_id_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["run", "--experiment", "9", "--image", str(img)])
     assert exc.value.code == 2
-    assert "unknown experiment id" in capsys.readouterr().err
+    assert "argument --experiment: invalid choice: '9'" in capsys.readouterr().err
 
 
 def test_missing_image_file_is_usage_error(tmp_path, capsys):
@@ -267,15 +267,20 @@ def test_non_numeric_value_is_usage_error(tmp_path):
                     "--tau", "0.1", "--mu", "bogus"])
 
 
-@pytest.mark.parametrize("flag", ["--tau", "--sigma2", "--mu", "--rel-tol",
-                                  "--target-objective"])
+REAL_FLAG_FIELDS = {"--tau": "tau", "--sigma2": "noise_variance", "--mu": "mu",
+                    "--rel-tol": "rel_tol", "--target-objective": "target_objective"}
+
+
+@pytest.mark.parametrize("flag", REAL_FLAG_FIELDS)
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_value_is_usage_error(flag, value, capsys):
-    # a NaN rel_tol used to run to max_iters and write NaN into the JSON report
+    # a NaN rel_tol used to run to max_iters and write NaN into the JSON report;
+    # the setting's own rule rejects it, as it does a negative value
     with pytest.raises(SystemExit) as exc:
         parse_args(["run", "--experiment", "1", f"{flag}={value}"])
     assert exc.value.code == 2
-    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+    field = REAL_FLAG_FIELDS[flag]
+    assert f"error: {field} must be finite, got {value}\n" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error():
