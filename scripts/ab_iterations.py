@@ -10,9 +10,11 @@ with rel_tol 0, so that every solve takes exactly --iters iterations.
 
 After one warm-up solve per side, it runs --reps pairs of solves and
 alternates which side goes first.  A sample is the wall time of one
-solve, setup included, divided by --iters.  It prints each side's median
-and quartiles in ms per iteration, the median over the pairs of the
-change/base ratio, and the number of pairs the change won.
+solve, setup included, divided by --iters.  After a header that names
+numpy's version and nproc (the CPUs this process may run on), it prints
+each side's median and quartiles in ms per iteration, the median over
+the pairs of the change/base ratio, and the number of pairs the change
+won.
 
 Usage: python3 scripts/ab_iterations.py --base DIR --change DIR
            [--size 256] [--solver salsa] [--iters 20] [--reps 10]
@@ -20,6 +22,7 @@ Usage: python3 scripts/ab_iterations.py --base DIR --change DIR
 
 import argparse
 import importlib
+import os
 import shutil
 import statistics
 import sys
@@ -93,7 +96,7 @@ def main(argv=None):
         samples = run_pairs(runs, args.iters, args.reps)
 
     print(f"{args.solver} at {args.size}x{args.size}, {args.iters} iterations per solve, "
-          f"{args.reps} pairs (numpy {np.__version__})")
+          f"{args.reps} pairs (numpy {np.__version__}, nproc {len(os.sched_getaffinity(0))})")
     for side in SIDES:
         q1, median, q3 = np.percentile(samples[side], [25, 50, 75])
         print(f"{side:<8s}median {median:9.3f} ms/iter  quartiles {q1:9.3f} {q3:9.3f}")

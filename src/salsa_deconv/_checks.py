@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 
 def check_integer(name: str, value, minimum: int | None = None) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``minimum``."""
@@ -12,3 +14,22 @@ def check_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value: float, bound: str | None = None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and, for a
+    ``bound`` of ``"nonnegative"`` or ``"positive"``, is >= 0 or > 0."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if (bound == "nonnegative" and value < 0) or (bound == "positive" and value <= 0):
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def check_image(name: str, image) -> np.ndarray:
+    """``image`` as a float array; raises ``ValueError`` naming it unless 2-D and all finite."""
+    image = np.asarray(image, dtype=float)
+    if image.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D image, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise ValueError(f"{name} holds NaN or inf values")
+    return image

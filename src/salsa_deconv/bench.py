@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import check_image, check_integer, check_real
 from .convolution import BlurKind, apply_filter, build_psf, psf_to_otf
 from .frame import FrameSpec
 from .prox import Regularizer
@@ -93,7 +93,7 @@ class ExperimentSpec:
     target_objective: float | str | None = None
 
     def __post_init__(self) -> None:
-        _check_noise_variance(self.noise_variance)
+        check_real("noise_variance", self.noise_variance, "nonnegative")
         if not self.solvers:
             raise ValueError("solvers must name at least one solver")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -115,13 +115,6 @@ class ExperimentSpec:
     def psf(self) -> np.ndarray:
         """The blur kernel's taps."""
         return build_psf(self.blur_kind, size=self.blur_size, sigma=self.blur_sigma)
-
-
-def _check_noise_variance(value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"noise_variance must be finite, got {value}")
-    if value < 0:
-        raise ValueError(f"noise_variance must be nonnegative, got {value}")
 
 
 def _solver_cfg(spec: ExperimentSpec, target: float | None) -> SolverConfig:
@@ -204,7 +197,7 @@ def degrade(x: np.ndarray, blur: np.ndarray, noise_variance: float, seed: int) -
     nonnegative integer and ``noise_variance`` a finite nonnegative number,
     as in :class:`ExperimentSpec`.
     """
-    _check_noise_variance(noise_variance)
+    check_real("noise_variance", noise_variance, "nonnegative")
     check_integer("seed", seed, minimum=0)
     x = np.asarray(x, dtype=float)
     if blur.size == 1:
@@ -263,16 +256,6 @@ def _run_one(name: str, y, otf, frame, reg, cfg, isnr_fn) -> SolverResult:
                         splitting_residual=trace.splitting_residual, trace=trace, image=image)
 
 
-def _image(name: str, image) -> np.ndarray:
-    """``image`` as a float array; raises ``ValueError`` naming it unless 2-D and all finite."""
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D image, got shape {image.shape}")
-    if not np.isfinite(image).all():
-        raise ValueError(f"{name} holds NaN or inf values")
-    return image
-
-
 def solve_observation(y: np.ndarray, spec: ExperimentSpec,
                       x_true: np.ndarray | None = None) -> ExperimentReport:
     """Run every solver requested by ``spec`` on an existing observation.
@@ -292,14 +275,14 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     solve stopped at that target would stop there too, so the probe is
     reported as SALSA's result instead of solving again.
     """
-    y = _image("y", y)
+    y = check_image("y", y)
     otf = psf_to_otf(spec.psf(), y.shape)
     frame = FrameSpec(spec.levels)
     reg = Regularizer()
 
     isnr_fn = None
     if x_true is not None:
-        truth = _image("x_true", x_true)
+        truth = check_image("x_true", x_true)
         if truth.shape != y.shape:
             raise ValueError(f"shape mismatch: x {truth.shape}, y {y.shape}")
         ref = float(((y - truth) ** 2).sum())

@@ -31,11 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_image
 from .bench import (
     DEFAULT_EXPERIMENTS,
     SOLVER_NAMES,
     ExperimentSpec,
-    _image,
     export_report,
     export_trace,
     phantom,
@@ -119,7 +119,7 @@ def read_image(path: str | Path) -> np.ndarray:
 
 def write_image(image: np.ndarray, path: str | Path) -> None:
     """Write a finite 2-D array as binary 8-bit PGM, clamping to [0, 255] and rounding."""
-    image = _image("image", image)
+    image = check_image("image", image)
     pixels = np.rint(np.clip(image, 0.0, 255.0)).astype(np.uint8)
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import check_integer, check_real
 
 __all__ = [
     "BlurKind",
@@ -88,8 +88,7 @@ def build_psf(kind: BlurKind | str, size: int | None = None,
     elif kind is BlurKind.GAUSSIAN:
         if sigma is None:
             sigma = _DEFAULT_GAUSSIAN_SIGMA
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"gaussian sigma must be finite and positive, got {sigma}")
+        check_real("gaussian sigma", sigma, "positive")
         taps = np.exp(-(ii**2 + jj**2) / (2.0 * sigma**2))
     else:
         taps = 1.0 / (1.0 + ii**2 + jj**2)
@@ -146,7 +145,6 @@ def build_inversion_filter(otf: np.ndarray, mu: float) -> np.ndarray:
     so the half spectrum of an OTF gives the half spectrum of the filter.
     The gains lie in [0, 1).
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    check_real("mu", mu, "positive")
     g = np.abs(otf) ** 2
     return g / (g + mu)

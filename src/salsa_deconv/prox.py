@@ -40,6 +40,7 @@ def prox(values: np.ndarray, threshold: float,
     into a new array otherwise, leaving ``values`` untouched.  Zeros in
     the result are ``+0.0``.  ``out`` must not share memory with
     ``values``: the clip would overwrite the values it subtracts.
+    ``threshold`` skips the package's finite rule: ``inf`` is full shrinkage to zero.
     """
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be nonnegative, got {threshold}")

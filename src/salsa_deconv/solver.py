@@ -61,7 +61,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import check_integer, check_real
 from .convolution import _check_half_spectrum, build_inversion_filter
 from .frame import FrameCoeffs, FrameSpec, _analysis_steps, analysis_bands, synthesis_bands
 from .prox import Regularizer, _l1, _objective, _sum_of_squares, _sweep
@@ -99,17 +99,13 @@ class SolverConfig:
     target_objective: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("tau", "mu", "rel_tol", "target_objective"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        check_real("tau", self.tau, "nonnegative")
+        if self.mu is not None:
+            check_real("mu", self.mu, "positive")
         check_integer("max_iters", self.max_iters, minimum=1)
-        if self.rel_tol < 0:
-            raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        check_real("rel_tol", self.rel_tol, "nonnegative")
+        if self.target_objective is not None:
+            check_real("target_objective", self.target_objective)
 
     def resolved_mu(self) -> float:
         mu = 0.1 * self.tau if self.mu is None else self.mu

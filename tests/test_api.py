@@ -137,15 +137,14 @@ REJECTED = [
                    "noise_variance must be nonnegative, got -1"),
     *_integer_cases("FrameSpec(levels)", "levels", "levels must be >= 1, got -1"),
     *_integer_cases("build_psf(size)", "kernel size", "kernel size must be odd and >= 1, got -1"),
-    ("build_psf(sigma)", -1, "gaussian sigma must be finite and positive, got -1"),
-    ("build_psf(sigma)", math.nan, "gaussian sigma must be finite and positive, got nan"),
-    ("build_psf(sigma)", math.inf, "gaussian sigma must be finite and positive, got inf"),
+    *_finite_cases("build_psf(sigma)", "gaussian sigma",
+                   "gaussian sigma must be positive, got -1"),
     *_integer_cases("phantom(size)", "phantom size", "phantom size must be >= 16, got -1"),
     *_integer_cases("degrade(seed)", "seed", "seed must be >= 0, got -1"),  # else truncated
     *_finite_cases("degrade(noise_variance)", "noise_variance",
                    "noise_variance must be nonnegative, got -1"),
-    ("build_inversion_filter(mu)", -1, "mu must be positive, got -1"),
-    ("build_inversion_filter(mu)", math.nan, "mu must be positive, got nan"),  # else all NaN
+    # else an all-NaN filter for nan and an all-zero one for inf
+    *_finite_cases("build_inversion_filter(mu)", "mu", "mu must be positive, got -1"),
     ("write_image(pixel)", math.nan, "image holds NaN or inf values"),  # else byte 0
     ("write_image(pixel)", math.inf, "image holds NaN or inf values"),
 ]

@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import runpy
 from pathlib import Path
+
+import numpy as np
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -39,6 +42,8 @@ def test_ab_iterations_compares_two_checkouts(capsys):
     main(["--base", repo, "--change", repo, "--size", "32", "--iters", "2", "--reps", "3"])
     header, base, change, summary = capsys.readouterr().out.splitlines()
     assert header.startswith("salsa at 32x32, 2 iterations per solve, 3 pairs")
+    # a timing counts as evidence only with the numpy version and nproc beside it
+    assert header.endswith(f"(numpy {np.__version__}, nproc {len(os.sched_getaffinity(0))})")
     for side, row in (("base", base), ("change", change)):
         assert row.split()[0] == side
         median, q1, q3 = (float(row.split()[i]) for i in (2, 5, 6))
