@@ -4,7 +4,8 @@ Copies ``src/salsa_deconv`` of each checkout into a temporary directory
 under its own package name (``ab_base``, ``ab_change``) and imports both,
 so that the two sides share one interpreter, one numpy and one heap, and
 the host's drift over the run reaches both alike.  Each side builds
-experiment 1's problem (its blur, noise, seed and tau) at an N x N
+the problem of experiment --experiment (default 1, an id of
+``DEFAULT_EXPERIMENTS``: its blur, noise, seed and tau) at an N x N
 phantom with its own package, and so its own OTF format, and solves it
 with rel_tol 0, so that every solve takes exactly --iters iterations.
 
@@ -17,7 +18,7 @@ the pairs of the change/base ratio, and the number of pairs the change
 won.
 
 Usage: python3 scripts/ab_iterations.py --base DIR --change DIR
-           [--size 256] [--solver salsa] [--iters 20] [--reps 10]
+           [--experiment 1] [--size 256] [--solver salsa] [--iters 20] [--reps 10]
 """
 
 import argparse
@@ -47,9 +48,12 @@ def load(checkout: Path, name: str, root: Path):
     return importlib.import_module(name)
 
 
-def solve_fn(pkg, size: int, solver: str, iters: int):
-    """A no-argument call that solves ``pkg``'s experiment-1 problem in ``iters`` iterations."""
-    spec = pkg.DEFAULT_EXPERIMENTS["1"]
+def solve_fn(pkg, experiment: str, size: int, solver: str, iters: int):
+    """A no-argument call that solves ``pkg``'s problem of ``experiment`` in ``iters`` iterations."""
+    if experiment not in pkg.DEFAULT_EXPERIMENTS:
+        raise SystemExit(f"--experiment must be one of {sorted(pkg.DEFAULT_EXPERIMENTS)}, "
+                         f"got {experiment!r}")
+    spec = pkg.DEFAULT_EXPERIMENTS[experiment]
     psf = spec.psf()
     y = pkg.degrade(pkg.phantom(size), psf, spec.noise_variance, spec.seed)
     otf = pkg.psf_to_otf(psf, y.shape)
@@ -76,6 +80,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--base", type=Path, required=True, help="checkout of the base")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--experiment", default="1",
+                        help="an id of DEFAULT_EXPERIMENTS, checked on both sides")
     parser.add_argument("--size", type=int, default=256)
     parser.add_argument("--solver", choices=sorted(SOLVES), default="salsa")
     parser.add_argument("--iters", type=int, default=20)
@@ -89,14 +95,15 @@ def main(argv=None):
         sys.path.insert(0, tmp)
         try:
             runs = {side: solve_fn(load(getattr(args, side).resolve(), f"ab_{side}", root),
-                                   args.size, args.solver, args.iters)
+                                   args.experiment, args.size, args.solver, args.iters)
                     for side in SIDES}
         finally:
             sys.path.remove(tmp)
         samples = run_pairs(runs, args.iters, args.reps)
 
     print(f"{args.solver} at {args.size}x{args.size}, {args.iters} iterations per solve, "
-          f"{args.reps} pairs (numpy {np.__version__}, nproc {len(os.sched_getaffinity(0))})")
+          f"{args.reps} pairs, experiment {args.experiment} "
+          f"(numpy {np.__version__}, nproc {len(os.sched_getaffinity(0))})")
     for side in SIDES:
         q1, median, q3 = np.percentile(samples[side], [25, 50, 75])
         print(f"{side:<8s}median {median:9.3f} ms/iter  quartiles {q1:9.3f} {q3:9.3f}")

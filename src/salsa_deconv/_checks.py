@@ -17,8 +17,12 @@ def check_integer(name: str, value, minimum: int | None = None) -> None:
 
 
 def check_real(name: str, value: float, bound: str | None = None) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and, for a
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real and, for a
     ``bound`` of ``"nonnegative"`` or ``"positive"``, is >= 0 or > 0."""
+    # as in check_integer: a bool is not a setting's number, and a str or None
+    # would fail in numpy with a TypeError that names no setting
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if (bound == "nonnegative" and value < 0) or (bound == "positive" and value <= 0):

@@ -129,16 +129,18 @@ def _analysis_steps(image: np.ndarray, levels: int,
 
     Bands come in stack order, the approximation last, each with the
     values :func:`analysis_bands` gives it.  With ``out`` (checked as
-    there) band ``index`` is ``out[index]``.  Without it every detail band
-    is written into one reused image buffer and the approximation into a
-    second, so a band holds its values only until the next one is
-    requested; a consumer that shrinks each band while it is still in
-    cache needs no stack for the analysis.  The consumer may overwrite a
-    yielded band: no later band reads it.
+    there) band ``index`` is ``out[index]``.  Without it every band, the
+    approximation included, is written into one reused image buffer, as
+    nothing in a level reads the approximation once its row lowpass and
+    highpass are formed; a level thus holds three images.  A band holds
+    its values only until the next one is requested, so a consumer that
+    shrinks each band while it is still in cache needs no stack for the
+    analysis.  The consumer may overwrite a yielded band: no later band
+    reads it.
     """
     a = _check_image(image, levels)
     if out is None:
-        band, approx = np.empty(a.shape), np.empty(a.shape)
+        band = approx = np.empty(a.shape)
     else:
         shape = (3 * levels + 1,) + a.shape
         if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -172,27 +174,30 @@ def synthesis_bands(bands: np.ndarray, levels: int) -> np.ndarray:
 
     Each level sums the four unscaled two-tap adjoints and scales the
     result by ``1/4`` once, which gives bitwise the values of the
-    per-axis ``1/2`` form.  ``bands`` must stack ``3*levels + 1``
-    subbands.
+    per-axis ``1/2`` form.  A level runs on three image buffers: a buffer
+    takes the next adjoint as soon as the sum that read it is formed.  At
+    256² the three images are 1.5 MiB, so a level's working set fits a
+    2 MiB L2 cache, which four did not.  ``bands`` must stack
+    ``3*levels + 1`` subbands.
     """
     if bands.ndim != 3 or bands.shape[0] != 3 * levels + 1:
         raise ValueError(
             f"expected {3 * levels + 1} stacked subbands, got shape {bands.shape}"
         )
     shape, dtype = bands.shape[1:], np.result_type(bands, 0.5)
-    p, q, r, t = (np.empty(shape, dtype) for _ in range(4))
+    p, q, r = (np.empty(shape, dtype) for _ in range(3))
     a = bands[-1]
     shift = 1 << (levels - 1)
     for j in reversed(range(levels)):
         _pair(np.add, a, -shift, 1, p)
         _pair(np.subtract, bands[3 * j], -shift, 1, q)
-        _pair(np.add, bands[3 * j + 1], -shift, 1, r)
-        _pair(np.subtract, bands[3 * j + 2], -shift, 1, t)
         p += q
-        r += t
+        _pair(np.add, bands[3 * j + 1], -shift, 1, r)
+        _pair(np.subtract, bands[3 * j + 2], -shift, 1, q)
+        r += q
         _pair(np.add, p, -shift, 0, q)
-        _pair(np.subtract, r, -shift, 0, t)
-        q += t
+        _pair(np.subtract, r, -shift, 0, p)
+        q += p
         q *= 0.25
         a = q
         shift //= 2

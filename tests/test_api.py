@@ -120,15 +120,21 @@ def _integer_cases(entry, name, below_minimum):
 
 
 def _finite_cases(entry, name, negative):
-    """A real setting's rejections: -1 (``negative``'s message, if -1 is rejected), nan, inf."""
+    """A real setting's rejections: -1 (``negative``'s message, if -1 is rejected), nan,
+    inf, and a str and a bool, which are not real numbers."""
     cases = [(entry, math.nan, f"{name} must be finite, got nan"),
-             (entry, math.inf, f"{name} must be finite, got inf")]
+             (entry, math.inf, f"{name} must be finite, got inf"),
+             # else numpy's TypeError, which names no setting (True was accepted)
+             (entry, "1", f"{name} must be a real number, got '1'"),
+             (entry, True, f"{name} must be a real number, got True")]
     return cases if negative is None else [(entry, -1, negative), *cases]
 
 
 REJECTED = [
     *_integer_cases("SolverConfig(max_iters)", "max_iters", "max_iters must be >= 1, got -1"),
     *_finite_cases("SolverConfig(tau)", "tau", "tau must be nonnegative, got -1"),
+    # None means "not set" to mu, target_objective and sigma, but tau has no default
+    ("SolverConfig(tau)", None, "tau must be a real number, got None"),
     *_finite_cases("SolverConfig(mu)", "mu", "mu must be positive, got -1"),
     *_finite_cases("SolverConfig(rel_tol)", "rel_tol", "rel_tol must be nonnegative, got -1"),
     *_finite_cases("SolverConfig(target_objective)", "target_objective", None),

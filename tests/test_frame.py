@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,30 @@ def test_analysis_steps_yield_the_bands_of_analysis_bands():
         assert np.array_equal(out, want)
 
     check()
+
+
+@pytest.mark.parametrize("transform", ["synthesis", "analysis steps"])
+def test_each_level_runs_on_three_image_buffers(transform):
+    # a 256x256 level then fits a 2 MiB L2 cache, which a fourth image would not;
+    # the synthesis holds three images per level, and the band-by-band analysis
+    # without out holds its row lowpass, row highpass and one band buffer
+    image = np.random.default_rng(29).standard_normal((128, 128))
+    bands = analysis_bands(image, 4)
+
+    def run():
+        if transform == "synthesis":
+            synthesis_bands(bands, 4)
+        else:
+            for _ in _analysis_steps(image, 4):
+                pass
+
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * image.nbytes, f"peak {peak / image.nbytes:.2f} images"
 
 
 def test_frame_spec_validation():
