@@ -1,8 +1,12 @@
 """Median time per iteration of each part of one solver iteration.
 
-Runs one solver on experiment 1's problem (its blur, noise, seed and tau)
-at an N x N phantom, with rel_tol 0 so that it takes exactly --iters
-iterations, after a two-iteration warm-up solve.  The parts are timed by
+Runs one solver on the problem of experiment --experiment (default 1, an
+id of ``DEFAULT_EXPERIMENTS``: its blur, noise, seed and tau) at an N x N
+phantom, with rel_tol 0 so that it takes exactly --iters iterations, after
+a two-iteration warm-up solve.  The experiment matters to SALSA and IST:
+their sweeps skip the coefficient blocks, and their syntheses the bands,
+that the soft threshold left all zero.  Over a SALSA solve at 256² to the
+default stop that is 14% (3B) to 31% (2B) of the blocks.  The parts are timed by
 wrapping what the solver module calls:
 
 - ``analysis+sweep``: the frame analysis of the step's image and
@@ -22,7 +26,8 @@ Iteration 0, the setup, is left out.  Each row is the median over the
 iterations, in ms; ``iteration`` is the median wall time of a whole
 iteration.  The wrappers cost about a microsecond per call.
 
-Usage: python3 scripts/iteration_split.py [--size 256] [--solver salsa] [--iters 20]
+Usage: python3 scripts/iteration_split.py [--experiment 1] [--size 256] [--solver salsa]
+           [--iters 20]
 """
 
 import argparse
@@ -50,9 +55,9 @@ STEP_CALLS = ("analysis+sweep", "synthesis", "rfft2", "irfft2")
 ROWS = STEP_CALLS + ("spectral step", "objective", "remainder", "iteration")
 
 
-def split(size: int, solver: str, iters: int) -> dict[str, float]:
+def split(experiment: str, size: int, solver: str, iters: int) -> dict[str, float]:
     """Median ms per iteration of each row of ``ROWS``."""
-    spec = DEFAULT_EXPERIMENTS["1"]
+    spec = DEFAULT_EXPERIMENTS[experiment]
     x = phantom(size)
     y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
     otf = psf_to_otf(spec.psf(), y.shape)
@@ -109,16 +114,20 @@ def split(size: int, solver: str, iters: int) -> dict[str, float]:
 
 def main(argv=None):
     parser = argparse.ArgumentParser()
+    parser.add_argument("--experiment", default="1")
     parser.add_argument("--size", type=int, default=256)
     parser.add_argument("--solver", choices=sorted(SOLVES), default="salsa")
     parser.add_argument("--iters", type=int, default=20)
     args = parser.parse_args(argv)
     if args.iters < 1:
         parser.error("--iters must be >= 1")
+    if args.experiment not in DEFAULT_EXPERIMENTS:
+        parser.error(f"--experiment must be one of {sorted(DEFAULT_EXPERIMENTS)}, "
+                     f"got {args.experiment!r}")
 
-    medians = split(args.size, args.solver, args.iters)
-    print(f"{args.solver} at {args.size}x{args.size}, median of {args.iters} iterations "
-          f"(numpy {np.__version__})")
+    medians = split(args.experiment, args.size, args.solver, args.iters)
+    print(f"{args.solver} at {args.size}x{args.size}, median of {args.iters} iterations, "
+          f"experiment {args.experiment} (numpy {np.__version__})")
     for row, ms in medians.items():
         print(f"{row:<15s}{ms:10.3f} ms")
 

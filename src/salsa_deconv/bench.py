@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._checks import check_image, check_integer, check_real
-from .convolution import BlurKind, apply_filter, build_psf, psf_to_otf
+from .convolution import BlurKind, _check_taps, apply_filter, build_psf, psf_to_otf
 from .frame import FrameSpec
 from .prox import Regularizer
 from .solver import (
@@ -195,15 +195,17 @@ def degrade(x: np.ndarray, blur: np.ndarray, noise_variance: float, seed: int) -
     seeded with ``seed`` yields two uniform draws per pixel, combined by
     Box-Muller as ``sqrt(-2 ln(1 - u1)) * cos(2 pi u2)``.  ``seed`` is a
     nonnegative integer and ``noise_variance`` a finite nonnegative number,
-    as in :class:`ExperimentSpec`.
+    as in :class:`ExperimentSpec`; ``x`` is a finite 2-D image and ``blur``
+    finite taps with odd sides.
     """
     check_real("noise_variance", noise_variance, "nonnegative")
     check_integer("seed", seed, minimum=0)
-    x = np.asarray(x, dtype=float)
-    if blur.size == 1:
-        y = x.copy()  # identity kernel: skip the FFT round-trip
+    x = check_image("x", x)
+    taps = _check_taps(blur)
+    if taps.size == 1:
+        y = x * taps[0, 0]  # a 1x1 kernel scales: skip the FFT round-trip
     else:
-        y = apply_filter(psf_to_otf(blur, x.shape), x)
+        y = apply_filter(psf_to_otf(taps, x.shape), x)
     if noise_variance > 0:
         rng = np.random.Generator(np.random.PCG64(seed))
         u1 = rng.random(x.size)

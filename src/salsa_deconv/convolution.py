@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import check_integer, check_real
+from ._checks import check_image, check_integer, check_real
 
 __all__ = [
     "BlurKind",
@@ -104,12 +104,10 @@ def psf_to_otf(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     at index (0, 0); the result is the ``rfft2`` of that grid, shape
     ``(h, w//2 + 1)`` for ``shape = (h, w)``.  Applying it with
     :func:`apply_filter` implements periodic convolution by the kernel.
-    An identity (1x1) kernel maps to an all-ones OTF.
+    An identity (1x1) kernel maps to an all-ones OTF.  Taps that are not
+    all finite are rejected.
     """
-    taps = np.asarray(taps)
-    if taps.ndim != 2 or taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
-        raise ValueError(f"kernel taps must be a 2-D array with odd sides, "
-                         f"got shape {taps.shape}")
+    taps = _check_taps(taps)
     kh, kw = taps.shape
     h, w = shape
     if kh > h or kw > w:
@@ -118,6 +116,15 @@ def psf_to_otf(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     pad[:kh, :kw] = taps
     pad = np.roll(pad, (-(kh // 2), -(kw // 2)), axis=(0, 1))
     return np.fft.rfft2(pad)
+
+
+def _check_taps(taps) -> np.ndarray:
+    """``taps`` as a float array; raises ``ValueError`` unless 2-D with odd sides and finite."""
+    taps = np.asarray(taps)
+    if taps.ndim != 2 or taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
+        raise ValueError(f"kernel taps must be a 2-D array with odd sides, "
+                         f"got shape {taps.shape}")
+    return check_image("kernel taps", taps)
 
 
 def apply_filter(filt: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -130,11 +137,14 @@ def apply_filter(filt: np.ndarray, image: np.ndarray) -> np.ndarray:
 
 
 def _check_half_spectrum(filt: np.ndarray, shape: tuple[int, ...]) -> None:
-    """Raise ``ValueError`` unless ``filt`` has the half-spectrum shape for images of ``shape``."""
+    """Raise ``ValueError`` unless ``filt`` has the half-spectrum shape for images of
+    ``shape`` and finite values; the value test is one pass over ``filt``."""
     h, w = shape
     if filt.shape != (h, w // 2 + 1):
         raise ValueError(f"expected a filter of shape {(h, w // 2 + 1)}, the half spectrum "
                          f"of a {h}x{w} image, got shape {filt.shape}")
+    if not np.isfinite(filt).all():
+        raise ValueError("filter holds NaN or inf values")
 
 
 def build_inversion_filter(otf: np.ndarray, mu: float) -> np.ndarray:

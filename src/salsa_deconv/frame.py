@@ -169,7 +169,7 @@ def _analysis_steps(image: np.ndarray, levels: int,
     yield 3 * levels, approx
 
 
-def synthesis_bands(bands: np.ndarray, levels: int) -> np.ndarray:
+def synthesis_bands(bands: np.ndarray, levels: int, *, zero=()) -> np.ndarray:
     """Adjoint of :func:`analysis_bands`; exact inverse for Parseval scaling.
 
     Each level sums the four unscaled two-tap adjoints and scales the
@@ -179,27 +179,48 @@ def synthesis_bands(bands: np.ndarray, levels: int) -> np.ndarray:
     256² the three images are 1.5 MiB, so a level's working set fits a
     2 MiB L2 cache, which four did not.  ``bands`` must stack
     ``3*levels + 1`` subbands.
+
+    ``zero``, when not empty, holds one flag per band in stack order; a
+    true flag says the band is all zero, so its adjoint term adds nothing
+    and is left out, and when a level's V and D are both flagged so is
+    the axis-0 highpass branch they feed.  The approximation band's flag
+    is ignored.  The result equals (``==``) the unflagged synthesis; only
+    the sign of a zero may differ.  SALSA and IST pass the flags their
+    last sweep recorded (:func:`~salsa_deconv.prox._zero_bands`); FISTA
+    passes none, as its sweep keeps no flags.
     """
     if bands.ndim != 3 or bands.shape[0] != 3 * levels + 1:
         raise ValueError(
             f"expected {3 * levels + 1} stacked subbands, got shape {bands.shape}"
         )
+    if len(zero) not in (0, bands.shape[0]):
+        raise ValueError(f"expected {bands.shape[0]} band flags, got {len(zero)}")
+    skip = list(zero) or [False] * bands.shape[0]
     shape, dtype = bands.shape[1:], np.result_type(bands, 0.5)
     p, q, r = (np.empty(shape, dtype) for _ in range(3))
     a = bands[-1]
     shift = 1 << (levels - 1)
     for j in reversed(range(levels)):
+        h, v, d = skip[3 * j:3 * j + 3]
         _pair(np.add, a, -shift, 1, p)
-        _pair(np.subtract, bands[3 * j], -shift, 1, q)
-        p += q
-        _pair(np.add, bands[3 * j + 1], -shift, 1, r)
-        _pair(np.subtract, bands[3 * j + 2], -shift, 1, q)
-        r += q
-        _pair(np.add, p, -shift, 0, q)
-        _pair(np.subtract, r, -shift, 0, p)
-        q += p
+        if not h:
+            _pair(np.subtract, bands[3 * j], -shift, 1, q)
+            p += q
+        if v and d:
+            # V and D are all zero, and so is the axis-0 highpass branch they feed
+            _pair(np.add, p, -shift, 0, q)
+        else:
+            if v:
+                _pair(np.subtract, bands[3 * j + 2], -shift, 1, r)
+            else:
+                _pair(np.add, bands[3 * j + 1], -shift, 1, r)
+                if not d:
+                    _pair(np.subtract, bands[3 * j + 2], -shift, 1, q)
+                    r += q
+            _pair(np.add, p, -shift, 0, q)
+            _pair(np.subtract, r, -shift, 0, p)
+            q += p
         q *= 0.25
         a = q
         shift //= 2
     return a
-

@@ -8,6 +8,7 @@ proximal map is the elementwise soft threshold
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -72,7 +73,7 @@ def _l1(bands: np.ndarray) -> float:
 
 def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.ndarray,
            threshold: float, out: np.ndarray, prev: np.ndarray | None = None,
-           weight: float = 0.0) -> float:
+           weight: float = 0.0, zero: list[bool] | None = None) -> float:
     """A solver's shrinkage step in one blocked pass; returns ``||out||_1``.
 
     For each ``_BLOCK``-element block of the flattened stacks it adds
@@ -92,26 +93,54 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.nda
     grid and its ``|out|`` collected in the block's scratch, so the sum is
     bitwise that of the whole stack at every band size.
 
+    ``zero``, from :func:`_zero_blocks`, holds one flag per block of
+    ``out``: true when the block came out of the last sweep all ``+0.0``,
+    which the sweep records from each block's ``|out|`` sum (a NaN or inf
+    leaves it false).  It needs ``out is addend`` and no ``prev``, the form
+    in which SALSA and IST sweep; FISTA's sweep writes ``prev`` on every
+    block, so it passes none.  A flagged block whose ``values`` lie in
+    ``[-threshold, threshold]`` is skipped: its sum thresholds to the zero
+    already in ``out`` and adds 0 to the norm, so two read-only reductions
+    replace the add, the threshold and the sum.  ``values`` is then left
+    unchanged, equal (``==``) to ``values + 0``.  In the band-by-band form a
+    block is skipped only when it lies within one band.
+
     The stacks must be C-contiguous and of one shape: a block of any
     other stack is a copy, and what the sweep writes there is lost.
     """
+    if zero is not None and (out is not addend or prev is not None):
+        raise ValueError("zero flags need out to be addend and no prev")
+    # only below an infinite threshold: there prox maps an inf value to NaN, not to zero
+    skip = zero is not None and math.isfinite(threshold)
     pieces = [(..., values)] if isinstance(values, np.ndarray) else values
     scratch = np.empty(min(addend.size, _BLOCK))
-    filled, total = 0, 0.0
+    block, filled, total = 0, 0, 0.0
     for index, piece in pieces:
         stacks = (piece, addend[index], out[index]) + (() if prev is None else (prev[index],))
         flat = [s.reshape(-1) for s in stacks]
         start = 0
         while start < flat[0].size:
             # up to the end of the stack's current block
-            stop = min(flat[0].size, start + scratch.size - filled)
+            size = min(scratch.size, addend.size - block * _BLOCK)
+            stop = min(flat[0].size, start + size - filled)
             v, a, o, *rest = (f[start:stop] for f in flat)
+            # only a whole block: a block cut by a piece's end has part of its sum in scratch
+            if (skip and zero[block] and stop - start == size
+                    and np.maximum.reduce(v) <= threshold
+                    and np.minimum.reduce(v) >= -threshold):
+                block += 1
+                start = stop
+                continue
             v += a
             prox(v, threshold, out=o)
             np.abs(o, out=scratch[filled:filled + o.size])
             filled += o.size
-            if filled == scratch.size:
-                total += float(np.add.reduce(scratch))
+            if filled == size:
+                block_l1 = float(np.add.reduce(scratch[:size]))
+                total += block_l1
+                if zero is not None:
+                    zero[block] = block_l1 == 0.0
+                block += 1
                 filled = 0
             if rest:
                 (p,) = rest
@@ -119,7 +148,24 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.nda
                 p *= weight
                 p += o
             start = stop
-    return total + float(np.add.reduce(scratch[:filled])) if filled else total
+    return total
+
+
+def _zero_blocks(stack: np.ndarray) -> list[bool]:
+    """:func:`_sweep`'s ``zero`` for ``stack``: one flag per block, all false."""
+    return [False] * -(-stack.size // _BLOCK)
+
+
+def _zero_bands(zero: list[bool], shape: tuple[int, ...]) -> list[bool]:
+    """Per band of a stack of ``shape``, whether every block it touches is flagged in ``zero``.
+
+    The flags of :func:`~salsa_deconv.frame.synthesis_bands`' ``zero``: a
+    band is all ``+0.0`` when every block it touches is, also where
+    bands and blocks do not align.
+    """
+    band = math.prod(shape[1:])
+    return [all(zero[i * band // _BLOCK:((i + 1) * band - 1) // _BLOCK + 1])
+            for i in range(shape[0])]
 
 
 def _objective(residual_half: np.ndarray, l1: float, tau: float,

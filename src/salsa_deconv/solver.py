@@ -45,6 +45,17 @@ term, and ISNR.  The synthesized iterate is also the image the trace
 uses for the ISNR.  A non-finite iterate shows as a non-finite
 objective, on which ``_drive`` raises :class:`DivergenceError`.
 
+Every SALSA and IST iterate is the output of a soft threshold, so many
+of its coefficients are exactly zero (14-31% of the blocks of a SALSA
+solve at 256²).  Both solvers keep one flag per ``prox._BLOCK`` block of
+the stack they threshold in place, set when the block came out of the
+last sweep all zero.  The sweep skips a flagged block whose new input
+stays within the threshold, which would threshold to the zero already
+there, and the synthesis leaves out every detail band whose blocks are
+all flagged.  Neither skip changes a value.  FISTA keeps no flags: its
+sweep writes the extrapolated point over the previous iterate on every
+block, so no block's work is known in advance.
+
 Each solver allocates its coefficient stacks once and overwrites them in
 place from iteration to iteration: SALSA holds three stacks, FISTA two
 and IST one.  SALSA does the same with its step's half spectra.  The
@@ -61,10 +72,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._checks import check_integer, check_real
+from ._checks import check_image, check_integer, check_real
 from .convolution import _check_half_spectrum, build_inversion_filter
 from .frame import FrameCoeffs, FrameSpec, _analysis_steps, analysis_bands, synthesis_bands
-from .prox import Regularizer, _l1, _objective, _sum_of_squares, _sweep
+from .prox import (Regularizer, _l1, _objective, _sum_of_squares, _sweep, _zero_bands,
+                   _zero_blocks)
 
 __all__ = [
     "DivergenceError",
@@ -265,6 +277,7 @@ def salsa_solve(
     ``v_K`` and ``v_{K-1}`` (``c_0 = 0``).  ``reg`` is the
     :class:`Regularizer`; the l1 norm is the only penalty.
     """
+    y = check_image("y", y)
     _check_half_spectrum(otf, y.shape)
     levels = frame.levels
     mu = cfg.resolved_mu()
@@ -285,14 +298,15 @@ def salsa_solve(
         g_hat = np.empty_like(theta_hat)
         residual_half = _residual_half(otf, theta_hat, y_hat, np.empty_like(theta_hat))
         prox_inputs[:] = np.zeros_like(theta), np.zeros_like(theta)
+        zero = _zero_blocks(theta)
         yield theta, _l1(theta), w_theta, residual_half
         for k in itertools.count(1):
             _quadratic_step(a, theta_hat, v_hat, inv_filter, g_hat)
             v = analysis_bands(np.fft.irfft2(g_hat, s=y.shape), levels, out=prox_inputs[k % 2])
             np.add(theta_hat, g_hat, out=v_hat)
             # v + theta_{k-1} is v_k; theta_k replaces theta_{k-1}
-            l1 = _sweep(v, theta, threshold, theta)
-            w_theta = synthesis_bands(theta, levels)
+            l1 = _sweep(v, theta, threshold, theta, zero=zero)
+            w_theta = synthesis_bands(theta, levels, zero=_zero_bands(zero, theta.shape))
             theta_hat = np.fft.rfft2(w_theta)
             yield theta, l1, w_theta, _residual_half(otf, theta_hat, y_hat, residual_half)
 
@@ -378,6 +392,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz bound of
     the data-term gradient (the frame is Parseval, so ``||W|| = 1``).
     """
+    y = check_image("y", y)
     _check_half_spectrum(otf, y.shape)
     levels = frame.levels
     step = 1.0 / float(np.max(np.abs(otf) ** 2))
@@ -391,6 +406,8 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         # IST thresholds into beta itself; FISTA writes each iterate over
         # z and the next z over the previous iterate
         z = beta.copy() if momentum else beta
+        # IST's flags of the blocks of beta left all zero by the last sweep
+        zero = None if momentum else _zero_blocks(beta)
         image = synthesis_bands(beta, levels)
         residual_z = residual = otf * np.fft.rfft2(image) - y_hat
         t = 1.0
@@ -402,10 +419,12 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             # each band of the step's analysis plus z's is z - step * grad,
             # thresholded into z as soon as the analysis writes it
             bands = _analysis_steps(np.fft.irfft2(descent * residual_z, s=y.shape), levels)
-            l1 = _sweep(bands, z, threshold, z, prev=beta if momentum else None, weight=w)
+            l1 = _sweep(bands, z, threshold, z, prev=beta if momentum else None, weight=w,
+                        zero=zero)
             if momentum:
                 beta, z = z, beta
-            image = synthesis_bands(beta, levels)
+            image = synthesis_bands(beta, levels,
+                                    zero=() if momentum else _zero_bands(zero, beta.shape))
             residual_next = otf * np.fft.rfft2(image) - y_hat
             if w == 0.0:
                 residual_z = residual_next

@@ -107,6 +107,7 @@ ENTRIES = {
     "degrade(noise_variance)": lambda v: degrade(_X, _PSF, v, 0),
     "build_inversion_filter(mu)": lambda v: build_inversion_filter(psf_to_otf(_PSF, (16, 16)), v),
     "write_image(pixel)": lambda v: write_image(np.array([[v, 1.0]]), "unwritten.pgm"),
+    "psf_to_otf(taps)": lambda v: psf_to_otf(np.array([[0.25, v, 0.25]]), (16, 16)),
 }
 
 
@@ -153,6 +154,9 @@ REJECTED = [
     *_finite_cases("build_inversion_filter(mu)", "mu", "mu must be positive, got -1"),
     ("write_image(pixel)", math.nan, "image holds NaN or inf values"),  # else byte 0
     ("write_image(pixel)", math.inf, "image holds NaN or inf values"),
+    # else an all-NaN OTF for nan and numpy's RuntimeWarning for inf
+    ("psf_to_otf(taps)", math.nan, "kernel taps holds NaN or inf values"),
+    ("psf_to_otf(taps)", math.inf, "kernel taps holds NaN or inf values"),
 ]
 
 

@@ -110,6 +110,35 @@ def test_degrade_noise_stream_pinned():
     assert np.array_equal(y, want)
 
 
+def test_degrade_one_tap_kernel_scales_by_its_tap():
+    # the 1x1 shortcut once returned x for any tap
+    x = phantom(32)
+    taps = np.array([[2.0]])
+    y = degrade(x, taps, 0.0, seed=0)
+    assert np.array_equal(y, 2.0 * x)
+    filtered = apply_filter(psf_to_otf(taps, x.shape), x)
+    assert np.abs(y - filtered).max() <= 1e-12 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("taps", [[[math.nan]], [[math.inf]],
+                                  [[0.25, 0.25, 0.25], [0.0, math.nan, 0.0], [0.25, 0.0, 0.0]]],
+                         ids=["1x1-nan", "1x1-inf", "3x3-nan"])
+def test_degrade_rejects_non_finite_taps(taps):
+    # a [[nan]] kernel once passed silently through the 1x1 shortcut
+    with pytest.raises(ValueError, match="^kernel taps holds NaN or inf values$"):
+        degrade(phantom(32), np.array(taps), 0.0, seed=0)
+
+
+def test_degrade_rejects_an_image_that_is_not_finite_and_2d():
+    psf = build_psf(BlurKind.UNIFORM9, size=3)
+    x = phantom(16)
+    with pytest.raises(ValueError, match=re.escape("x must be a 2-D image, got shape (16,)")):
+        degrade(x[0], psf, 0.0, seed=0)
+    x[3, 4] = math.nan
+    with pytest.raises(ValueError, match="^x holds NaN or inf values$"):
+        degrade(x, psf, 1.0, seed=0)
+
+
 def test_degrade_rejects_negative_variance():
     with pytest.raises(ValueError):
         degrade(phantom(32), build_psf(BlurKind.UNIFORM9), -1.0, seed=0)

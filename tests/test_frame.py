@@ -120,6 +120,31 @@ def test_transforms_equal_roll_reference_property():
     check()
 
 
+def test_synthesis_leaves_out_flagged_zero_bands_property():
+    # SALSA and IST flag the detail bands their sweep left all zero; the
+    # synthesis drops those bands' terms, and a level's axis-0 highpass
+    # branch when its V and D are both flagged, and must still equal the
+    # unflagged synthesis; the approximation's flag is ignored
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(levels=st.integers(1, 4), rows=st.integers(1, 4),
+                      cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+                      mask=st.integers(0, 2**13 - 1))
+    def check(levels, rows, cols, seed, mask):
+        rng = np.random.default_rng(seed)
+        shape = (rows << levels, cols << levels)
+        bands = rng.standard_normal((3 * levels + 1,) + shape)
+        flags = [bool(mask >> i & 1) for i in range(3 * levels + 1)]
+        bands[:-1][np.array(flags[:-1])] = 0.0
+        want = synthesis_bands(bands, levels)
+        assert np.array_equal(synthesis_bands(bands, levels, zero=flags), want)
+        assert np.array_equal(synthesis_bands(bands, levels, zero=np.array(flags)), want)
+
+    check()
+
+
 def test_analysis_steps_yield_the_bands_of_analysis_bands():
     # the band-by-band analysis the solvers shrink as it goes: bands in
     # stack order, bitwise those of analysis_bands, into the given stack
@@ -207,6 +232,8 @@ def test_synthesis_layout_mismatch_rejected():
         synthesis_bands(np.zeros((6, 16, 16)), 2)
     with pytest.raises(ValueError, match="4 stacked subbands"):
         synthesis_bands(np.zeros((16, 16)), 1)
+    with pytest.raises(ValueError, match="expected 7 band flags, got 6"):
+        synthesis_bands(np.zeros((7, 16, 16)), 2, zero=[True] * 6)
 
 
 def test_transforms_match_dense_matrices():

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from salsa_deconv.convolution import (
     psf_to_otf,
 )
 from salsa_deconv.frame import _analysis_steps, analysis_bands, synthesis_bands
-from salsa_deconv.prox import _l1, _objective, _sweep, prox
+from salsa_deconv.prox import _l1, _objective, _sweep, _zero_bands, _zero_blocks, prox
 
 from oracles import (
     dense_blur_matrix,
@@ -189,6 +191,79 @@ def test_band_by_band_shrink_equals_whole_stack_sweep():
         assert got == want == _l1(want_addend)
 
     check()
+
+
+@pytest.mark.parametrize("form", ["stack", "bands"])
+@pytest.mark.parametrize("band_rows", [128, 64], ids=["band=block", "band=half-block"])
+def test_sweep_skips_flagged_blocks_within_the_threshold(form, band_rows, monkeypatch):
+    # SALSA's whole-stack sweep and IST's band-fed one over four blocks:
+    # block 0 flagged all zero with values within +-t (skipped), block 1
+    # not flagged with a sum that thresholds to zero (processed, then
+    # flagged), block 2 flagged with one value past t (processed, then not
+    # flagged) and block 3 not flagged (processed); a band-fed block is
+    # skipped only when it lies within one band
+    t = 0.5
+    rng = np.random.default_rng(48)
+    shape = (4 * 128 // band_rows, band_rows, 256)
+    addend = rng.standard_normal(shape)
+    values = rng.uniform(-t, t, shape)
+    a, v = addend.reshape(4, BLOCK), values.reshape(4, BLOCK)
+    a[[0, 2]] = 0.0
+    a[1] *= t / 8.0
+    v[0, :2] = t, -t
+    v[1] *= 0.25
+    v[2, 100] = np.nextafter(t, np.inf)
+    v[3] = rng.standard_normal(BLOCK)
+    want_values, want_out = values.copy(), addend.copy()
+    want_l1 = _sweep(want_values, want_out, t, want_out)
+
+    zero = _zero_blocks(addend)
+    zero[0] = zero[2] = True
+    module = importlib.import_module("salsa_deconv.prox")
+    calls, prox_fn = [], module.prox
+    monkeypatch.setattr(module, "prox", lambda *a, **k: calls.append(None) or prox_fn(*a, **k))
+    pieces = values if form == "stack" else ((i, values[i]) for i in range(shape[0]))
+    l1 = _sweep(pieces, addend, t, addend, zero=zero)
+    assert same_bits(addend, want_out)
+    assert np.array_equal(values, want_values)
+    assert l1 == want_l1
+    assert zero == [True, True, False, False]
+    if form == "bands" and band_rows == 64:
+        assert len(calls) == shape[0]  # no block lies within one band
+    else:
+        assert len(calls) == 3
+
+
+def test_sweep_flags_need_out_to_be_addend():
+    values, addend = np.zeros((2, 8))
+    zero = _zero_blocks(addend)
+    with pytest.raises(ValueError, match="zero flags"):
+        _sweep(values, addend, 0.5, np.empty(8), zero=zero)
+    with pytest.raises(ValueError, match="zero flags"):
+        _sweep(values, addend, 0.5, addend, prev=np.zeros(8), zero=zero)
+
+
+def test_flagged_block_with_nan_or_inf_is_processed():
+    # a NaN has no max within +-t, so the block runs and its flag clears;
+    # at an infinite threshold nothing is skipped, as prox maps inf to NaN there
+    for t, bad in ((0.5, np.nan), (np.inf, np.inf)):
+        values, addend = np.zeros(BLOCK), np.zeros(BLOCK)
+        values[7] = bad
+        zero = [True]
+        with np.errstate(invalid="ignore"):
+            l1 = _sweep(values, addend, t, addend, zero=zero)
+        assert np.isnan(addend[7]) and np.isnan(l1)
+        assert zero == [False]
+
+
+def test_zero_bands_need_every_block_a_band_touches():
+    # five bands of 20000 elements over four blocks, bands and blocks not aligned
+    zero = [True, False, True, True]
+    assert _zero_bands(zero, (5, 1, 20000)) == [True, False, False, False, True]
+    # two bands per block
+    assert _zero_bands(zero[:3], (6, 128, 128)) == [True, True, False, False, True, True]
+    # one block under every band
+    assert _zero_bands(zero[:1], (13, 32, 32)) == [True] * 13
 
 
 def test_full_shrinkage_to_zero():

@@ -5,6 +5,7 @@ import runpy
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -25,14 +26,24 @@ def test_tune_tau_prints_json_winners(capsys):
 def test_iteration_split_prints_every_part(capsys):
     # the per-part timing of one solver iteration, cut to a smoke run
     main = runpy.run_path(str(SCRIPTS / "iteration_split.py"))["main"]
-    for solver in ("salsa", "ist", "fista"):
-        main(["--size", "32", "--solver", solver, "--iters", "3"])
+    for solver, experiment in (("salsa", "1"), ("ist", "2B"), ("fista", "3B")):
+        args = ["--size", "32", "--solver", solver, "--iters", "3"]
+        main(args + (["--experiment", experiment] if experiment != "1" else []))
         header, *rows = capsys.readouterr().out.splitlines()
-        assert header.startswith(f"{solver} at 32x32, median of 3 iterations")
+        assert header.startswith(f"{solver} at 32x32, median of 3 iterations, "
+                                 f"experiment {experiment} ")
         parts = {row[:15].strip(): float(row[15:].split()[0]) for row in rows}
         assert list(parts) == ["analysis+sweep", "synthesis", "rfft2", "irfft2",
                                "spectral step", "objective", "remainder", "iteration"]
         assert all(ms >= 0.0 for ms in parts.values())
+
+
+def test_iteration_split_rejects_an_unknown_experiment(capsys):
+    main = runpy.run_path(str(SCRIPTS / "iteration_split.py"))["main"]
+    with pytest.raises(SystemExit):
+        main(["--size", "32", "--experiment", "4"])
+    assert "--experiment must be one of ['1', '2A', '2B', '3A', '3B'], got '4'" in \
+        capsys.readouterr().err
 
 
 def test_ab_iterations_compares_two_checkouts(capsys):

@@ -1,10 +1,12 @@
+import importlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from salsa_deconv.bench import degrade, phantom
+from salsa_deconv.bench import DEFAULT_EXPERIMENTS, degrade, isnr, phantom
 from salsa_deconv.convolution import (
     BlurKind,
     apply_filter,
@@ -272,9 +274,9 @@ def test_divergence_error_names_iteration(solver, monkeypatch):
     # there makes the objective non-finite, and the run stops there
     calls = []
 
-    def synthesis(bands, levels):
+    def synthesis(bands, levels, *, zero=()):
         calls.append(None)
-        image = synthesis_bands(bands, levels)
+        image = synthesis_bands(bands, levels, zero=zero)
         return np.full_like(image, np.inf) if len(calls) == 4 else image
 
     monkeypatch.setattr(solver_module, "synthesis_bands", synthesis)
@@ -569,6 +571,62 @@ def test_solvers_reject_a_full_spectrum_otf(solver):
                                          r"spectrum of a 16x16 image, got shape \(16, 16\)"):
         solver(y, full_spectrum(otf, y.shape), spec, Regularizer(),
                SolverConfig(tau=0.05, max_iters=2))
+
+
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_solvers_reject_observations_and_otfs_they_cannot_use(solver):
+    # each once failed deep inside: a 1-D y in an unpack, a NaN as a
+    # non-finite objective at iteration 0
+    y, otf, spec = small_problem(side=16, levels=1)
+    cfg = SolverConfig(tau=0.05, max_iters=2)
+    bad_y, bad_otf = y.copy(), otf.copy()
+    bad_y[2, 3] = math.nan
+    bad_otf[1, 1] = complex(math.inf, 0.0)
+    for args, message in (((y[0], otf), "y must be a 2-D image, got shape (16,)"),
+                          ((bad_y, otf), "y holds NaN or inf values"),
+                          ((y, bad_otf), "filter holds NaN or inf values"),
+                          ((y, np.full_like(otf, math.nan)), "filter holds NaN or inf values")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solver(*args, spec, Regularizer(), cfg)
+
+
+@pytest.mark.parametrize("solver, exp_id, iters", [(salsa_solve, "1", 20), (ist_solve, "2B", 60)],
+                         ids=["salsa", "ist"])
+def test_skipped_zero_blocks_and_bands_change_no_value(solver, exp_id, iters, monkeypatch):
+    # at 256² the soft threshold leaves whole blocks of SALSA's and IST's
+    # stack at zero, which their sweeps and syntheses then skip; the same
+    # solve with every block swept and every band synthesized, the form
+    # without flags, is the reference for every value
+    spec = DEFAULT_EXPERIMENTS[exp_id]
+    x = phantom(256)
+    y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+    otf = psf_to_otf(spec.psf(), y.shape)
+    cfg = SolverConfig(tau=spec.tau, max_iters=iters, rel_tol=0.0)
+    prox_module = importlib.import_module("salsa_deconv.prox")
+    calls, prox_fn = [], prox_module.prox
+    monkeypatch.setattr(prox_module, "prox", lambda *a, **k: calls.append(None) or prox_fn(*a, **k))
+
+    def run():
+        calls.clear()
+        coeffs, image, trace = solver(y, otf, FrameSpec(4), Regularizer(), cfg,
+                                      lambda image: isnr(x, y, image))
+        return coeffs.bands, image, trace, len(calls)
+
+    bands, image, trace, skipping_calls = run()
+    sweep, synthesis = solver_module._sweep, solver_module.synthesis_bands
+    monkeypatch.setattr(solver_module, "_sweep",
+                        lambda *args, zero=None, **kwargs: sweep(*args, **kwargs))
+    monkeypatch.setattr(solver_module, "synthesis_bands",
+                        lambda bands, levels, zero=(): synthesis(bands, levels))
+    want_bands, want_image, want_trace, every_block = run()
+
+    assert every_block == 26 * iters  # 13 bands of 256² are 26 blocks of 2**15
+    assert skipping_calls < every_block
+    assert bands.tobytes() == want_bands.tobytes()
+    assert np.array_equal(image, want_image)
+    assert [(r.iteration, r.objective, r.isnr_db) for r in trace.records] == \
+        [(r.iteration, r.objective, r.isnr_db) for r in want_trace.records]
+    assert trace.splitting_residual == want_trace.splitting_residual
 
 
 def test_salsa_zero_tau_needs_explicit_mu():
