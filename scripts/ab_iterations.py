@@ -8,6 +8,10 @@ the problem of experiment --experiment (default 1, an id of
 ``DEFAULT_EXPERIMENTS``: its blur, noise, seed and tau) at an N x N
 phantom with its own package, and so its own OTF format, and solves it
 with rel_tol 0, so that every solve takes exactly --iters iterations.
+``--dtype float32`` casts each side's observation to float32 before the
+solve, so a checkout that iterates in the observation's precision runs
+in float32, and one that converts every observation to float64 runs in
+float64.
 
 After one warm-up solve per side, it runs --reps pairs of solves and
 alternates which side goes first.  A sample is the wall time of one
@@ -19,6 +23,7 @@ won.
 
 Usage: python3 scripts/ab_iterations.py --base DIR --change DIR
            [--experiment 1] [--size 256] [--solver salsa] [--iters 20] [--reps 10]
+           [--dtype float64]
 """
 
 import argparse
@@ -48,14 +53,15 @@ def load(checkout: Path, name: str, root: Path):
     return importlib.import_module(name)
 
 
-def solve_fn(pkg, experiment: str, size: int, solver: str, iters: int):
-    """A no-argument call that solves ``pkg``'s problem of ``experiment`` in ``iters`` iterations."""
+def solve_fn(pkg, experiment: str, size: int, solver: str, iters: int, dtype: str):
+    """A no-argument call that solves ``pkg``'s problem of ``experiment`` in ``iters``
+    iterations, from the observation cast to ``dtype``."""
     if experiment not in pkg.DEFAULT_EXPERIMENTS:
         raise SystemExit(f"--experiment must be one of {sorted(pkg.DEFAULT_EXPERIMENTS)}, "
                          f"got {experiment!r}")
     spec = pkg.DEFAULT_EXPERIMENTS[experiment]
     psf = spec.psf()
-    y = pkg.degrade(pkg.phantom(size), psf, spec.noise_variance, spec.seed)
+    y = pkg.degrade(pkg.phantom(size), psf, spec.noise_variance, spec.seed).astype(dtype)
     otf = pkg.psf_to_otf(psf, y.shape)
     frame = pkg.FrameSpec(spec.levels)
     cfg = pkg.SolverConfig(tau=spec.tau, max_iters=iters, rel_tol=0.0)
@@ -86,6 +92,8 @@ def main(argv=None):
     parser.add_argument("--solver", choices=sorted(SOLVES), default="salsa")
     parser.add_argument("--iters", type=int, default=20)
     parser.add_argument("--reps", type=int, default=10)
+    parser.add_argument("--dtype", choices=("float64", "float32"), default="float64",
+                        help="precision of the observation each side is given")
     args = parser.parse_args(argv)
     if args.iters < 1 or args.reps < 1:
         parser.error("--iters and --reps must be >= 1")
@@ -95,14 +103,15 @@ def main(argv=None):
         sys.path.insert(0, tmp)
         try:
             runs = {side: solve_fn(load(getattr(args, side).resolve(), f"ab_{side}", root),
-                                   args.experiment, args.size, args.solver, args.iters)
+                                   args.experiment, args.size, args.solver, args.iters,
+                                   args.dtype)
                     for side in SIDES}
         finally:
             sys.path.remove(tmp)
         samples = run_pairs(runs, args.iters, args.reps)
 
     print(f"{args.solver} at {args.size}x{args.size}, {args.iters} iterations per solve, "
-          f"{args.reps} pairs, experiment {args.experiment} "
+          f"{args.reps} pairs, experiment {args.experiment} with a {args.dtype} observation "
           f"(numpy {np.__version__}, nproc {len(os.sched_getaffinity(0))})")
     for side in SIDES:
         q1, median, q3 = np.percentile(samples[side], [25, 50, 75])

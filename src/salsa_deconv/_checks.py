@@ -29,9 +29,22 @@ def check_real(name: str, value: float, bound: str | None = None) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def as_float(array) -> np.ndarray:
+    """``array`` in a solver's working precision: float32 stays float32, anything else
+    becomes float64 (a float64 array is returned as it is)."""
+    if getattr(array, "dtype", None) == np.float32:
+        return np.asarray(array)
+    return np.asarray(array, dtype=float)
+
+
 def check_image(name: str, image) -> np.ndarray:
-    """``image`` as a float array; raises ``ValueError`` naming it unless 2-D and all finite."""
-    image = np.asarray(image, dtype=float)
+    """``image`` as a float array by :func:`as_float`; raises ``ValueError`` naming it
+    unless 2-D and all finite.
+
+    A float32 image stays float32, so that the solvers iterate in float32
+    on it; any other image becomes float64.
+    """
+    image = as_float(image)
     if image.ndim != 2:
         raise ValueError(f"{name} must be a 2-D image, got shape {image.shape}")
     if not np.isfinite(image).all():

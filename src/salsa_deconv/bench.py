@@ -225,15 +225,20 @@ def isnr(x_true: np.ndarray, y: np.ndarray, x_hat: np.ndarray) -> float:
         raise ValueError(
             f"shape mismatch: x {x_true.shape}, y {y.shape}, x_hat {x_hat.shape}"
         )
-    return _isnr_db(float(((y - x_true) ** 2).sum()), x_true, x_hat)
+    return _isnr_db(_squared_distance(y, x_true), x_true, x_hat)
 
 
 def _isnr_db(ref: float, x_true: np.ndarray, x_hat: np.ndarray) -> float:
     """:func:`isnr` given its reference energy ``ref = ||y - x||^2``."""
-    err = float(((x_hat - x_true) ** 2).sum())
+    err = _squared_distance(x_hat, x_true)
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(ref / err) if ref > 0.0 else -math.inf
+
+
+def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``||a - b||^2``, summed in float64 also for float32 images."""
+    return float(((a - b) ** 2).sum(dtype=np.float64))
 
 
 def _input_digest(y: np.ndarray, otf: np.ndarray, tau: float, levels: int) -> str:
@@ -287,7 +292,7 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
         truth = check_image("x_true", x_true)
         if truth.shape != y.shape:
             raise ValueError(f"shape mismatch: x {truth.shape}, y {y.shape}")
-        ref = float(((y - truth) ** 2).sum())
+        ref = _squared_distance(y, truth)
         isnr_fn = lambda image: _isnr_db(ref, truth, image)
 
     target: float | None = None

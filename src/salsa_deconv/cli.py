@@ -8,7 +8,9 @@ Three subcommands:
     noise, deblur with the requested solvers, and write artifacts.
 ``deblur``
     Deblur an already-degraded image with an explicit blur family and
-    regularization weight (no ground truth, so no ISNR column).
+    regularization weight (no ground truth, so no ISNR column).  The
+    solvers iterate in float32: the 8-bit observation is exact there, and
+    the reconstruction is rounded to 8 bits again.
 ``psf-dump``
     Print a blur kernel's taps, for inspection.
 
@@ -234,7 +236,9 @@ def _cmd_solve(cfg: argparse.Namespace) -> int:
         x_true = read_image(cfg.image) if cfg.image is not None else phantom(256)
         report = run_experiment(spec, x_true)
     else:
-        report = solve_observation(read_image(cfg.image), spec)
+        # 8-bit values are exact in float32 (values scaled from a maxval below 255
+        # round there by at most 2**-24 relative), so the solvers iterate in float32
+        report = solve_observation(read_image(cfg.image).astype(np.float32), spec)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
     for name, result in report.results.items():

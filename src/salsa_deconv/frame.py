@@ -18,7 +18,8 @@ both axes.  Level 1 is the finest scale.
 
 Image dimensions must be divisible by ``2**levels``; anything else is
 rejected rather than padded, since padding would silently change the
-operator the solvers work with.
+operator the solvers work with.  A float32 image is transformed in
+float32, any other image in float64.
 
 The analysis runs in one private generator, ``_analysis_steps``, which
 yields each band as soon as it is written: :func:`analysis_bands` drains
@@ -34,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import as_float, check_integer
 
 __all__ = [
     "FrameSpec",
@@ -68,7 +69,7 @@ class FrameCoeffs:
 
 
 def _check_image(image: np.ndarray, levels: int) -> np.ndarray:
-    image = np.asarray(image, dtype=float)
+    image = as_float(image)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got ndim={image.ndim}")
     h, w = image.shape
@@ -109,15 +110,15 @@ def _pair(op, x: np.ndarray, shift: int, axis: int, out: np.ndarray) -> None:
 def analysis_bands(image: np.ndarray, levels: int, out: np.ndarray | None = None) -> np.ndarray:
     """Undecimated Haar decomposition as a raw ``(3*levels+1, H, W)`` stack.
 
-    ``out``, when given, is a C-contiguous float64 array of that shape
-    that receives the stack and is returned.  Each level scales its input
-    by ``1/4`` once, in place of the ``1/2`` of each axis's taps; scaling
-    by a power of two is exact, so the values are those of the per-axis
-    form.
+    ``out``, when given, is a C-contiguous array of that shape and of the
+    image's precision that receives the stack and is returned.  Each
+    level scales its input by ``1/4`` once, in place of the ``1/2`` of
+    each axis's taps; scaling by a power of two is exact, so the values
+    are those of the per-axis form.
     """
     a = _check_image(image, levels)
     if out is None:
-        out = np.empty((3 * levels + 1,) + a.shape)
+        out = np.empty((3 * levels + 1,) + a.shape, a.dtype)
     for _ in _analysis_steps(a, levels, out):
         pass
     return out
@@ -140,19 +141,19 @@ def _analysis_steps(image: np.ndarray, levels: int,
     """
     a = _check_image(image, levels)
     if out is None:
-        band = approx = np.empty(a.shape)
+        band = approx = np.empty(a.shape, a.dtype)
     else:
         shape = (3 * levels + 1,) + a.shape
-        if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        if out.shape != shape or out.dtype != a.dtype or not out.flags.c_contiguous:
             raise ValueError(
-                f"out must be a C-contiguous float64 array of shape {shape}, "
+                f"out must be a C-contiguous {a.dtype} array of shape {shape}, "
                 f"got {out.dtype} {out.shape}"
             )
         if np.may_share_memory(a, out):
             raise ValueError("out must not share memory with the image")
         approx = out[-1]
-    lo = np.empty(a.shape)
-    hi = np.empty(a.shape)
+    lo = np.empty(a.shape, a.dtype)
+    hi = np.empty(a.shape, a.dtype)
     shift = 1
     for j in range(levels):
         np.multiply(approx if j else a, 0.25, out=approx)
@@ -185,9 +186,8 @@ def synthesis_bands(bands: np.ndarray, levels: int, *, zero=()) -> np.ndarray:
     and is left out, and when a level's V and D are both flagged so is
     the axis-0 highpass branch they feed.  The approximation band's flag
     is ignored.  The result equals (``==``) the unflagged synthesis; only
-    the sign of a zero may differ.  SALSA and IST pass the flags their
-    last sweep recorded (:func:`~salsa_deconv.prox._zero_bands`); FISTA
-    passes none, as its sweep keeps no flags.
+    the sign of a zero may differ.  Every solver passes the flags its
+    last sweep recorded (:func:`~salsa_deconv.prox._zero_bands`).
     """
     if bands.ndim != 3 or bands.shape[0] != 3 * levels + 1:
         raise ValueError(

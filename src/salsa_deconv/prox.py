@@ -60,7 +60,8 @@ def _l1(bands: np.ndarray) -> float:
     The blocks are flat slices of at most ``_BLOCK`` elements: views of a
     C-contiguous stack, and of a flattened copy of any other.  Each block's
     sum is ``np.add.reduce``, the reduction ``ndarray.sum`` runs, called
-    without that method's Python wrapper.
+    without that method's Python wrapper.  The scratch is float64, so the
+    sum of a float32 stack accumulates in float64.
     """
     flat = bands.reshape(-1)
     scratch = np.empty(min(flat.size, _BLOCK))
@@ -78,8 +79,8 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.nda
 
     For each ``_BLOCK``-element block of the flattened stacks it adds
     ``addend`` into ``values``, soft-thresholds the sum into ``out`` with
-    :func:`prox` and sums ``|out|`` as :func:`_l1` does, so ``out``,
-    ``values`` and the sum are bitwise those of the whole-stack passes
+    :func:`prox` and sums ``|out|`` in float64 as :func:`_l1` does, so
+    ``out``, ``values`` and the sum are bitwise those of the whole-stack passes
     ``values += addend``, ``prox`` and ``_l1``.  With ``prev`` it
     overwrites ``prev`` with the extrapolated point
     ``out + weight * (out - prev)``.  ``out`` may be ``addend``, whose
@@ -96,22 +97,23 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.nda
     ``zero``, from :func:`_zero_blocks`, holds one flag per block of
     ``out``: true when the block came out of the last sweep all ``+0.0``,
     which the sweep records from each block's ``|out|`` sum (a NaN or inf
-    leaves it false).  It needs ``out is addend`` and no ``prev``, the form
-    in which SALSA and IST sweep; FISTA's sweep writes ``prev`` on every
-    block, so it passes none.  A flagged block whose ``values`` lie in
-    ``[-threshold, threshold]`` is skipped: its sum thresholds to the zero
-    already in ``out`` and adds 0 to the norm, so two read-only reductions
-    replace the add, the threshold and the sum.  ``values`` is then left
-    unchanged, equal (``==``) to ``values + 0``.  In the band-by-band form a
-    block is skipped only when it lies within one band.
+    leaves it false).  It needs ``out is addend``.  Without ``prev``, the
+    form in which SALSA and IST sweep, a flagged block whose ``values``
+    lie in ``[-threshold, threshold]`` is skipped: its sum thresholds to
+    the zero already in ``out`` and adds 0 to the norm, so two read-only
+    reductions replace the add, the threshold and the sum.  ``values`` is
+    then left unchanged, equal (``==``) to ``values + 0``.  In the
+    band-by-band form a block is skipped only when it lies within one
+    band.  With ``prev``, FISTA's form, the sweep only records the flags:
+    it writes ``prev`` on every block, so no block can be skipped.
 
     The stacks must be C-contiguous and of one shape: a block of any
     other stack is a copy, and what the sweep writes there is lost.
     """
-    if zero is not None and (out is not addend or prev is not None):
-        raise ValueError("zero flags need out to be addend and no prev")
+    if zero is not None and out is not addend:
+        raise ValueError("zero flags need out to be addend")
     # only below an infinite threshold: there prox maps an inf value to NaN, not to zero
-    skip = zero is not None and math.isfinite(threshold)
+    skip = zero is not None and prev is None and math.isfinite(threshold)
     pieces = [(..., values)] if isinstance(values, np.ndarray) else values
     scratch = np.empty(min(addend.size, _BLOCK))
     block, filled, total = 0, 0, 0.0
@@ -188,6 +190,12 @@ def _objective(residual_half: np.ndarray, l1: float, tau: float,
 
 
 def _sum_of_squares(a: np.ndarray) -> float:
-    """``sum(a**2)`` in one pass with no temporary, on one thread (no BLAS call)."""
+    """``sum(a**2)`` in one pass with no temporary, on one thread (no BLAS call).
+
+    The sum accumulates in float64: a float32 ``a`` is summed with
+    ``dtype=float64``, and a float64 one takes the call without it.
+    """
     flat = a.ravel()
-    return float(np.einsum("i,i->", flat, flat))
+    if flat.dtype == np.float64:
+        return float(np.einsum("i,i->", flat, flat))
+    return float(np.einsum("i,i->", flat, flat, dtype=np.float64))

@@ -45,16 +45,26 @@ term, and ISNR.  The synthesized iterate is also the image the trace
 uses for the ISNR.  A non-finite iterate shows as a non-finite
 objective, on which ``_drive`` raises :class:`DivergenceError`.
 
-Every SALSA and IST iterate is the output of a soft threshold, so many
-of its coefficients are exactly zero (14-31% of the blocks of a SALSA
-solve at 256²).  Both solvers keep one flag per ``prox._BLOCK`` block of
-the stack they threshold in place, set when the block came out of the
-last sweep all zero.  The sweep skips a flagged block whose new input
-stays within the threshold, which would threshold to the zero already
-there, and the synthesis leaves out every detail band whose blocks are
-all flagged.  Neither skip changes a value.  FISTA keeps no flags: its
-sweep writes the extrapolated point over the previous iterate on every
-block, so no block's work is known in advance.
+Every iterate is the output of a soft threshold, so many of its
+coefficients are exactly zero (14-31% of the blocks of a SALSA solve at
+256²).  Every solver keeps one flag per ``prox._BLOCK`` block of the
+stack it thresholds into, set when the block came out of the last sweep
+all zero, and the synthesis leaves out every detail band whose blocks
+are all flagged.  SALSA's and IST's sweeps also skip a flagged block
+whose new input stays within the threshold, which would threshold to the
+zero already there.  Neither skip changes a value.  FISTA's sweep skips
+nothing: it writes the extrapolated point over the previous iterate on
+every block, so no block's work is known in advance.
+
+The solvers iterate in the precision of the observation ``y``: a
+float32 ``y`` makes the coefficient stacks, the images and the half
+spectra the iteration carries float32 and complex64 (SALSA's step
+spectra, IST's and FISTA's gradient input), and any other ``y`` runs in
+float64.  The OTF and the spectrum ``Y`` of ``y`` stay complex128, so
+the residual spectrum ``R`` and the trace's data term are formed in
+complex128, and every sum (the l1 norm, the data term, the splitting
+residual's norms) accumulates in float64.  Thresholds, weights and step
+sizes are Python floats, which do not promote a float32 array.
 
 Each solver allocates its coefficient stacks once and overwrites them in
 place from iteration to iteration: SALSA holds three stacks, FISTA two
@@ -281,7 +291,7 @@ def salsa_solve(
     _check_half_spectrum(otf, y.shape)
     levels = frame.levels
     mu = cfg.resolved_mu()
-    threshold = cfg.tau / mu
+    threshold = float(cfg.tau / mu)
     # iteration k leaves v_k in prox_inputs[k % 2], so v_{k-1} survives it;
     # both start as zeros, whose clip is c_0 = 0, so a solve stopped at
     # iteration 0, where beta = theta, has a gap of 0
@@ -289,14 +299,15 @@ def salsa_solve(
 
     def steps():
         inv_filter = build_inversion_filter(otf, mu)
-        y_hat = np.fft.rfft2(y)
+        y_hat = _spectrum(y)
         a = (1.0 - inv_filter) * (np.conj(otf) * y_hat) / mu
+        inv_filter, a = _working(inv_filter, y), _working(a, y)
         theta = analysis_bands(y, levels)
         w_theta = synthesis_bands(theta, levels)
         theta_hat = np.fft.rfft2(w_theta)
         v_hat = theta_hat.copy()
         g_hat = np.empty_like(theta_hat)
-        residual_half = _residual_half(otf, theta_hat, y_hat, np.empty_like(theta_hat))
+        residual_half = _residual_half(otf, theta_hat, y_hat, np.empty_like(y_hat))
         prox_inputs[:] = np.zeros_like(theta), np.zeros_like(theta)
         zero = _zero_blocks(theta)
         yield theta, _l1(theta), w_theta, residual_half
@@ -324,6 +335,19 @@ def salsa_solve(
 
 def _norm(bands: np.ndarray) -> float:
     return math.sqrt(_sum_of_squares(bands))
+
+
+def _spectrum(y: np.ndarray) -> np.ndarray:
+    """``Y = rfft2(y)`` in complex128, whatever the precision of ``y``."""
+    return np.fft.rfft2(y.astype(np.float64, copy=False))
+
+
+def _working(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The float64 or complex128 ``a`` cast to float32 or complex64 for a float32 ``y``;
+    ``a`` itself for any other ``y``."""
+    if y.dtype != np.float32:
+        return a
+    return a.astype(np.complex64 if np.iscomplexobj(a) else np.float32)
 
 
 def ist_solve(
@@ -396,18 +420,19 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     _check_half_spectrum(otf, y.shape)
     levels = frame.levels
     step = 1.0 / float(np.max(np.abs(otf) ** 2))
-    threshold = cfg.tau * step
+    threshold = float(cfg.tau) * step
 
     def steps():
         # the gradient step's filter, applied to the residual spectrum
-        descent = -step * np.conj(otf)
-        y_hat = np.fft.rfft2(y)
+        descent = _working(-step * np.conj(otf), y)
+        gradient_hat = np.empty_like(descent)
+        y_hat = _spectrum(y)
         beta = analysis_bands(y, levels)
         # IST thresholds into beta itself; FISTA writes each iterate over
         # z and the next z over the previous iterate
         z = beta.copy() if momentum else beta
-        # IST's flags of the blocks of beta left all zero by the last sweep
-        zero = None if momentum else _zero_blocks(beta)
+        # flags of the blocks of the last sweep's iterate left all zero
+        zero = _zero_blocks(beta)
         image = synthesis_bands(beta, levels)
         residual_z = residual = otf * np.fft.rfft2(image) - y_hat
         t = 1.0
@@ -418,13 +443,15 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             t = t_next
             # each band of the step's analysis plus z's is z - step * grad,
             # thresholded into z as soon as the analysis writes it
-            bands = _analysis_steps(np.fft.irfft2(descent * residual_z, s=y.shape), levels)
+            # the spectrum of -step * grad, formed from R in complex128, stored in
+            # the working precision
+            np.multiply(descent, residual_z, out=gradient_hat)
+            bands = _analysis_steps(np.fft.irfft2(gradient_hat, s=y.shape), levels)
             l1 = _sweep(bands, z, threshold, z, prev=beta if momentum else None, weight=w,
                         zero=zero)
             if momentum:
                 beta, z = z, beta
-            image = synthesis_bands(beta, levels,
-                                    zero=() if momentum else _zero_bands(zero, beta.shape))
+            image = synthesis_bands(beta, levels, zero=_zero_bands(zero, beta.shape))
             residual_next = otf * np.fft.rfft2(image) - y_hat
             if w == 0.0:
                 residual_z = residual_next

@@ -184,6 +184,17 @@ def test_isnr_against_noiseless_identity_observation():
     assert report_summary(report)["solvers"]["salsa"]["isnr_db"] is None
 
 
+def test_isnr_sums_float32_images_in_float64():
+    # ||y - x||^2 = 2**24 + 32767 is odd and above 2**24, so no float32 holds it
+    side = 1 << 7
+    x = np.zeros((2 * side, side), np.float32)
+    y = np.ones_like(x)
+    y[0, 0] = 2.0**12
+    x_hat = np.ones_like(x)
+    want = 10.0 * math.log10((2.0**24 + x.size - 1) / x.size)
+    assert isnr(x, y, x_hat) == want
+
+
 def test_isnr_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         isnr(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((8, 8)))
@@ -327,6 +338,33 @@ def test_auto_target_mode_runs_all_solvers_to_common_target():
     for r in report.results.values():
         assert r.reached_target is True
         assert r.objective <= report.target_objective
+
+
+@pytest.mark.parametrize("exp_id", list(DEFAULT_EXPERIMENTS))
+def test_float32_observation_solves_like_float64(exp_id):
+    # an 8-bit observation is exact in float32, so the solvers may iterate
+    # there: against the float64 solve of the same observation, every
+    # solver takes as many iterations to the same stop (SALSA's rel_tol,
+    # then the common target it sets for IST and FISTA) and lands within
+    # 1e-6 of its objective, 1e-3 dB of its ISNR and one 8-bit level in
+    # at most 0.1% of the pixels
+    spec = dataclasses.replace(DEFAULT_EXPERIMENTS[exp_id], solvers=("salsa", "ist", "fista"),
+                               rel_tol=2e-2, max_iters=1000, target_objective="auto")
+    x = phantom(128)
+    y = np.rint(np.clip(degrade(x, spec.psf(), spec.noise_variance, spec.seed), 0.0, 255.0))
+    want = solve_observation(y, spec, x_true=x)
+    got = solve_observation(y.astype(np.float32), spec, x_true=x)
+    assert got.target_objective == pytest.approx(want.target_objective, rel=1e-6)
+    for name, w in want.results.items():
+        g = got.results[name]
+        assert g.image.dtype == np.float32 and w.image.dtype == np.float64
+        assert g.reached_target and w.reached_target
+        assert g.iterations == w.iterations, name
+        assert g.objective == pytest.approx(w.objective, rel=1e-6), name
+        assert g.isnr_db == pytest.approx(w.isnr_db, abs=1e-3), name
+        levels = [np.rint(np.clip(r.image, 0.0, 255.0)) for r in (g, w)]
+        moved = np.abs(levels[0] - levels[1])
+        assert moved.max() <= 1.0 and np.count_nonzero(moved) <= 0.001 * moved.size, name
 
 
 def recording_salsa(monkeypatch):

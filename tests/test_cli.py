@@ -380,6 +380,30 @@ def test_deblur_end_to_end(tmp_path):
     assert all(line.endswith(",") for line in trace[1:])  # no truth, no ISNR
 
 
+def test_deblur_solves_in_float32_and_run_in_float64(tmp_path, monkeypatch):
+    # the 8-bit observation of deblur is exact in float32, so the solver
+    # gets it in float32; run degrades in float64 and keeps it there
+    import salsa_deconv.bench as bench_module
+
+    seen, solve = [], bench_module.salsa_solve
+
+    def recording(y, *args, **kwargs):
+        seen.append(y.dtype)
+        return solve(y, *args, **kwargs)
+
+    monkeypatch.setattr(bench_module, "salsa_solve", recording)
+    y = degrade(phantom(32), build_psf(BlurKind.UNIFORM9), 0.3136, seed=4)
+    obs = tmp_path / "obs.pgm"
+    write_image(y, obs)
+    assert main(["deblur", "--image", str(obs), "--blur", "uniform9", "--tau", "0.05",
+                 "--max-iters", "5", "--out", str(tmp_path / "d")]) == 0
+    assert read_image(obs).dtype == np.float64  # read_image keeps its float64 contract
+    assert main(["run", "--experiment", "1", "--image", str(obs), "--max-iters", "2",
+                 "--out", str(tmp_path / "r")]) == 0
+    assert seen == [np.float32, np.float64]
+    assert read_image(tmp_path / "d" / "deblur_salsa.pgm").shape == (32, 32)
+
+
 def test_psf_dump(capsys):
     assert main(["psf-dump", "--blur", "invquad"]) == 0
     out = capsys.readouterr().out

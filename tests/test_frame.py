@@ -85,6 +85,9 @@ def test_analysis_rejects_bad_out():
     stack = np.zeros((7, 16, 16))
     with pytest.raises(ValueError, match="out"):
         analysis_bands(stack[0], 2, out=stack)
+    # out must have the image's precision
+    with pytest.raises(ValueError, match="out must be a C-contiguous float32 array"):
+        analysis_bands(x.astype(np.float32), 2, out=np.empty((7, 16, 16)))
 
 
 def test_transforms_equal_roll_reference_property():

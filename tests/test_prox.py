@@ -9,7 +9,8 @@ from salsa_deconv.convolution import (
     psf_to_otf,
 )
 from salsa_deconv.frame import _analysis_steps, analysis_bands, synthesis_bands
-from salsa_deconv.prox import _l1, _objective, _sweep, _zero_bands, _zero_blocks, prox
+from salsa_deconv.prox import (_l1, _objective, _sum_of_squares, _sweep, _zero_bands,
+                                _zero_blocks, prox)
 
 from oracles import (
     dense_blur_matrix,
@@ -239,8 +240,44 @@ def test_sweep_flags_need_out_to_be_addend():
     zero = _zero_blocks(addend)
     with pytest.raises(ValueError, match="zero flags"):
         _sweep(values, addend, 0.5, np.empty(8), zero=zero)
-    with pytest.raises(ValueError, match="zero flags"):
-        _sweep(values, addend, 0.5, addend, prev=np.zeros(8), zero=zero)
+
+
+def test_sweep_with_prev_records_flags_and_skips_nothing(monkeypatch):
+    # FISTA's form: prev is written on every block, so a flagged block within
+    # the threshold is still swept; the flags come from |out| as without prev
+    t, weight = 0.5, 0.3
+    rng = np.random.default_rng(49)
+    values = rng.uniform(-t, t, 2 * BLOCK)
+    values[BLOCK:] *= 8.0
+    addend, prev = np.zeros(2 * BLOCK), rng.standard_normal(2 * BLOCK)
+    want_values, want_out, want_prev = values.copy(), addend.copy(), prev.copy()
+    want_l1 = _sweep(want_values, want_out, t, want_out, prev=want_prev, weight=weight)
+
+    zero = [True, True]
+    module = importlib.import_module("salsa_deconv.prox")
+    calls, prox_fn = [], module.prox
+    monkeypatch.setattr(module, "prox", lambda *a, **k: calls.append(None) or prox_fn(*a, **k))
+    l1 = _sweep(values, addend, t, addend, prev=prev, weight=weight, zero=zero)
+    assert len(calls) == 2
+    assert same_bits(addend, want_out) and same_bits(prev, want_prev)
+    assert same_bits(values, want_values)
+    assert l1 == want_l1
+    assert zero == [True, False]
+
+
+def test_float32_sums_accumulate_in_float64():
+    # 2**24 + 32767 is odd and above 2**24, so no float32 holds it: a sum
+    # accumulated in float32 cannot return it, one accumulated in float64 does
+    ones = np.ones(BLOCK - 1, np.float32)
+    values = np.concatenate([np.float32([2.0**24]), ones])
+    want = 2.0**24 + (BLOCK - 1)
+    assert _l1(values) == want
+    assert _l1(-values.reshape(2, -1)) == want
+    out = np.zeros_like(values)
+    assert _sweep(values.copy(), out, 0.0, out) == want
+    roots = np.concatenate([np.float32([2.0**12]), ones])
+    assert _sum_of_squares(roots) == want
+    assert _sum_of_squares(roots.reshape(2, -1)) == want
 
 
 def test_flagged_block_with_nan_or_inf_is_processed():

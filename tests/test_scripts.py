@@ -51,9 +51,10 @@ def test_ab_iterations_compares_two_checkouts(capsys):
     main = runpy.run_path(str(SCRIPTS / "ab_iterations.py"))["main"]
     repo = str(SCRIPTS.parent)
     main(["--base", repo, "--change", repo, "--experiment", "3B",
-          "--size", "32", "--iters", "2", "--reps", "3"])
+          "--size", "32", "--iters", "2", "--reps", "3", "--dtype", "float32"])
     header, base, change, summary = capsys.readouterr().out.splitlines()
-    assert header.startswith("salsa at 32x32, 2 iterations per solve, 3 pairs, experiment 3B ")
+    assert header.startswith("salsa at 32x32, 2 iterations per solve, 3 pairs, experiment 3B "
+                             "with a float32 observation ")
     # a timing counts as evidence only with the numpy version and nproc beside it
     assert header.endswith(f"(numpy {np.__version__}, nproc {len(os.sched_getaffinity(0))})")
     for side, row in (("base", base), ("change", change)):

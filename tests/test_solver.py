@@ -324,24 +324,31 @@ def test_salsa_stopped_at_start_has_zero_splitting_residual():
     assert np.array_equal(coeffs.bands, analysis_bands(y, 2))
 
 
-@pytest.mark.parametrize("solver, held", [(ist_solve, 1), (fista_solve, 2), (salsa_solve, 3)],
-                         ids=["ist_solve", "fista_solve", "salsa_solve"])
-def test_memory_peak_counts_coefficient_stacks(solver, held):
+@pytest.mark.parametrize(
+    "solver, held, dtype",
+    [(solver, held, dtype) for dtype in (np.float64, np.float32)
+     for solver, held in ((ist_solve, 1), (fista_solve, 2), (salsa_solve, 3))],
+    ids=[name + suffix for suffix in ("", "-float32")
+         for name in ("ist_solve", "fista_solve", "salsa_solve")])
+def test_memory_peak_counts_coefficient_stacks(solver, held, dtype):
     # IST holds beta, FISTA beta and z, SALSA theta, v_k and v_{k-1}: IST
     # and FISTA shrink each band of their gradient step as the analysis
     # writes it, and SALSA's splitting residual needs no stack of its own;
     # the images and half spectra a solve holds add up to less than one
-    # more stack of 19 bands
+    # more stack of 19 bands.  A float32 observation makes the stacks
+    # float32, at 4 bytes per coefficient.
     y, otf, spec = small_problem(side=128, levels=6)
+    y = y.astype(dtype)
     cfg = SolverConfig(tau=0.05, max_iters=10, rel_tol=0.0)
     stack_bytes = (3 * spec.levels + 1) * y.nbytes
     tracemalloc.start()
     try:
-        _, _, trace = solver(y, otf, spec, Regularizer(), cfg)
+        coeffs, _, trace = solver(y, otf, spec, Regularizer(), cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert trace.final.iteration == 10
+    assert coeffs.bands.dtype == dtype
     assert held <= peak / stack_bytes < held + 1, peak / stack_bytes
 
 
@@ -627,6 +634,42 @@ def test_skipped_zero_blocks_and_bands_change_no_value(solver, exp_id, iters, mo
     assert [(r.iteration, r.objective, r.isnr_db) for r in trace.records] == \
         [(r.iteration, r.objective, r.isnr_db) for r in want_trace.records]
     assert trace.splitting_residual == want_trace.splitting_residual
+
+
+def test_fista_leaves_zero_bands_out_of_its_synthesis(monkeypatch):
+    # FISTA's sweep writes the extrapolated point on every block, so it
+    # skips no block, but the flags it records from |out| leave the detail
+    # bands its iterate holds at zero out of the synthesis (on 3B at 256²,
+    # from the 24th synthesis on); the same solve with no flags is the
+    # reference for every value
+    spec = DEFAULT_EXPERIMENTS["3B"]
+    x = phantom(256)
+    y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+    otf = psf_to_otf(spec.psf(), y.shape)
+    cfg = SolverConfig(tau=spec.tau, max_iters=30, rel_tol=0.0)
+    synthesis = solver_module.synthesis_bands
+    flagged = []
+
+    def recording(bands, levels, zero=()):
+        flagged.append(sum(zero[:-1]))
+        return synthesis(bands, levels, zero=zero)
+
+    def run():
+        coeffs, image, trace = fista_solve(y, otf, FrameSpec(4), Regularizer(), cfg,
+                                           lambda image: isnr(x, y, image))
+        return coeffs.bands, image, trace
+
+    monkeypatch.setattr(solver_module, "synthesis_bands", recording)
+    bands, image, trace = run()
+    monkeypatch.setattr(solver_module, "synthesis_bands",
+                        lambda bands, levels, zero=(): synthesis(bands, levels))
+    want_bands, want_image, want_trace = run()
+
+    assert len(flagged) == cfg.max_iters + 1 and sum(flagged) > 0
+    assert bands.tobytes() == want_bands.tobytes()
+    assert np.array_equal(image, want_image)
+    assert [(r.iteration, r.objective, r.isnr_db) for r in trace.records] == \
+        [(r.iteration, r.objective, r.isnr_db) for r in want_trace.records]
 
 
 def test_salsa_zero_tau_needs_explicit_mu():
