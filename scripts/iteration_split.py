@@ -3,7 +3,9 @@
 Runs one solver on the problem of experiment --experiment (default 1, an
 id of ``DEFAULT_EXPERIMENTS``: its blur, noise, seed and tau) at an N x N
 phantom, with rel_tol 0 so that it takes exactly --iters iterations, after
-a two-iteration warm-up solve.  The experiment matters to SALSA and IST:
+a two-iteration warm-up solve.  The problem and the solve come from
+``solve_fn`` of ``ab_iterations.py``, beside this script, with a float64
+observation.  The experiment matters to SALSA and IST:
 their sweeps skip the coefficient blocks, and their syntheses the bands,
 that the soft threshold left all zero.  Over a SALSA solve at 256² to the
 default stop that is 14% (3B) to 31% (2B) of the blocks.  The parts are timed by
@@ -31,20 +33,22 @@ Usage: python3 scripts/iteration_split.py [--experiment 1] [--size 256] [--solve
 """
 
 import argparse
+import runpy
 import statistics
 import sys
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
+import salsa_deconv
+from salsa_deconv import DEFAULT_EXPERIMENTS
 from salsa_deconv import solver as solver_module
-from salsa_deconv.bench import DEFAULT_EXPERIMENTS, degrade, phantom
-from salsa_deconv.convolution import psf_to_otf
-from salsa_deconv.frame import FrameSpec
-from salsa_deconv.prox import Regularizer
 
-SOLVES = {"salsa": "salsa_solve", "ist": "ist_solve", "fista": "fista_solve"}
+# the problem builder and solver names of the in-process A/B beside this script
+AB_ITERATIONS = runpy.run_path(str(Path(__file__).with_name("ab_iterations.py")))
+SOLVES = AB_ITERATIONS["SOLVES"]
 CALLS = {(solver_module, "analysis_bands"): "analysis+sweep",
          (solver_module, "_sweep"): "analysis+sweep",
          (solver_module, "synthesis_bands"): "synthesis",
@@ -57,17 +61,9 @@ ROWS = STEP_CALLS + ("spectral step", "objective", "remainder", "iteration")
 
 def split(experiment: str, size: int, solver: str, iters: int) -> dict[str, float]:
     """Median ms per iteration of each row of ``ROWS``."""
-    spec = DEFAULT_EXPERIMENTS[experiment]
-    x = phantom(size)
-    y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
-    otf = psf_to_otf(spec.psf(), y.shape)
-    solve = getattr(solver_module, SOLVES[solver])
-
-    def run(max_iters):
-        cfg = solver_module.SolverConfig(tau=spec.tau, max_iters=max_iters, rel_tol=0.0)
-        return solve(y, otf, FrameSpec(spec.levels), Regularizer(), cfg)
-
-    run(2)
+    warm_up, solve = (AB_ITERATIONS["solve_fn"](salsa_deconv, experiment, size, solver, n,
+                                                "float64") for n in (2, iters + 1))
+    warm_up()
     spent = defaultdict(float)  # seconds in each wrapped call this iteration
     samples = defaultdict(list)
 
@@ -105,7 +101,7 @@ def split(experiment: str, size: int, solver: str, iters: int) -> dict[str, floa
         for (owner, attr), name in CALLS.items():
             setattr(owner, attr, timed(name, originals[owner, attr]))
         solver_module._drive = lambda steps, *args: drive(timed_steps(steps), *args)
-        run(iters + 1)
+        solve()
     finally:
         for (owner, attr), fn in originals.items():
             setattr(owner, attr, fn)

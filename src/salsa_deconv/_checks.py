@@ -39,7 +39,7 @@ def as_float(array) -> np.ndarray:
 
 def check_image(name: str, image) -> np.ndarray:
     """``image`` as a float array by :func:`as_float`; raises ``ValueError`` naming it
-    unless 2-D and all finite.
+    unless 2-D, not empty and all finite.
 
     A float32 image stays float32, so that the solvers iterate in float32
     on it; any other image becomes float64.
@@ -47,6 +47,8 @@ def check_image(name: str, image) -> np.ndarray:
     image = as_float(image)
     if image.ndim != 2:
         raise ValueError(f"{name} must be a 2-D image, got shape {image.shape}")
+    if image.size == 0:
+        raise ValueError(f"{name} is empty, got shape {image.shape}")
     if not np.isfinite(image).all():
         raise ValueError(f"{name} holds NaN or inf values")
     return image

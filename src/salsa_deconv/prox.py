@@ -27,8 +27,8 @@ class Regularizer:
 
 
 # Elements in one block of the blocked passes: 2**15 float64 values are
-# 256 KiB, so a block read by one pass is still in a 2 MiB L2 cache when
-# the next pass over it reads it again.
+# 256 KiB (128 KiB in float32), so a block read by one pass is still in a
+# 2 MiB L2 cache when the next pass over it reads it again.
 _BLOCK = 1 << 15
 
 
@@ -72,35 +72,34 @@ def _l1(bands: np.ndarray) -> float:
     return total
 
 
-def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.ndarray,
-           threshold: float, out: np.ndarray, prev: np.ndarray | None = None,
-           weight: float = 0.0, zero: list[bool] | None = None) -> float:
-    """A solver's shrinkage step in one blocked pass; returns ``||out||_1``.
+def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], stack: np.ndarray,
+           threshold: float, zero: list[bool], prev: np.ndarray | None = None,
+           weight: float = 0.0) -> float:
+    """A solver's shrinkage step in one blocked pass; returns the new ``||stack||_1``.
 
     For each ``_BLOCK``-element block of the flattened stacks it adds
-    ``addend`` into ``values``, soft-thresholds the sum into ``out`` with
-    :func:`prox` and sums ``|out|`` in float64 as :func:`_l1` does, so
-    ``out``, ``values`` and the sum are bitwise those of the whole-stack passes
-    ``values += addend``, ``prox`` and ``_l1``.  With ``prev`` it
-    overwrites ``prev`` with the extrapolated point
-    ``out + weight * (out - prev)``.  ``out`` may be ``addend``, whose
-    block is read before it is written.
+    ``stack`` into ``values``, soft-thresholds the sum back into ``stack``
+    with :func:`prox` and sums ``|stack|`` in float64 as :func:`_l1` does,
+    so ``stack``, ``values`` and the sum are bitwise those of the
+    whole-stack passes ``values += stack``, ``prox`` into ``stack`` and
+    ``_l1``.  With ``prev`` it overwrites ``prev`` with the extrapolated
+    point ``stack + weight * (stack - prev)``.
 
     ``values`` may also come band by band, as an iterator of
     ``(index, band)`` pairs that stand for ``values[index]``, such as
     :func:`~salsa_deconv.frame._analysis_steps`: each band is swept
     before the next is requested, so it can be shrunk while it is still
     in cache and need not be kept.  The band is cut on the stack's block
-    grid and its ``|out|`` collected in the block's scratch, so the sum is
-    bitwise that of the whole stack at every band size.
+    grid and its ``|stack|`` collected in the block's scratch, so the sum
+    is bitwise that of the whole stack at every band size.
 
     ``zero``, from :func:`_zero_blocks`, holds one flag per block of
-    ``out``: true when the block came out of the last sweep all ``+0.0``,
-    which the sweep records from each block's ``|out|`` sum (a NaN or inf
-    leaves it false).  It needs ``out is addend``.  Without ``prev``, the
-    form in which SALSA and IST sweep, a flagged block whose ``values``
-    lie in ``[-threshold, threshold]`` is skipped: its sum thresholds to
-    the zero already in ``out`` and adds 0 to the norm, so two read-only
+    ``stack``: true when the block came out of the last sweep all ``+0.0``,
+    which the sweep records from each block's ``|stack|`` sum (a NaN or
+    inf leaves it false).  Without ``prev``, the form in which SALSA and
+    IST sweep, a flagged block whose ``values`` lie in
+    ``[-threshold, threshold]`` is skipped: its sum thresholds to the zero
+    already in ``stack`` and adds 0 to the norm, so two read-only
     reductions replace the add, the threshold and the sum.  ``values`` is
     then left unchanged, equal (``==``) to ``values + 0``.  In the
     band-by-band form a block is skipped only when it lies within one
@@ -110,22 +109,20 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.nda
     The stacks must be C-contiguous and of one shape: a block of any
     other stack is a copy, and what the sweep writes there is lost.
     """
-    if zero is not None and out is not addend:
-        raise ValueError("zero flags need out to be addend")
     # only below an infinite threshold: there prox maps an inf value to NaN, not to zero
-    skip = zero is not None and prev is None and math.isfinite(threshold)
+    skip = prev is None and math.isfinite(threshold)
     pieces = [(..., values)] if isinstance(values, np.ndarray) else values
-    scratch = np.empty(min(addend.size, _BLOCK))
+    scratch = np.empty(min(stack.size, _BLOCK))
     block, filled, total = 0, 0, 0.0
     for index, piece in pieces:
-        stacks = (piece, addend[index], out[index]) + (() if prev is None else (prev[index],))
-        flat = [s.reshape(-1) for s in stacks]
+        flat = [a.reshape(-1) for a in (piece, stack[index])
+                + (() if prev is None else (prev[index],))]
         start = 0
         while start < flat[0].size:
             # up to the end of the stack's current block
-            size = min(scratch.size, addend.size - block * _BLOCK)
+            size = min(scratch.size, stack.size - block * _BLOCK)
             stop = min(flat[0].size, start + size - filled)
-            v, a, o, *rest = (f[start:stop] for f in flat)
+            v, s, *rest = (f[start:stop] for f in flat)
             # only a whole block: a block cut by a piece's end has part of its sum in scratch
             if (skip and zero[block] and stop - start == size
                     and np.maximum.reduce(v) <= threshold
@@ -133,22 +130,21 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], addend: np.nda
                 block += 1
                 start = stop
                 continue
-            v += a
-            prox(v, threshold, out=o)
-            np.abs(o, out=scratch[filled:filled + o.size])
-            filled += o.size
+            v += s
+            prox(v, threshold, out=s)
+            np.abs(s, out=scratch[filled:filled + s.size])
+            filled += s.size
             if filled == size:
                 block_l1 = float(np.add.reduce(scratch[:size]))
                 total += block_l1
-                if zero is not None:
-                    zero[block] = block_l1 == 0.0
+                zero[block] = block_l1 == 0.0
                 block += 1
                 filled = 0
             if rest:
                 (p,) = rest
-                np.subtract(o, p, out=p)
+                np.subtract(s, p, out=p)
                 p *= weight
-                p += o
+                p += s
             start = stop
     return total
 
@@ -192,10 +188,7 @@ def _objective(residual_half: np.ndarray, l1: float, tau: float,
 def _sum_of_squares(a: np.ndarray) -> float:
     """``sum(a**2)`` in one pass with no temporary, on one thread (no BLAS call).
 
-    The sum accumulates in float64: a float32 ``a`` is summed with
-    ``dtype=float64``, and a float64 one takes the call without it.
+    The sum accumulates in float64, also for a float32 ``a``.
     """
     flat = a.ravel()
-    if flat.dtype == np.float64:
-        return float(np.einsum("i,i->", flat, flat))
     return float(np.einsum("i,i->", flat, flat, dtype=np.float64))

@@ -31,11 +31,12 @@ The recorded elapsed seconds count solver work only, so timings compare
 algorithms rather than instrumentation: the time spent inside the
 generator's steps.  Work is everything a generator step does: for every
 solver, the analysis of its step's image and one blocked sweep over the
-coefficients (``prox._sweep``: the carried stack's addition, the soft
-threshold, the iterate's l1 norm and FISTA's extrapolation), which IST
-and FISTA feed band by band as the analysis writes each band; the
-synthesis of the iterate, that image's forward FFT and the residual
-spectrum ``R``.  IST's and FISTA's next
+coefficients.  The sweep, ``prox._sweep``, takes one form in all three:
+it adds the carried stack into the step's coefficients, soft-thresholds
+the sum back into that stack, sums the iterate's l1 norm and, for FISTA,
+extrapolates; IST and FISTA feed it band by band as the analysis writes
+each band.  Work also counts the synthesis of the iterate, that image's
+forward FFT and the residual spectrum ``R``.  IST's and FISTA's next
 gradient step starts from ``R``; SALSA needs it only for the trace, but
 forms it inside its step (one multiply and one subtract on half
 spectra), so it counts as work there too.  The sweep hands the l1 norm
@@ -316,7 +317,7 @@ def salsa_solve(
             v = analysis_bands(np.fft.irfft2(g_hat, s=y.shape), levels, out=prox_inputs[k % 2])
             np.add(theta_hat, g_hat, out=v_hat)
             # v + theta_{k-1} is v_k; theta_k replaces theta_{k-1}
-            l1 = _sweep(v, theta, threshold, theta, zero=zero)
+            l1 = _sweep(v, theta, threshold, zero)
             w_theta = synthesis_bands(theta, levels, zero=_zero_bands(zero, theta.shape))
             theta_hat = np.fft.rfft2(w_theta)
             yield theta, l1, w_theta, _residual_half(otf, theta_hat, y_hat, residual_half)
@@ -447,8 +448,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             # the working precision
             np.multiply(descent, residual_z, out=gradient_hat)
             bands = _analysis_steps(np.fft.irfft2(gradient_hat, s=y.shape), levels)
-            l1 = _sweep(bands, z, threshold, z, prev=beta if momentum else None, weight=w,
-                        zero=zero)
+            l1 = _sweep(bands, z, threshold, zero, prev=beta if momentum else None, weight=w)
             if momentum:
                 beta, z = z, beta
             image = synthesis_bands(beta, levels, zero=_zero_bands(zero, beta.shape))

@@ -200,6 +200,22 @@ def test_isnr_shape_mismatch_rejected():
         isnr(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((8, 8)))
 
 
+def test_isnr_checks_its_images():
+    # as every public entry that takes an image: an array-like is read as one,
+    # and a 1-D, empty or non-finite image is rejected by name
+    x, y, x_hat = np.zeros((2, 2)), np.full((2, 2), 2.0), np.ones((2, 2))
+    assert isnr(x.tolist(), y.tolist(), x_hat.tolist()) == isnr(x, y, x_hat)
+    bad_hat = x_hat.copy()
+    bad_hat[1, 0] = math.nan
+    for args, message in (((x, y, bad_hat), "x_hat holds NaN or inf values"),
+                          ((x, np.full((2, 2), math.inf), x_hat), "y holds NaN or inf values"),
+                          ((np.ones(4), np.zeros(4), 0.5 * np.ones(4)),
+                           "x_true must be a 2-D image, got shape (4,)"),
+                          ((np.zeros((0, 4)),) * 3, "x_true is empty, got shape (0, 4)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            isnr(*args)
+
+
 # ---------------------------------------------------------------------------
 # ExperimentSpec / defaults
 

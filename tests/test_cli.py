@@ -187,6 +187,13 @@ def test_write_image_rejects_non_2d(tmp_path):
         write_image(np.zeros(5), tmp_path / "x.pgm")
 
 
+def test_write_image_rejects_an_empty_image(tmp_path):
+    # else a PGM of height 0, which read_image rejects
+    with pytest.raises(ValueError, match=r"^image is empty, got shape \(0, 5\)$"):
+        write_image(np.zeros((0, 5)), tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()
+
+
 # ---------------------------------------------------------------------------
 # parse_args
 

@@ -116,6 +116,9 @@ def test_blocked_prox_and_l1_at_block_boundaries(n):
     want_l1 = float(np.abs(v).sum())
     got_l1 = _l1(v)
     assert abs(got_l1 - want_l1) <= v.size * np.finfo(float).eps * want_l1
+    # a float64 sum of squares is bitwise einsum's own float64 reduction
+    f = v.ravel()
+    assert _sum_of_squares(v) == float(np.einsum("i,i->", f, f))
 
 
 def same_bits(a, b):
@@ -124,7 +127,8 @@ def same_bits(a, b):
 
 def test_sweep_equals_unfused_passes():
     # the solvers' one blocked sweep against the whole-stack passes it
-    # replaces: values + addend, prox, _l1 and out + w (out - prev)
+    # replaces: values + addend, prox into addend, _l1 and the extrapolation
+    # addend + w (addend - prev)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -133,8 +137,8 @@ def test_sweep_equals_unfused_passes():
                       seed=st.integers(0, 2**32 - 1),
                       t=st.sampled_from([0.0, 0.8]) | st.floats(0.0, 4.0),
                       weight=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
-                      aliased=st.booleans(), extrapolate=st.booleans())
-    def check(n, seed, t, weight, aliased, extrapolate):
+                      extrapolate=st.booleans())
+    def check(n, seed, t, weight, extrapolate):
         rng = np.random.default_rng(seed)
         values, addend, prev = rng.standard_normal((3, n))
         # sums that land exactly on +-t and on zero
@@ -145,10 +149,9 @@ def test_sweep_equals_unfused_passes():
         v = values + addend
         want_out = prox(v, t)
         want_prev = want_out + weight * (want_out - prev)
-        out = addend if aliased else np.full(n, np.nan)
         got_prev = prev.copy() if extrapolate else None
-        l1 = _sweep(values, addend, t, out, prev=got_prev, weight=weight)
-        assert same_bits(out, want_out)
+        l1 = _sweep(values, addend, t, _zero_blocks(addend), prev=got_prev, weight=weight)
+        assert same_bits(addend, want_out)
         assert same_bits(values, v)
         assert l1 == _l1(want_out)
         assert got_prev is None or same_bits(got_prev, want_prev)
@@ -179,13 +182,14 @@ def test_band_by_band_shrink_equals_whole_stack_sweep():
         want_addend, want_prev = addend.copy(), prev.copy()
         want_stack = analysis_bands(image, levels)
         if form == "fista":
-            want = _sweep(want_stack, want_addend, t, want_addend, prev=want_prev, weight=weight)
-            got = _sweep(_analysis_steps(image, levels), addend, t, addend,
+            want = _sweep(want_stack, want_addend, t, _zero_blocks(want_addend),
+                          prev=want_prev, weight=weight)
+            got = _sweep(_analysis_steps(image, levels), addend, t, _zero_blocks(addend),
                          prev=prev, weight=weight)
         else:
-            want = _sweep(want_stack, want_addend, t, want_addend)
+            want = _sweep(want_stack, want_addend, t, _zero_blocks(want_addend))
             stack = np.full(size, np.nan) if form == "salsa" else None
-            got = _sweep(_analysis_steps(image, levels, stack), addend, t, addend)
+            got = _sweep(_analysis_steps(image, levels, stack), addend, t, _zero_blocks(addend))
             assert stack is None or same_bits(stack, want_stack)
         assert same_bits(addend, want_addend)
         assert same_bits(prev, want_prev)
@@ -216,7 +220,7 @@ def test_sweep_skips_flagged_blocks_within_the_threshold(form, band_rows, monkey
     v[2, 100] = np.nextafter(t, np.inf)
     v[3] = rng.standard_normal(BLOCK)
     want_values, want_out = values.copy(), addend.copy()
-    want_l1 = _sweep(want_values, want_out, t, want_out)
+    want_l1 = _sweep(want_values, want_out, t, _zero_blocks(want_out))
 
     zero = _zero_blocks(addend)
     zero[0] = zero[2] = True
@@ -224,7 +228,7 @@ def test_sweep_skips_flagged_blocks_within_the_threshold(form, band_rows, monkey
     calls, prox_fn = [], module.prox
     monkeypatch.setattr(module, "prox", lambda *a, **k: calls.append(None) or prox_fn(*a, **k))
     pieces = values if form == "stack" else ((i, values[i]) for i in range(shape[0]))
-    l1 = _sweep(pieces, addend, t, addend, zero=zero)
+    l1 = _sweep(pieces, addend, t, zero)
     assert same_bits(addend, want_out)
     assert np.array_equal(values, want_values)
     assert l1 == want_l1
@@ -233,13 +237,6 @@ def test_sweep_skips_flagged_blocks_within_the_threshold(form, band_rows, monkey
         assert len(calls) == shape[0]  # no block lies within one band
     else:
         assert len(calls) == 3
-
-
-def test_sweep_flags_need_out_to_be_addend():
-    values, addend = np.zeros((2, 8))
-    zero = _zero_blocks(addend)
-    with pytest.raises(ValueError, match="zero flags"):
-        _sweep(values, addend, 0.5, np.empty(8), zero=zero)
 
 
 def test_sweep_with_prev_records_flags_and_skips_nothing(monkeypatch):
@@ -251,13 +248,14 @@ def test_sweep_with_prev_records_flags_and_skips_nothing(monkeypatch):
     values[BLOCK:] *= 8.0
     addend, prev = np.zeros(2 * BLOCK), rng.standard_normal(2 * BLOCK)
     want_values, want_out, want_prev = values.copy(), addend.copy(), prev.copy()
-    want_l1 = _sweep(want_values, want_out, t, want_out, prev=want_prev, weight=weight)
+    want_l1 = _sweep(want_values, want_out, t, _zero_blocks(want_out), prev=want_prev,
+                     weight=weight)
 
     zero = [True, True]
     module = importlib.import_module("salsa_deconv.prox")
     calls, prox_fn = [], module.prox
     monkeypatch.setattr(module, "prox", lambda *a, **k: calls.append(None) or prox_fn(*a, **k))
-    l1 = _sweep(values, addend, t, addend, prev=prev, weight=weight, zero=zero)
+    l1 = _sweep(values, addend, t, zero, prev=prev, weight=weight)
     assert len(calls) == 2
     assert same_bits(addend, want_out) and same_bits(prev, want_prev)
     assert same_bits(values, want_values)
@@ -274,7 +272,7 @@ def test_float32_sums_accumulate_in_float64():
     assert _l1(values) == want
     assert _l1(-values.reshape(2, -1)) == want
     out = np.zeros_like(values)
-    assert _sweep(values.copy(), out, 0.0, out) == want
+    assert _sweep(values.copy(), out, 0.0, _zero_blocks(out)) == want
     roots = np.concatenate([np.float32([2.0**12]), ones])
     assert _sum_of_squares(roots) == want
     assert _sum_of_squares(roots.reshape(2, -1)) == want
@@ -288,7 +286,7 @@ def test_flagged_block_with_nan_or_inf_is_processed():
         values[7] = bad
         zero = [True]
         with np.errstate(invalid="ignore"):
-            l1 = _sweep(values, addend, t, addend, zero=zero)
+            l1 = _sweep(values, addend, t, zero)
         assert np.isnan(addend[7]) and np.isnan(l1)
         assert zero == [False]
 

@@ -15,7 +15,7 @@ from salsa_deconv.convolution import (
     psf_to_otf,
 )
 from salsa_deconv.frame import FrameSpec, analysis_bands, synthesis_bands
-from salsa_deconv.prox import Regularizer, _l1, _objective
+from salsa_deconv.prox import Regularizer, _l1, _objective, _zero_blocks
 from salsa_deconv import solver as solver_module
 from salsa_deconv.solver import (
     DivergenceError,
@@ -583,13 +583,14 @@ def test_solvers_reject_a_full_spectrum_otf(solver):
 @pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
 def test_solvers_reject_observations_and_otfs_they_cannot_use(solver):
     # each once failed deep inside: a 1-D y in an unpack, a NaN as a
-    # non-finite objective at iteration 0
+    # non-finite objective at iteration 0, an empty y in an FFT or a max
     y, otf, spec = small_problem(side=16, levels=1)
     cfg = SolverConfig(tau=0.05, max_iters=2)
     bad_y, bad_otf = y.copy(), otf.copy()
     bad_y[2, 3] = math.nan
     bad_otf[1, 1] = complex(math.inf, 0.0)
     for args, message in (((y[0], otf), "y must be a 2-D image, got shape (16,)"),
+                          ((y[:0], otf), "y is empty, got shape (0, 16)"),
                           ((bad_y, otf), "y holds NaN or inf values"),
                           ((y, bad_otf), "filter holds NaN or inf values"),
                           ((y, np.full_like(otf, math.nan)), "filter holds NaN or inf values")):
@@ -602,8 +603,8 @@ def test_solvers_reject_observations_and_otfs_they_cannot_use(solver):
 def test_skipped_zero_blocks_and_bands_change_no_value(solver, exp_id, iters, monkeypatch):
     # at 256² the soft threshold leaves whole blocks of SALSA's and IST's
     # stack at zero, which their sweeps and syntheses then skip; the same
-    # solve with every block swept and every band synthesized, the form
-    # without flags, is the reference for every value
+    # solve with every block swept and every band synthesized is the
+    # reference for every value
     spec = DEFAULT_EXPERIMENTS[exp_id]
     x = phantom(256)
     y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
@@ -621,8 +622,10 @@ def test_skipped_zero_blocks_and_bands_change_no_value(solver, exp_id, iters, mo
 
     bands, image, trace, skipping_calls = run()
     sweep, synthesis = solver_module._sweep, solver_module.synthesis_bands
+    # fresh all-false flags on every call: no block is skipped
     monkeypatch.setattr(solver_module, "_sweep",
-                        lambda *args, zero=None, **kwargs: sweep(*args, **kwargs))
+                        lambda values, stack, threshold, zero, **kwargs:
+                        sweep(values, stack, threshold, _zero_blocks(stack), **kwargs))
     monkeypatch.setattr(solver_module, "synthesis_bands",
                         lambda bands, levels, zero=(): synthesis(bands, levels))
     want_bands, want_image, want_trace, every_block = run()
