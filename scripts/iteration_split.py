@@ -4,8 +4,9 @@ Runs one solver on the problem of experiment --experiment (default 1, an
 id of ``DEFAULT_EXPERIMENTS``: its blur, noise, seed and tau) at an N x N
 phantom, with rel_tol 0 so that it takes exactly --iters iterations, after
 a two-iteration warm-up solve.  The problem and the solve come from
-``solve_fn`` of ``ab_iterations.py``, beside this script, with a float64
-observation.  The experiment matters to SALSA and IST:
+``solve_fn`` of ``ab_iterations.py``, beside this script, with the
+observation cast to --dtype (default float64; a float32 observation makes
+the solver iterate in float32).  The experiment matters to SALSA and IST:
 their sweeps skip the coefficient blocks, and their syntheses the bands,
 that the soft threshold left all zero.  Over a SALSA solve at 256² to the
 default stop that is 14% (3B) to 31% (2B) of the blocks.  The parts are timed by
@@ -16,7 +17,9 @@ wrapping what the solver module calls:
   together because IST and FISTA sweep each band as soon as the analysis
   writes it, inside the sweep's call;
 - ``synthesis``: the inverse frame transform;
-- ``rfft2`` and ``irfft2``: each real FFT;
+- ``rfft2`` and ``irfft2``: each real FFT (the rescale that
+  ``solver._rfft2`` applies after a float32 ``rfft2`` counts in the
+  spectral step);
 - ``spectral step``: the rest of the generator step, i.e. the arithmetic
   on half spectra (SALSA's quadratic step, ``V`` and ``R``; IST's and
   FISTA's gradient filter, ``R`` and ``R_z``) and the Python around it;
@@ -29,7 +32,7 @@ iterations, in ms; ``iteration`` is the median wall time of a whole
 iteration.  The wrappers cost about a microsecond per call.
 
 Usage: python3 scripts/iteration_split.py [--experiment 1] [--size 256] [--solver salsa]
-           [--iters 20]
+           [--iters 20] [--dtype float64]
 """
 
 import argparse
@@ -59,10 +62,10 @@ STEP_CALLS = ("analysis+sweep", "synthesis", "rfft2", "irfft2")
 ROWS = STEP_CALLS + ("spectral step", "objective", "remainder", "iteration")
 
 
-def split(experiment: str, size: int, solver: str, iters: int) -> dict[str, float]:
-    """Median ms per iteration of each row of ``ROWS``."""
+def split(experiment: str, size: int, solver: str, iters: int, dtype: str) -> dict[str, float]:
+    """Median ms per iteration of each row of ``ROWS``, from an observation in ``dtype``."""
     warm_up, solve = (AB_ITERATIONS["solve_fn"](salsa_deconv, experiment, size, solver, n,
-                                                "float64") for n in (2, iters + 1))
+                                                dtype) for n in (2, iters + 1))
     warm_up()
     spent = defaultdict(float)  # seconds in each wrapped call this iteration
     samples = defaultdict(list)
@@ -114,6 +117,8 @@ def main(argv=None):
     parser.add_argument("--size", type=int, default=256)
     parser.add_argument("--solver", choices=sorted(SOLVES), default="salsa")
     parser.add_argument("--iters", type=int, default=20)
+    parser.add_argument("--dtype", choices=("float64", "float32"), default="float64",
+                        help="precision of the observation the solver is given")
     args = parser.parse_args(argv)
     if args.iters < 1:
         parser.error("--iters must be >= 1")
@@ -121,9 +126,10 @@ def main(argv=None):
         parser.error(f"--experiment must be one of {sorted(DEFAULT_EXPERIMENTS)}, "
                      f"got {args.experiment!r}")
 
-    medians = split(args.experiment, args.size, args.solver, args.iters)
+    medians = split(args.experiment, args.size, args.solver, args.iters, args.dtype)
     print(f"{args.solver} at {args.size}x{args.size}, median of {args.iters} iterations, "
-          f"experiment {args.experiment} (numpy {np.__version__})")
+          f"experiment {args.experiment} with a {args.dtype} observation "
+          f"(numpy {np.__version__})")
     for row, ms in medians.items():
         print(f"{row:<15s}{ms:10.3f} ms")
 

@@ -105,14 +105,15 @@ def psf_to_otf(taps: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     ``(h, w//2 + 1)`` for ``shape = (h, w)``.  Applying it with
     :func:`apply_filter` implements periodic convolution by the kernel.
     An identity (1x1) kernel maps to an all-ones OTF.  Taps that are not
-    all finite are rejected.
+    all finite, and a ``shape`` that is not two integers >= 1, are
+    rejected.
     """
     taps = _check_taps(taps)
     kh, kw = taps.shape
-    h, w = shape
+    h, w = _check_shape(shape)
     if kh > h or kw > w:
         raise ValueError(f"kernel support {kh}x{kw} exceeds image shape {h}x{w}")
-    pad = np.zeros(shape)
+    pad = np.zeros((h, w))
     pad[:kh, :kw] = taps
     pad = np.roll(pad, (-(kh // 2), -(kw // 2)), axis=(0, 1))
     return np.fft.rfft2(pad)
@@ -127,11 +128,25 @@ def _check_taps(taps) -> np.ndarray:
     return check_image("kernel taps", taps)
 
 
+def _check_shape(shape) -> tuple[int, int]:
+    """``shape`` as ``(h, w)``; raises ``ValueError`` unless two integers >= 1."""
+    try:
+        h, w = shape
+    except (TypeError, ValueError):
+        raise ValueError(f"image shape must be two integers, got {shape!r}") from None
+    check_integer("image height", h, minimum=1)
+    check_integer("image width", w, minimum=1)
+    return h, w
+
+
 def apply_filter(filt: np.ndarray, image: np.ndarray) -> np.ndarray:
     """Pointwise DFT-domain filtering: ``irfft2(filt * rfft2(image))``.
 
     ``filt`` is the half spectrum of the filter for ``image``'s shape.
+    ``image`` is taken by :func:`~salsa_deconv._checks.check_image`, so it
+    must be 2-D, not empty and finite.
     """
+    image = check_image("image", image)
     _check_half_spectrum(filt, image.shape)
     return np.fft.irfft2(filt * np.fft.rfft2(image), s=image.shape)
 

@@ -65,7 +65,10 @@ float64.  The OTF and the spectrum ``Y`` of ``y`` stay complex128, so
 the residual spectrum ``R`` and the trace's data term are formed in
 complex128, and every sum (the l1 norm, the data term, the splitting
 residual's norms) accumulates in float64.  Thresholds, weights and step
-sizes are Python floats, which do not promote a float32 array.
+sizes are Python floats, which do not promote a float32 array.  numpy 2
+computes a forward FFT of a float32 image at the default scale in float64
+and rounds it to complex64, so the iterate's forward FFT goes through
+:func:`_rfft2`, which runs numpy's float32 loop on a float32 image.
 
 Each solver allocates its coefficient stacks once and overwrites them in
 place from iteration to iteration: SALSA holds three stacks, FISTA two
@@ -305,7 +308,7 @@ def salsa_solve(
         inv_filter, a = _working(inv_filter, y), _working(a, y)
         theta = analysis_bands(y, levels)
         w_theta = synthesis_bands(theta, levels)
-        theta_hat = np.fft.rfft2(w_theta)
+        theta_hat = _rfft2(w_theta)
         v_hat = theta_hat.copy()
         g_hat = np.empty_like(theta_hat)
         residual_half = _residual_half(otf, theta_hat, y_hat, np.empty_like(y_hat))
@@ -319,7 +322,7 @@ def salsa_solve(
             # v + theta_{k-1} is v_k; theta_k replaces theta_{k-1}
             l1 = _sweep(v, theta, threshold, zero)
             w_theta = synthesis_bands(theta, levels, zero=_zero_bands(zero, theta.shape))
-            theta_hat = np.fft.rfft2(w_theta)
+            theta_hat = _rfft2(w_theta)
             yield theta, l1, w_theta, _residual_half(otf, theta_hat, y_hat, residual_half)
 
     theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y.shape)
@@ -341,6 +344,26 @@ def _norm(bands: np.ndarray) -> float:
 def _spectrum(y: np.ndarray) -> np.ndarray:
     """``Y = rfft2(y)`` in complex128, whatever the precision of ``y``."""
     return np.fft.rfft2(y.astype(np.float64, copy=False))
+
+
+def _rfft2(image: np.ndarray) -> np.ndarray:
+    """``rfft2(image)``, computed in the precision of ``image``.
+
+    numpy 2 picks the loop of a forward FFT from its scale factor.  The
+    default scale is the Python int 1, which selects the float64 loop, so
+    a float32 image is transformed in float64 and the result rounded to
+    complex64; that call holds three times the memory of the float32 loop
+    and takes 2-4 times as long.  ``norm="forward"`` makes the scale a
+    float32 ``1/n`` per axis, so the float32 loop runs, and multiplying by
+    ``image.size`` restores the default scale, exactly when both sides are
+    powers of two.  A float64 image takes the plain call, so its spectrum
+    is unchanged bit for bit.
+    """
+    if image.dtype != np.float32:
+        return np.fft.rfft2(image)
+    spectrum = np.fft.rfft2(image, norm="forward")
+    spectrum *= image.size
+    return spectrum
 
 
 def _working(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -426,7 +449,8 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     def steps():
         # the gradient step's filter, applied to the residual spectrum
         descent = _working(-step * np.conj(otf), y)
-        gradient_hat = np.empty_like(descent)
+        # complex even when the OTF, and so the descent filter, is real
+        gradient_hat = np.empty(descent.shape, np.result_type(descent, np.complex64))
         y_hat = _spectrum(y)
         beta = analysis_bands(y, levels)
         # IST thresholds into beta itself; FISTA writes each iterate over
@@ -435,7 +459,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         # flags of the blocks of the last sweep's iterate left all zero
         zero = _zero_blocks(beta)
         image = synthesis_bands(beta, levels)
-        residual_z = residual = otf * np.fft.rfft2(image) - y_hat
+        residual_z = residual = otf * _rfft2(image) - y_hat
         t = 1.0
         yield beta, _l1(beta), image, residual
         while True:
@@ -452,7 +476,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             if momentum:
                 beta, z = z, beta
             image = synthesis_bands(beta, levels, zero=_zero_bands(zero, beta.shape))
-            residual_next = otf * np.fft.rfft2(image) - y_hat
+            residual_next = otf * _rfft2(image) - y_hat
             if w == 0.0:
                 residual_z = residual_next
             else:

@@ -11,6 +11,7 @@ from salsa_deconv import (
     ExperimentSpec,
     FrameSpec,
     SolverConfig,
+    apply_filter,
     build_inversion_filter,
     build_psf,
     degrade,
@@ -108,6 +109,8 @@ ENTRIES = {
     "build_inversion_filter(mu)": lambda v: build_inversion_filter(psf_to_otf(_PSF, (16, 16)), v),
     "write_image(pixel)": lambda v: write_image(np.array([[v, 1.0]]), "unwritten.pgm"),
     "psf_to_otf(taps)": lambda v: psf_to_otf(np.array([[0.25, v, 0.25]]), (16, 16)),
+    "psf_to_otf(shape)": lambda v: psf_to_otf(_PSF, v),
+    "apply_filter(image)": lambda v: apply_filter(psf_to_otf(_PSF, (16, 16)), v),
 }
 
 
@@ -157,6 +160,15 @@ REJECTED = [
     # else an all-NaN OTF for nan and numpy's RuntimeWarning for inf
     ("psf_to_otf(taps)", math.nan, "kernel taps holds NaN or inf values"),
     ("psf_to_otf(taps)", math.inf, "kernel taps holds NaN or inf values"),
+    # else numpy's "'float' object cannot be interpreted as an integer", an unpack
+    # error, and "kernel support 3x3 exceeds image shape Truex16"
+    ("psf_to_otf(shape)", (16.0, 16), "image height must be an integer, got 16.0"),
+    ("psf_to_otf(shape)", (16, 16, 3), "image shape must be two integers, got (16, 16, 3)"),
+    ("psf_to_otf(shape)", (True, 16), "image height must be an integer, got True"),
+    ("psf_to_otf(shape)", (16, 0), "image width must be >= 1, got 0"),
+    # else "'list' object has no attribute 'shape'" and an unpack error
+    ("apply_filter(image)", [1.0, 2.0], "image must be a 2-D image, got shape (2,)"),
+    ("apply_filter(image)", np.ones(3), "image must be a 2-D image, got shape (3,)"),
 ]
 
 

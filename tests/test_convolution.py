@@ -172,6 +172,17 @@ def test_uniform9_matches_direct_convolution():
     assert np.abs(got - direct_convolve(x, psf)).max() <= 1e-9
 
 
+def test_apply_filter_takes_a_list_and_psf_to_otf_numpy_integer_sides():
+    # the inputs are checked, not only typed: a 2-D list is an image, and
+    # numpy integers (a shape read from an array) are sides
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((8, 8))
+    psf = build_psf(BlurKind.UNIFORM9, size=3)
+    otf = psf_to_otf(psf, np.array([8, 8]))
+    assert np.array_equal(otf, psf_to_otf(psf, (8, 8)))
+    assert np.array_equal(apply_filter(otf, x.tolist()), apply_filter(otf, x))
+
+
 def test_direct_convolution_oracle_self_consistent():
     # the vectorized tap-sum oracle agrees with fully scalar indexing
     rng = np.random.default_rng(14)

@@ -26,12 +26,15 @@ def test_tune_tau_prints_json_winners(capsys):
 def test_iteration_split_prints_every_part(capsys):
     # the per-part timing of one solver iteration, cut to a smoke run
     main = runpy.run_path(str(SCRIPTS / "iteration_split.py"))["main"]
-    for solver, experiment in (("salsa", "1"), ("ist", "2B"), ("fista", "3B")):
+    for solver, experiment, dtype in (("salsa", "1", "float64"), ("ist", "2B", "float32"),
+                                      ("fista", "3B", "float64")):
         args = ["--size", "32", "--solver", solver, "--iters", "3"]
-        main(args + (["--experiment", experiment] if experiment != "1" else []))
+        args += ["--experiment", experiment] if experiment != "1" else []
+        args += ["--dtype", dtype] if dtype != "float64" else []
+        main(args)
         header, *rows = capsys.readouterr().out.splitlines()
         assert header.startswith(f"{solver} at 32x32, median of 3 iterations, "
-                                 f"experiment {experiment} ")
+                                 f"experiment {experiment} with a {dtype} observation ")
         parts = {row[:15].strip(): float(row[15:].split()[0]) for row in rows}
         assert list(parts) == ["analysis+sweep", "synthesis", "rfft2", "irfft2",
                                "spectral step", "objective", "remainder", "iteration"]

@@ -531,13 +531,18 @@ def test_final_record_is_taken_at_the_returned_iterate(solver):
     assert np.array_equal(image, synthesis_bands(coeffs.bands, spec.levels))
 
 
-@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
-def test_two_real_ffts_per_iteration(solver, monkeypatch):
+@pytest.mark.parametrize(
+    "solver, dtype",
+    [(solver, dtype) for dtype in (np.float64, np.float32)
+     for solver in (salsa_solve, ist_solve, fista_solve)],
+    ids=[name + suffix for suffix in ("", "-float32")
+         for name in ("salsa_solve", "ist_solve", "fista_solve")])
+def test_two_real_ffts_per_iteration(solver, dtype, monkeypatch):
     # each solver carries its iterate's half spectrum into the next
     # iteration: one inverse FFT for the step and one forward FFT of the
     # new image, whose spectrum also gives the trace its data term by
     # Parseval; the setup transforms y and the starting image and traces
-    # iteration 0
+    # iteration 0.  A float32 iterate's forward FFT is still one call.
     calls = []
     for name in ("rfft2", "irfft2"):
         def counted(*args, _fft=getattr(np.fft, name), **kwargs):
@@ -545,12 +550,48 @@ def test_two_real_ffts_per_iteration(solver, monkeypatch):
             return _fft(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     y, otf, spec = small_problem(side=16, levels=2)
+    y = y.astype(dtype)
     for iters in (4, 9):
         calls.clear()
         _, _, trace = solver(y, otf, spec, Regularizer(),
                              SolverConfig(tau=0.05, max_iters=iters, rel_tol=0.0))
         assert trace.final.iteration == iters
         assert len(calls) == 2 + 2 * iters
+
+
+def test_rfft2_transforms_float32_in_float32():
+    # numpy 2's forward FFT of a float32 image at the default scale runs the
+    # float64 loop and rounds to complex64, holding six complex64 half
+    # spectra at its peak; the float32 loop holds two
+    rng = np.random.default_rng(8)
+    image = rng.uniform(0.0, 255.0, (256, 256))
+    assert np.array_equal(solver_module._rfft2(image), np.fft.rfft2(image))
+    image = image.astype(np.float32)
+    want = np.fft.rfft2(image.astype(np.float64))
+    tracemalloc.start()
+    try:
+        got = solver_module._rfft2(image)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.complex64
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    assert peak < 3 * got.nbytes, peak / got.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_solvers_take_a_real_otf(solver, dtype):
+    # a symmetric kernel's OTF is real, and a real half spectrum is a valid
+    # filter; IST's and FISTA's gradient filter must still be complex
+    y, otf, spec = small_problem(side=16, levels=2)
+    y = y.astype(dtype)
+    cfg = SolverConfig(tau=0.05, max_iters=6, rel_tol=0.0)
+    real = solver(y, otf.real, spec, Regularizer(), cfg)
+    complex_ = solver(y, otf.real.astype(complex), spec, Regularizer(), cfg)
+    np.testing.assert_allclose(real[1], complex_[1], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose([r.objective for r in real[2].records],
+                               [r.objective for r in complex_[2].records], rtol=1e-12)
 
 
 @pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
