@@ -29,26 +29,35 @@ def check_real(name: str, value: float, bound: str | None = None) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-def as_float(array) -> np.ndarray:
+def as_float(name: str, array) -> np.ndarray:
     """``array`` in a solver's working precision: float32 stays float32, anything else
-    becomes float64 (a float64 array is returned as it is)."""
+    becomes float64 (a float64 array is returned as it is).  Raises ``ValueError``
+    naming ``name`` for a complex ``array``, whose imaginary part the cast would drop."""
+    if np.iscomplexobj(array):
+        raise ValueError(f"{name} must be real, got {np.asarray(array).dtype}")
     if getattr(array, "dtype", None) == np.float32:
         return np.asarray(array)
     return np.asarray(array, dtype=float)
 
 
-def check_image(name: str, image) -> np.ndarray:
+def check_image_shape(name: str, image) -> np.ndarray:
     """``image`` as a float array by :func:`as_float`; raises ``ValueError`` naming it
-    unless 2-D, not empty and all finite.
+    unless 2-D and not empty.
 
     A float32 image stays float32, so that the solvers iterate in float32
     on it; any other image becomes float64.
     """
-    image = as_float(image)
+    image = as_float(name, image)
     if image.ndim != 2:
         raise ValueError(f"{name} must be a 2-D image, got shape {image.shape}")
     if image.size == 0:
         raise ValueError(f"{name} is empty, got shape {image.shape}")
+    return image
+
+
+def check_image(name: str, image) -> np.ndarray:
+    """:func:`check_image_shape`, and a ``ValueError`` naming ``image`` unless all finite."""
+    image = check_image_shape(name, image)
     if not np.isfinite(image).all():
         raise ValueError(f"{name} holds NaN or inf values")
     return image

@@ -220,7 +220,7 @@ def isnr(x_true: np.ndarray, y: np.ndarray, x_hat: np.ndarray) -> float:
 
     Positive iff the reconstruction is closer to the truth than the
     observation; ``inf`` for a perfect one, else ``-inf`` when ``y == x``.
-    Each image must be 2-D, not empty and finite.
+    Each image must be real, 2-D, not empty and finite.
     """
     x_true, y = check_image("x_true", x_true), check_image("y", y)
     x_hat = check_image("x_hat", x_hat)

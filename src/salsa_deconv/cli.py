@@ -120,7 +120,7 @@ def read_image(path: str | Path) -> np.ndarray:
 
 
 def write_image(image: np.ndarray, path: str | Path) -> None:
-    """Write a finite 2-D array as binary 8-bit PGM, clamping to [0, 255] and rounding."""
+    """Write a real, finite 2-D array as binary 8-bit PGM, clamping to [0, 255] and rounding."""
     image = check_image("image", image)
     pixels = np.rint(np.clip(image, 0.0, 255.0)).astype(np.uint8)
     height, width = pixels.shape

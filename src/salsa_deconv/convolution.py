@@ -144,7 +144,7 @@ def apply_filter(filt: np.ndarray, image: np.ndarray) -> np.ndarray:
 
     ``filt`` is the half spectrum of the filter for ``image``'s shape.
     ``image`` is taken by :func:`~salsa_deconv._checks.check_image`, so it
-    must be 2-D, not empty and finite.
+    must be real, 2-D, not empty and finite.
     """
     image = check_image("image", image)
     _check_half_spectrum(filt, image.shape)

@@ -16,10 +16,12 @@ approximation`` where *horizontal* is row-lowpass/column-highpass,
 *vertical* is row-highpass/column-lowpass and *diagonal* is highpass in
 both axes.  Level 1 is the finest scale.
 
-Image dimensions must be divisible by ``2**levels``; anything else is
+Both transforms take the image rules of :mod:`salsa_deconv._checks`:
+an image, and each band of a stack, must be real, 2-D and not empty,
+and its dimensions must be divisible by ``2**levels``; anything else is
 rejected rather than padded, since padding would silently change the
-operator the solvers work with.  A float32 image is transformed in
-float32, any other image in float64.
+operator the solvers work with.  A float32 image or stack is transformed
+in float32, any other in float64.
 
 The analysis runs in one private generator, ``_analysis_steps``, which
 yields each band as soon as it is written: :func:`analysis_bands` drains
@@ -35,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._checks import as_float, check_integer
+from ._checks import as_float, check_image_shape, check_integer
 
 __all__ = [
     "FrameSpec",
@@ -68,15 +70,15 @@ class FrameCoeffs:
     bands: np.ndarray = field(repr=False)
 
 
-def _check_image(image: np.ndarray, levels: int) -> np.ndarray:
-    image = as_float(image)
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got ndim={image.ndim}")
+def _check_image(name: str, image: np.ndarray, levels: int) -> np.ndarray:
+    """:func:`~salsa_deconv._checks.check_image_shape`, and a ``ValueError`` naming
+    ``image`` unless its dimensions are divisible by ``2**levels``."""
+    image = check_image_shape(name, image)
     h, w = image.shape
     step = 1 << levels
     if h % step or w % step:
         raise ValueError(
-            f"image dimensions {h}x{w} must be divisible by 2**levels = {step}"
+            f"{name} dimensions {h}x{w} must be divisible by 2**levels = {step}"
         )
     return image
 
@@ -116,9 +118,17 @@ def analysis_bands(image: np.ndarray, levels: int, out: np.ndarray | None = None
     each axis's taps; scaling by a power of two is exact, so the values
     are those of the per-axis form.
     """
-    a = _check_image(image, levels)
+    a = _check_image("image", image, levels)
+    shape = (3 * levels + 1,) + a.shape
     if out is None:
-        out = np.empty((3 * levels + 1,) + a.shape, a.dtype)
+        out = np.empty(shape, a.dtype)
+    elif out.shape != shape or out.dtype != a.dtype or not out.flags.c_contiguous:
+        raise ValueError(
+            f"out must be a C-contiguous {a.dtype} array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    elif np.may_share_memory(a, out):
+        raise ValueError("out must not share memory with the image")
     for _ in _analysis_steps(a, levels, out):
         pass
     return out
@@ -129,8 +139,10 @@ def _analysis_steps(image: np.ndarray, levels: int,
     """The analysis of :func:`analysis_bands`, yielding ``(index, band)`` as each band is written.
 
     Bands come in stack order, the approximation last, each with the
-    values :func:`analysis_bands` gives it.  With ``out`` (checked as
-    there) band ``index`` is ``out[index]``.  Without it every band, the
+    values :func:`analysis_bands` gives it.  Nothing is checked: ``image``
+    is a float image and ``out`` a stack that :func:`analysis_bands` would
+    accept, as its callers' set-up ensures.  With ``out`` band ``index``
+    is ``out[index]``.  Without it every band, the
     approximation included, is written into one reused image buffer, as
     nothing in a level reads the approximation once its row lowpass and
     highpass are formed; a level thus holds three images.  A band holds
@@ -139,24 +151,15 @@ def _analysis_steps(image: np.ndarray, levels: int,
     analysis.  The consumer may overwrite a yielded band: no later band
     reads it.
     """
-    a = _check_image(image, levels)
     if out is None:
-        band = approx = np.empty(a.shape, a.dtype)
+        band = approx = np.empty(image.shape, image.dtype)
     else:
-        shape = (3 * levels + 1,) + a.shape
-        if out.shape != shape or out.dtype != a.dtype or not out.flags.c_contiguous:
-            raise ValueError(
-                f"out must be a C-contiguous {a.dtype} array of shape {shape}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        if np.may_share_memory(a, out):
-            raise ValueError("out must not share memory with the image")
         approx = out[-1]
-    lo = np.empty(a.shape, a.dtype)
-    hi = np.empty(a.shape, a.dtype)
+    lo = np.empty(image.shape, image.dtype)
+    hi = np.empty(image.shape, image.dtype)
     shift = 1
     for j in range(levels):
-        np.multiply(approx if j else a, 0.25, out=approx)
+        np.multiply(approx if j else image, 0.25, out=approx)
         _pair(np.add, approx, shift, 0, lo)
         _pair(np.subtract, approx, shift, 0, hi)
         # horizontal, vertical and diagonal detail
@@ -179,7 +182,8 @@ def synthesis_bands(bands: np.ndarray, levels: int, *, zero=()) -> np.ndarray:
     takes the next adjoint as soon as the sum that read it is formed.  At
     256² the three images are 1.5 MiB, so a level's working set fits a
     2 MiB L2 cache, which four did not.  ``bands`` must stack
-    ``3*levels + 1`` subbands.
+    ``3*levels + 1`` subbands, each an image the analysis would take; a
+    float32 stack is synthesized in float32, any other in float64.
 
     ``zero``, when not empty, holds one flag per band in stack order; a
     true flag says the band is all zero, so its adjoint term adds nothing
@@ -189,15 +193,16 @@ def synthesis_bands(bands: np.ndarray, levels: int, *, zero=()) -> np.ndarray:
     the sign of a zero may differ.  Every solver passes the flags its
     last sweep recorded (:func:`~salsa_deconv.prox._zero_bands`).
     """
+    bands = as_float("bands", bands)
     if bands.ndim != 3 or bands.shape[0] != 3 * levels + 1:
         raise ValueError(
             f"expected {3 * levels + 1} stacked subbands, got shape {bands.shape}"
         )
     if len(zero) not in (0, bands.shape[0]):
         raise ValueError(f"expected {bands.shape[0]} band flags, got {len(zero)}")
+    _check_image("band", bands[-1], levels)
     skip = list(zero) or [False] * bands.shape[0]
-    shape, dtype = bands.shape[1:], np.result_type(bands, 0.5)
-    p, q, r = (np.empty(shape, dtype) for _ in range(3))
+    p, q, r = (np.empty(bands.shape[1:], bands.dtype) for _ in range(3))
     a = bands[-1]
     shift = 1 << (levels - 1)
     for j in reversed(range(levels)):

@@ -57,15 +57,21 @@ zero already there.  Neither skip changes a value.  FISTA's sweep skips
 nothing: it writes the extrapolated point over the previous iterate on
 every block, so no block's work is known in advance.
 
-The solvers iterate in the precision of the observation ``y``: a
-float32 ``y`` makes the coefficient stacks, the images and the half
-spectra the iteration carries float32 and complex64 (SALSA's step
-spectra, IST's and FISTA's gradient input), and any other ``y`` runs in
-float64.  The OTF and the spectrum ``Y`` of ``y`` stay complex128, so
-the residual spectrum ``R`` and the trace's data term are formed in
-complex128, and every sum (the l1 norm, the data term, the splitting
-residual's norms) accumulates in float64.  Thresholds, weights and step
-sizes are Python floats, which do not promote a float32 array.  numpy 2
+The solvers iterate in the precision of the observation ``y``, which
+:func:`~salsa_deconv._checks.check_image` sets, as for every image of
+the package: a float32 ``y`` makes the coefficient stacks, the images
+and the half spectra the iteration carries float32 and complex64
+(SALSA's step spectra, IST's and FISTA's gradient input), and any other
+``y`` runs in float64; the frame transforms keep that precision by the
+same rule.  The filters formed once per solve (SALSA's inversion filter
+and its constant ``A``, IST's and FISTA's descent filter) are computed
+in float64 and complex128 and cast to ``y.dtype`` or
+``np.result_type(y, np.complex64)``.  The OTF and the spectrum ``Y`` of
+``y`` stay complex128, so the residual spectrum ``R`` and the trace's
+data term are formed in complex128, and every sum (the l1 norm, the
+data term, the splitting residual's norms) accumulates in float64.
+Thresholds, weights and step sizes are Python floats, which do not
+promote a float32 array.  numpy 2
 computes a forward FFT of a float32 image at the default scale in float64
 and rounds it to complex64, so the iterate's forward FFT goes through
 :func:`_rfft2`, which runs numpy's float32 loop on a float32 image.
@@ -305,7 +311,9 @@ def salsa_solve(
         inv_filter = build_inversion_filter(otf, mu)
         y_hat = _spectrum(y)
         a = (1.0 - inv_filter) * (np.conj(otf) * y_hat) / mu
-        inv_filter, a = _working(inv_filter, y), _working(a, y)
+        # formed in float64 and complex128, stored in the working precision
+        inv_filter, a = (inv_filter.astype(y.dtype, copy=False),
+                         a.astype(np.result_type(y, np.complex64), copy=False))
         theta = analysis_bands(y, levels)
         w_theta = synthesis_bands(theta, levels)
         theta_hat = _rfft2(w_theta)
@@ -364,14 +372,6 @@ def _rfft2(image: np.ndarray) -> np.ndarray:
     spectrum = np.fft.rfft2(image, norm="forward")
     spectrum *= image.size
     return spectrum
-
-
-def _working(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The float64 or complex128 ``a`` cast to float32 or complex64 for a float32 ``y``;
-    ``a`` itself for any other ``y``."""
-    if y.dtype != np.float32:
-        return a
-    return a.astype(np.complex64 if np.iscomplexobj(a) else np.float32)
 
 
 def ist_solve(
@@ -438,19 +438,27 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     never a stack: FISTA holds two coefficient stacks (``beta`` and ``z``)
     and IST one, since its ``z`` is ``beta``.  The step
     ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz bound of
-    the data-term gradient (the frame is Parseval, so ``||W|| = 1``).
+    the data-term gradient (the frame is Parseval, so ``||W|| = 1``); an
+    OTF whose ``max|OTF|^2`` is not positive, or so small that ``s``
+    overflows, is rejected, as it gives no step.  SALSA takes such an
+    OTF: its inversion filter is then 0.
     """
     y = check_image("y", y)
     _check_half_spectrum(otf, y.shape)
     levels = frame.levels
-    step = 1.0 / float(np.max(np.abs(otf) ** 2))
+    # an all-zero OTF, or one whose squares underflow, leaves no gradient step,
+    # and one whose peak square is subnormal an infinite one
+    peak = float(np.max(np.abs(otf) ** 2))
+    check_real("max |OTF|^2", peak, "positive")
+    step = 1.0 / peak
+    check_real("gradient step 1 / max |OTF|^2", step)
     threshold = float(cfg.tau) * step
 
     def steps():
-        # the gradient step's filter, applied to the residual spectrum
-        descent = _working(-step * np.conj(otf), y)
-        # complex even when the OTF, and so the descent filter, is real
-        gradient_hat = np.empty(descent.shape, np.result_type(descent, np.complex64))
+        # the gradient step's filter, applied to the residual spectrum: complex
+        # (also for a real OTF) and in the working precision
+        descent = (-step * np.conj(otf)).astype(np.result_type(y, np.complex64), copy=False)
+        gradient_hat = np.empty_like(descent)
         y_hat = _spectrum(y)
         beta = analysis_bands(y, levels)
         # IST thresholds into beta itself; FISTA writes each iterate over

@@ -15,10 +15,12 @@ from salsa_deconv import (
     build_inversion_filter,
     build_psf,
     degrade,
+    isnr,
     phantom,
     psf_to_otf,
 )
 from salsa_deconv.cli import write_image
+from salsa_deconv.frame import analysis_bands, synthesis_bands
 
 # Each module's ``__all__``, pinned the same way as the package's.
 MODULE_ALL = {
@@ -111,6 +113,11 @@ ENTRIES = {
     "psf_to_otf(taps)": lambda v: psf_to_otf(np.array([[0.25, v, 0.25]]), (16, 16)),
     "psf_to_otf(shape)": lambda v: psf_to_otf(_PSF, v),
     "apply_filter(image)": lambda v: apply_filter(psf_to_otf(_PSF, (16, 16)), v),
+    "degrade(x)": lambda v: degrade(v, _PSF, 1.0, 0),
+    "isnr(x_true)": lambda v: isnr(v, _X, _X),
+    "analysis_bands(image)": lambda v: analysis_bands(v, 3),
+    # at the levels whose band count the stack has
+    "synthesis_bands(bands)": lambda v: synthesis_bands(v, (len(v) - 1) // 3),
 }
 
 
@@ -169,11 +176,37 @@ REJECTED = [
     # else "'list' object has no attribute 'shape'" and an unpack error
     ("apply_filter(image)", [1.0, 2.0], "image must be a 2-D image, got shape (2,)"),
     ("apply_filter(image)", np.ones(3), "image must be a 2-D image, got shape (3,)"),
+    # else a (13, 0, 16) stack; the 1-D message was "expected a 2-D image, got ndim=1"
+    ("analysis_bands(image)", np.zeros((0, 16)), "image is empty, got shape (0, 16)"),
+    ("analysis_bands(image)", np.zeros(16), "image must be a 2-D image, got shape (16,)"),
+    ("analysis_bands(image)", np.zeros((18, 16)),
+     "image dimensions 18x16 must be divisible by 2**levels = 8"),
+    # else a 3x3 image and a (0, 16) one, shapes the analysis rejects
+    ("synthesis_bands(bands)", np.zeros((4, 3, 3)),
+     "band dimensions 3x3 must be divisible by 2**levels = 2"),
+    ("synthesis_bands(bands)", np.zeros((13, 0, 16)), "band is empty, got shape (0, 16)"),
+    # complex input: else numpy's ComplexWarning, and the imaginary part dropped
+    ("write_image(pixel)", 1 + 2j, "image must be real, got complex128"),
+    ("psf_to_otf(taps)", 0.5j, "kernel taps must be real, got complex128"),
+    ("apply_filter(image)", _X * (1 + 2j), "image must be real, got complex128"),
+    ("degrade(x)", _X * (1 + 2j), "x must be real, got complex128"),
+    ("isnr(x_true)", _X * (1 + 2j), "x_true must be real, got complex128"),
+    ("analysis_bands(image)", _X * (1 + 2j), "image must be real, got complex128"),
+    ("synthesis_bands(bands)", np.zeros((4, 16, 16), np.complex64),
+     "bands must be real, got complex64"),
 ]
 
 
+def _case_id(entry, value):
+    """``entry=repr(value)``; an array whose repr spans lines goes by dtype and shape."""
+    text = repr(value)
+    if "\n" in text:
+        text = f"{value.dtype}{value.shape}"
+    return f"{entry}={text}"
+
+
 @pytest.mark.parametrize("entry, value, message", REJECTED,
-                         ids=[f"{entry}={value!r}" for entry, value, _ in REJECTED])
+                         ids=[_case_id(entry, value) for entry, value, _ in REJECTED])
 def test_public_entries_reject_bad_numbers(entry, value, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a write_image that fails to reject writes here
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

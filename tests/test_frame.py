@@ -239,6 +239,14 @@ def test_synthesis_layout_mismatch_rejected():
         synthesis_bands(np.zeros((7, 16, 16)), 2, zero=[True] * 6)
 
 
+def test_synthesis_of_a_float16_stack_runs_in_float64():
+    # the analysis's precision rule: only float32 stays, the rest is float64
+    bands = np.random.default_rng(29).standard_normal((7, 16, 16)).astype(np.float16)
+    image = synthesis_bands(bands, 2)
+    assert image.dtype == np.float64
+    assert np.array_equal(image, synthesis_bands(bands.astype(np.float64), 2))
+
+
 def test_transforms_match_dense_matrices():
     side, levels = 8, 1
     a_mat = dense_analysis_matrix(side, levels)

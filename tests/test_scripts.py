@@ -67,3 +67,19 @@ def test_ab_iterations_compares_two_checkouts(capsys):
     ratio, wins = re.fullmatch(r"change/base median ratio (\S+), change faster in (\d)/3 pairs",
                                summary).groups()
     assert float(ratio) > 0.0 and 0 <= int(wins) <= 3
+
+
+def test_code_lines_counts_only_code(tmp_path, capsys):
+    # a module, class and function docstring, a comment and a blank line
+    # are not code; a trailing comment and a plain multi-line string are
+    (tmp_path / "a.py").write_text('"""Module\ndocstring."""\n\nimport os  # trailing\n'
+                                   '# comment\n\n\nclass C:\n    """Class docstring."""\n\n'
+                                   '    def f(self):\n        """Function\n        docstring."""\n'
+                                   '        return """two\nlines"""\n')
+    (tmp_path / "b.py").write_text("x = 1\n")
+    main = runpy.run_path(str(SCRIPTS / "code_lines.py"))["main"]
+    main([str(tmp_path)])
+    *rows, total = capsys.readouterr().out.splitlines()
+    counts = {Path(row.split()[1]).name: int(row.split()[0]) for row in rows}
+    assert counts == {"a.py": 5, "b.py": 1}
+    assert total.split() == [str(sum(counts.values())), "total"]

@@ -634,9 +634,23 @@ def test_solvers_reject_observations_and_otfs_they_cannot_use(solver):
                           ((y[:0], otf), "y is empty, got shape (0, 16)"),
                           ((bad_y, otf), "y holds NaN or inf values"),
                           ((y, bad_otf), "filter holds NaN or inf values"),
-                          ((y, np.full_like(otf, math.nan)), "filter holds NaN or inf values")):
+                          ((y, np.full_like(otf, math.nan)), "filter holds NaN or inf values"),
+                          # else the real part solved, with only a ComplexWarning
+                          ((y * (1 + 2j), otf), "y must be real, got complex128")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solver(*args, spec, Regularizer(), cfg)
+    # a zero OTF, or one whose squares underflow, leaves IST and FISTA no
+    # gradient step (else a ZeroDivisionError), and a subnormal peak square an
+    # infinite one (else a DivergenceError); SALSA's inversion filter is then 0
+    for no_step, message in ((np.zeros_like(otf), "max |OTF|^2 must be positive, got 0.0"),
+                             (otf * 1e-170, "max |OTF|^2 must be positive, got 0.0"),
+                             (otf * 1e-155, "gradient step 1 / max |OTF|^2 must be finite, "
+                                            "got inf")):
+        if solver is salsa_solve:
+            solver(y, no_step, spec, Regularizer(), cfg)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                solver(y, no_step, spec, Regularizer(), cfg)
 
 
 @pytest.mark.parametrize("solver, exp_id, iters", [(salsa_solve, "1", 20), (ist_solve, "2B", 60)],
