@@ -335,7 +335,8 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
 
 def run_experiment(spec: ExperimentSpec, x_true: np.ndarray) -> ExperimentReport:
     """Degrade ``x_true`` per the spec, then solve the resulting problem."""
-    x_true = np.asarray(x_true, dtype=float)
+    # a float32 truth still runs in float64: check_image keeps its precision
+    x_true = check_image("x_true", x_true).astype(float, copy=False)
     y = degrade(x_true, spec.psf(), spec.noise_variance, spec.seed)
     return solve_observation(y, spec, x_true=x_true)
 

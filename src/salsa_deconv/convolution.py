@@ -158,6 +158,11 @@ def _check_half_spectrum(filt: np.ndarray, shape: tuple[int, ...]) -> None:
     if filt.shape != (h, w // 2 + 1):
         raise ValueError(f"expected a filter of shape {(h, w // 2 + 1)}, the half spectrum "
                          f"of a {h}x{w} image, got shape {filt.shape}")
+    _check_finite(filt)
+
+
+def _check_finite(filt: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every value of ``filt`` is finite."""
     if not np.isfinite(filt).all():
         raise ValueError("filter holds NaN or inf values")
 
@@ -168,8 +173,9 @@ def build_inversion_filter(otf: np.ndarray, mu: float) -> np.ndarray:
     Returns the DFT-domain filter with value ``|d|^2 / (|d|^2 + mu)`` at
     each OTF bin ``d``, as a real ``float64`` array of the OTF's shape,
     so the half spectrum of an OTF gives the half spectrum of the filter.
-    The gains lie in [0, 1).
+    The gains lie in [0, 1).  An OTF with a NaN or inf bin is rejected.
     """
     check_real("mu", mu, "positive")
+    _check_finite(otf)
     g = np.abs(otf) ** 2
     return g / (g + mu)

@@ -18,7 +18,8 @@ both axes.  Level 1 is the finest scale.
 
 Both transforms take the image rules of :mod:`salsa_deconv._checks`:
 an image, and each band of a stack, must be real, 2-D and not empty,
-and its dimensions must be divisible by ``2**levels``; anything else is
+and its dimensions must be divisible by ``2**levels``, for ``levels``
+an integer >= 1 as :class:`FrameSpec` requires; anything else is
 rejected rather than padded, since padding would silently change the
 operator the solvers work with.  A float32 image or stack is transformed
 in float32, any other in float64.
@@ -72,7 +73,9 @@ class FrameCoeffs:
 
 def _check_image(name: str, image: np.ndarray, levels: int) -> np.ndarray:
     """:func:`~salsa_deconv._checks.check_image_shape`, and a ``ValueError`` naming
-    ``image`` unless its dimensions are divisible by ``2**levels``."""
+    ``image`` unless its dimensions are divisible by ``2**levels``, and one naming
+    ``levels`` unless it is an integer >= 1, as :class:`FrameSpec` requires."""
+    check_integer("levels", levels, minimum=1)
     image = check_image_shape(name, image)
     h, w = image.shape
     step = 1 << levels
@@ -193,6 +196,7 @@ def synthesis_bands(bands: np.ndarray, levels: int, *, zero=()) -> np.ndarray:
     the sign of a zero may differ.  Every solver passes the flags its
     last sweep recorded (:func:`~salsa_deconv.prox._zero_bands`).
     """
+    check_integer("levels", levels, minimum=1)
     bands = as_float("bands", bands)
     if bands.ndim != 3 or bands.shape[0] != 3 * levels + 1:
         raise ValueError(

@@ -14,6 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
+from ._checks import as_float
+
 __all__ = ["Regularizer", "prox"]
 
 
@@ -41,11 +43,13 @@ def prox(values: np.ndarray, threshold: float,
     into a new array otherwise, leaving ``values`` untouched.  Zeros in
     the result are ``+0.0``.  ``out`` must not share memory with
     ``values``: the clip would overwrite the values it subtracts.
+    ``values`` is taken by :func:`~salsa_deconv._checks.as_float`, so a
+    complex one is rejected.
     ``threshold`` skips the package's finite rule: ``inf`` is full shrinkage to zero.
     """
     if not threshold >= 0:  # also rejects NaN
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    values = np.asarray(values)
+    values = as_float("values", values)
     if out is None:
         out = np.empty(values.shape, dtype=np.result_type(values, threshold))
     elif np.may_share_memory(values, out):
@@ -73,8 +77,7 @@ def _l1(bands: np.ndarray) -> float:
 
 
 def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], stack: np.ndarray,
-           threshold: float, zero: list[bool], prev: np.ndarray | None = None,
-           weight: float = 0.0) -> float:
+           threshold: float, zero: list[bool]) -> float:
     """A solver's shrinkage step in one blocked pass; returns the new ``||stack||_1``.
 
     For each ``_BLOCK``-element block of the flattened stacks it adds
@@ -82,8 +85,7 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], stack: np.ndar
     with :func:`prox` and sums ``|stack|`` in float64 as :func:`_l1` does,
     so ``stack``, ``values`` and the sum are bitwise those of the
     whole-stack passes ``values += stack``, ``prox`` into ``stack`` and
-    ``_l1``.  With ``prev`` it overwrites ``prev`` with the extrapolated
-    point ``stack + weight * (stack - prev)``.
+    ``_l1``.
 
     ``values`` may also come band by band, as an iterator of
     ``(index, band)`` pairs that stand for ``values[index]``, such as
@@ -94,35 +96,33 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], stack: np.ndar
     is bitwise that of the whole stack at every band size.
 
     ``zero``, from :func:`_zero_blocks`, holds one flag per block of
-    ``stack``: true when the block came out of the last sweep all ``+0.0``,
-    which the sweep records from each block's ``|stack|`` sum (a NaN or
-    inf leaves it false).  Without ``prev``, the form in which SALSA and
-    IST sweep, a flagged block whose ``values`` lie in
-    ``[-threshold, threshold]`` is skipped: its sum thresholds to the zero
-    already in ``stack`` and adds 0 to the norm, so two read-only
-    reductions replace the add, the threshold and the sum.  ``values`` is
-    then left unchanged, equal (``==``) to ``values + 0``.  In the
-    band-by-band form a block is skipped only when it lies within one
-    band.  With ``prev``, FISTA's form, the sweep only records the flags:
-    it writes ``prev`` on every block, so no block can be skipped.
+    ``stack``: true when the block is all ``+0.0``, which the sweep
+    records from each block's ``|stack|`` sum (a NaN or inf leaves it
+    false).  A caller that writes ``stack`` between sweeps hands in flags
+    that still hold, as FISTA does for its extrapolated point.  A flagged
+    block whose ``values`` lie in ``[-threshold, threshold]`` is skipped:
+    its sum thresholds to the zero already in ``stack`` and adds 0 to the
+    norm, so two read-only reductions replace the add, the threshold and
+    the sum.  ``values`` is then left unchanged, equal (``==``) to
+    ``values + 0``.  In the band-by-band form a block is skipped only when
+    it lies within one band.
 
     The stacks must be C-contiguous and of one shape: a block of any
     other stack is a copy, and what the sweep writes there is lost.
     """
     # only below an infinite threshold: there prox maps an inf value to NaN, not to zero
-    skip = prev is None and math.isfinite(threshold)
+    skip = math.isfinite(threshold)
     pieces = [(..., values)] if isinstance(values, np.ndarray) else values
     scratch = np.empty(min(stack.size, _BLOCK))
     block, filled, total = 0, 0, 0.0
     for index, piece in pieces:
-        flat = [a.reshape(-1) for a in (piece, stack[index])
-                + (() if prev is None else (prev[index],))]
+        v_flat, s_flat = piece.reshape(-1), stack[index].reshape(-1)
         start = 0
-        while start < flat[0].size:
+        while start < v_flat.size:
             # up to the end of the stack's current block
             size = min(scratch.size, stack.size - block * _BLOCK)
-            stop = min(flat[0].size, start + size - filled)
-            v, s, *rest = (f[start:stop] for f in flat)
+            stop = min(v_flat.size, start + size - filled)
+            v, s = v_flat[start:stop], s_flat[start:stop]
             # only a whole block: a block cut by a piece's end has part of its sum in scratch
             if (skip and zero[block] and stop - start == size
                     and np.maximum.reduce(v) <= threshold
@@ -140,11 +140,6 @@ def _sweep(values: np.ndarray | Iterable[tuple[int, np.ndarray]], stack: np.ndar
                 zero[block] = block_l1 == 0.0
                 block += 1
                 filled = 0
-            if rest:
-                (p,) = rest
-                np.subtract(s, p, out=p)
-                p *= weight
-                p += s
             start = stop
     return total
 

@@ -33,13 +33,14 @@ generator's steps.  Work is everything a generator step does: for every
 solver, the analysis of its step's image and one blocked sweep over the
 coefficients.  The sweep, ``prox._sweep``, takes one form in all three:
 it adds the carried stack into the step's coefficients, soft-thresholds
-the sum back into that stack, sums the iterate's l1 norm and, for FISTA,
-extrapolates; IST and FISTA feed it band by band as the analysis writes
-each band.  Work also counts the synthesis of the iterate, that image's
-forward FFT and the residual spectrum ``R``.  IST's and FISTA's next
-gradient step starts from ``R``; SALSA needs it only for the trace, but
-forms it inside its step (one multiply and one subtract on half
-spectra), so it counts as work there too.  The sweep hands the l1 norm
+the sum back into that stack and sums the iterate's l1 norm; IST and
+FISTA feed it band by band as the analysis writes each band, and FISTA
+then forms its extrapolated point in three whole-stack passes.  Work
+also counts the synthesis of the iterate, that image's forward FFT and
+the residual spectrum ``R``.  IST's and FISTA's next gradient step
+starts from ``R``; SALSA needs it only for the trace, but forms it
+inside its step (one multiply and one subtract on half spectra), so it
+counts as work there too.  The sweep hands the l1 norm
 to ``_drive`` with the iterate, so ``_drive`` reads no stack.
 Bookkeeping is left out: the reductions that turn ``R`` into the data
 term, and ISNR.  The synthesized iterate is also the image the trace
@@ -51,11 +52,11 @@ coefficients are exactly zero (14-31% of the blocks of a SALSA solve at
 256²).  Every solver keeps one flag per ``prox._BLOCK`` block of the
 stack it thresholds into, set when the block came out of the last sweep
 all zero, and the synthesis leaves out every detail band whose blocks
-are all flagged.  SALSA's and IST's sweeps also skip a flagged block
-whose new input stays within the threshold, which would threshold to the
-zero already there.  Neither skip changes a value.  FISTA's sweep skips
-nothing: it writes the extrapolated point over the previous iterate on
-every block, so no block's work is known in advance.
+are all flagged.  Every sweep also skips a flagged block whose new input
+stays within the threshold, which would threshold to the zero already
+there.  Neither skip changes a value.  FISTA thresholds into its
+extrapolated point, which is zero wherever its last two iterates are,
+so its sweep takes the AND of their flags.
 
 The solvers iterate in the precision of the observation ``y``, which
 :func:`~salsa_deconv._checks.check_image` sets, as for every image of
@@ -431,12 +432,14 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     ``z + Wt irfft2(-s Ht R_z)``, so an iteration runs one inverse FFT for
     the gradient and one forward FFT of the new iterate's image, and
     ``R`` is also the trace's residual spectrum.  One sweep adds ``z``
-    into the analysed gradient step, thresholds it into ``z`` and, for
-    FISTA, writes the next ``z`` over ``beta``.  The analysis feeds the
-    sweep band by band (``frame._analysis_steps``), each band shrunk while
-    it is still in cache and then overwritten by the next, so the step is
-    never a stack: FISTA holds two coefficient stacks (``beta`` and ``z``)
-    and IST one, since its ``z`` is ``beta``.  The step
+    into the analysed gradient step and thresholds it into ``z``; FISTA
+    then writes the next ``z`` over ``beta`` in three in-place passes.
+    The sweep skips a block left all zero by both of FISTA's last two
+    iterates (IST's last one), as ``z`` is zero there.  The analysis
+    feeds the sweep band by band (``frame._analysis_steps``), each band
+    shrunk while it is still in cache and then overwritten by the next, so
+    the step is never a stack: FISTA holds two coefficient stacks
+    (``beta`` and ``z``) and IST one, since its ``z`` is ``beta``.  The step
     ``s = 1 / max|OTF|^2`` is ``1/L`` for ``L`` the Lipschitz bound of
     the data-term gradient (the frame is Parseval, so ``||W|| = 1``); an
     OTF whose ``max|OTF|^2`` is not positive, or so small that ``s``
@@ -464,8 +467,8 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         # IST thresholds into beta itself; FISTA writes each iterate over
         # z and the next z over the previous iterate
         z = beta.copy() if momentum else beta
-        # flags of the blocks of the last sweep's iterate left all zero
-        zero = _zero_blocks(beta)
+        # flags of the blocks of the last two iterates left all zero
+        zero = zero_prev = _zero_blocks(beta)
         image = synthesis_bands(beta, levels)
         residual_z = residual = otf * _rfft2(image) - y_hat
         t = 1.0
@@ -480,8 +483,15 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             # the working precision
             np.multiply(descent, residual_z, out=gradient_hat)
             bands = _analysis_steps(np.fft.irfft2(gradient_hat, s=y.shape), levels)
-            l1 = _sweep(bands, z, threshold, zero, prev=beta if momentum else None, weight=w)
             if momentum:
+                # z is +0.0 wherever both of the last two iterates are
+                zero, zero_prev = [a and b for a, b in zip(zero, zero_prev)], zero
+            l1 = _sweep(bands, z, threshold, zero)
+            if momentum:
+                # the next z, z + w (z - beta), over the previous iterate
+                np.subtract(z, beta, out=beta)
+                beta *= w
+                beta += z
                 beta, z = z, beta
             image = synthesis_bands(beta, levels, zero=_zero_bands(zero, beta.shape))
             residual_next = otf * _rfft2(image) - y_hat

@@ -17,7 +17,9 @@ from salsa_deconv import (
     degrade,
     isnr,
     phantom,
+    prox,
     psf_to_otf,
+    run_experiment,
 )
 from salsa_deconv.cli import write_image
 from salsa_deconv.frame import analysis_bands, synthesis_bands
@@ -118,6 +120,12 @@ ENTRIES = {
     "analysis_bands(image)": lambda v: analysis_bands(v, 3),
     # at the levels whose band count the stack has
     "synthesis_bands(bands)": lambda v: synthesis_bands(v, (len(v) - 1) // 3),
+    "analysis_bands(levels)": lambda v: analysis_bands(_X, v),
+    "synthesis_bands(levels)": lambda v: synthesis_bands(np.zeros((13, 16, 16)), v),
+    "build_inversion_filter(otf)": lambda v: build_inversion_filter(v, 0.5),
+    "prox(values)": lambda v: prox(v, 0.5),
+    "run_experiment(x_true)": lambda v: run_experiment(ExperimentSpec(
+        id="t", blur_kind=BlurKind.UNIFORM9, noise_variance=1.0, tau=0.1), v),
 }
 
 
@@ -185,6 +193,15 @@ REJECTED = [
     ("synthesis_bands(bands)", np.zeros((4, 3, 3)),
      "band dimensions 3x3 must be divisible by 2**levels = 2"),
     ("synthesis_bands(bands)", np.zeros((13, 0, 16)), "band is empty, got shape (0, 16)"),
+    # else an uninitialized (1, 16, 16) stack for 0 and one level for True, a bare
+    # TypeError for 2.5 and "negative shift count" for -1
+    *_integer_cases("analysis_bands(levels)", "levels", "levels must be >= 1, got -1"),
+    ("analysis_bands(levels)", 0, "levels must be >= 1, got 0"),
+    # else band counts such as "expected 8.5 stacked subbands" for 2.5
+    *_integer_cases("synthesis_bands(levels)", "levels", "levels must be >= 1, got -1"),
+    ("synthesis_bands(levels)", 0, "levels must be >= 1, got 0"),
+    # else NaN gains for the NaN bin
+    ("build_inversion_filter(otf)", np.array([[math.nan, 1.0]]), "filter holds NaN or inf values"),
     # complex input: else numpy's ComplexWarning, and the imaginary part dropped
     ("write_image(pixel)", 1 + 2j, "image must be real, got complex128"),
     ("psf_to_otf(taps)", 0.5j, "kernel taps must be real, got complex128"),
@@ -194,6 +211,9 @@ REJECTED = [
     ("analysis_bands(image)", _X * (1 + 2j), "image must be real, got complex128"),
     ("synthesis_bands(bands)", np.zeros((4, 16, 16), np.complex64),
      "bands must be real, got complex64"),
+    # prox thresholded the real part and kept the imaginary one: [0.5+1j, 0j]
+    ("prox(values)", np.array([1 + 1j, 0.1]), "values must be real, got complex128"),
+    ("run_experiment(x_true)", _X * (1 + 2j), "x_true must be real, got complex128"),
 ]
 
 

@@ -127,20 +127,17 @@ def same_bits(a, b):
 
 def test_sweep_equals_unfused_passes():
     # the solvers' one blocked sweep against the whole-stack passes it
-    # replaces: values + addend, prox into addend, _l1 and the extrapolation
-    # addend + w (addend - prev)
+    # replaces: values + addend, prox into addend and _l1
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17]),
                       seed=st.integers(0, 2**32 - 1),
-                      t=st.sampled_from([0.0, 0.8]) | st.floats(0.0, 4.0),
-                      weight=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
-                      extrapolate=st.booleans())
-    def check(n, seed, t, weight, extrapolate):
+                      t=st.sampled_from([0.0, 0.8]) | st.floats(0.0, 4.0))
+    def check(n, seed, t):
         rng = np.random.default_rng(seed)
-        values, addend, prev = rng.standard_normal((3, n))
+        values, addend = rng.standard_normal((2, n))
         # sums that land exactly on +-t and on zero
         addend[::7] = 0.0
         values[::7] = t
@@ -148,23 +145,19 @@ def test_sweep_equals_unfused_passes():
         values[5::13] = -addend[5::13]
         v = values + addend
         want_out = prox(v, t)
-        want_prev = want_out + weight * (want_out - prev)
-        got_prev = prev.copy() if extrapolate else None
-        l1 = _sweep(values, addend, t, _zero_blocks(addend), prev=got_prev, weight=weight)
+        l1 = _sweep(values, addend, t, _zero_blocks(addend))
         assert same_bits(addend, want_out)
         assert same_bits(values, v)
         assert l1 == _l1(want_out)
-        assert got_prev is None or same_bits(got_prev, want_prev)
 
     check()
 
 
 def test_band_by_band_shrink_equals_whole_stack_sweep():
     # the sweep fed band by band as the analysis writes each band, against
-    # analysis_bands followed by one whole-stack sweep: IST's form (in
-    # place), FISTA's (with the extrapolation) and one that keeps the
-    # analysis in a stack, as SALSA keeps its prox input; bands below, at
-    # and above one block
+    # analysis_bands followed by one whole-stack sweep: IST's and FISTA's
+    # form (in place) and one that keeps the analysis in a stack, as SALSA
+    # keeps its prox input; bands below, at and above one block
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -172,27 +165,19 @@ def test_band_by_band_shrink_equals_whole_stack_sweep():
     @hypothesis.given(shape=st.sampled_from([(16, 16), (16, 48), (128, 256), (192, 192)]),
                       levels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
                       t=st.sampled_from([0.0]) | st.floats(0.0, 2.0),
-                      weight=st.sampled_from([0.0]) | st.floats(0.0, 1.0),
-                      form=st.sampled_from(["ist", "fista", "salsa"]))
-    def check(shape, levels, seed, t, weight, form):
+                      form=st.sampled_from(["in place", "salsa"]))
+    def check(shape, levels, seed, t, form):
         rng = np.random.default_rng(seed)
         image = rng.standard_normal(shape)
         size = (3 * levels + 1,) + shape
-        addend, prev = rng.standard_normal((2,) + size)
-        want_addend, want_prev = addend.copy(), prev.copy()
+        addend = rng.standard_normal(size)
+        want_addend = addend.copy()
         want_stack = analysis_bands(image, levels)
-        if form == "fista":
-            want = _sweep(want_stack, want_addend, t, _zero_blocks(want_addend),
-                          prev=want_prev, weight=weight)
-            got = _sweep(_analysis_steps(image, levels), addend, t, _zero_blocks(addend),
-                         prev=prev, weight=weight)
-        else:
-            want = _sweep(want_stack, want_addend, t, _zero_blocks(want_addend))
-            stack = np.full(size, np.nan) if form == "salsa" else None
-            got = _sweep(_analysis_steps(image, levels, stack), addend, t, _zero_blocks(addend))
-            assert stack is None or same_bits(stack, want_stack)
+        want = _sweep(want_stack, want_addend, t, _zero_blocks(want_addend))
+        stack = np.full(size, np.nan) if form == "salsa" else None
+        got = _sweep(_analysis_steps(image, levels, stack), addend, t, _zero_blocks(addend))
+        assert stack is None or same_bits(stack, want_stack)
         assert same_bits(addend, want_addend)
-        assert same_bits(prev, want_prev)
         assert got == want == _l1(want_addend)
 
     check()
@@ -201,7 +186,7 @@ def test_band_by_band_shrink_equals_whole_stack_sweep():
 @pytest.mark.parametrize("form", ["stack", "bands"])
 @pytest.mark.parametrize("band_rows", [128, 64], ids=["band=block", "band=half-block"])
 def test_sweep_skips_flagged_blocks_within_the_threshold(form, band_rows, monkeypatch):
-    # SALSA's whole-stack sweep and IST's band-fed one over four blocks:
+    # SALSA's whole-stack sweep and IST's and FISTA's band-fed one over four blocks:
     # block 0 flagged all zero with values within +-t (skipped), block 1
     # not flagged with a sum that thresholds to zero (processed, then
     # flagged), block 2 flagged with one value past t (processed, then not
@@ -237,30 +222,6 @@ def test_sweep_skips_flagged_blocks_within_the_threshold(form, band_rows, monkey
         assert len(calls) == shape[0]  # no block lies within one band
     else:
         assert len(calls) == 3
-
-
-def test_sweep_with_prev_records_flags_and_skips_nothing(monkeypatch):
-    # FISTA's form: prev is written on every block, so a flagged block within
-    # the threshold is still swept; the flags come from |out| as without prev
-    t, weight = 0.5, 0.3
-    rng = np.random.default_rng(49)
-    values = rng.uniform(-t, t, 2 * BLOCK)
-    values[BLOCK:] *= 8.0
-    addend, prev = np.zeros(2 * BLOCK), rng.standard_normal(2 * BLOCK)
-    want_values, want_out, want_prev = values.copy(), addend.copy(), prev.copy()
-    want_l1 = _sweep(want_values, want_out, t, _zero_blocks(want_out), prev=want_prev,
-                     weight=weight)
-
-    zero = [True, True]
-    module = importlib.import_module("salsa_deconv.prox")
-    calls, prox_fn = [], module.prox
-    monkeypatch.setattr(module, "prox", lambda *a, **k: calls.append(None) or prox_fn(*a, **k))
-    l1 = _sweep(values, addend, t, zero, prev=prev, weight=weight)
-    assert len(calls) == 2
-    assert same_bits(addend, want_out) and same_bits(prev, want_prev)
-    assert same_bits(values, want_values)
-    assert l1 == want_l1
-    assert zero == [True, False]
 
 
 def test_float32_sums_accumulate_in_float64():

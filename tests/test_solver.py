@@ -653,13 +653,15 @@ def test_solvers_reject_observations_and_otfs_they_cannot_use(solver):
                 solver(y, no_step, spec, Regularizer(), cfg)
 
 
-@pytest.mark.parametrize("solver, exp_id, iters", [(salsa_solve, "1", 20), (ist_solve, "2B", 60)],
-                         ids=["salsa", "ist"])
+@pytest.mark.parametrize("solver, exp_id, iters",
+                         [(salsa_solve, "1", 20), (ist_solve, "2B", 60), (fista_solve, "2B", 60)],
+                         ids=["salsa", "ist", "fista"])
 def test_skipped_zero_blocks_and_bands_change_no_value(solver, exp_id, iters, monkeypatch):
-    # at 256² the soft threshold leaves whole blocks of SALSA's and IST's
-    # stack at zero, which their sweeps and syntheses then skip; the same
-    # solve with every block swept and every band synthesized is the
-    # reference for every value
+    # at 256² the soft threshold leaves whole blocks of each solver's stack
+    # at zero, which their sweeps and syntheses then skip (FISTA's sweep
+    # only where its last two iterates are both zero); the same solve with
+    # every block swept and every band synthesized is the reference for
+    # every value
     spec = DEFAULT_EXPERIMENTS[exp_id]
     x = phantom(256)
     y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
@@ -679,8 +681,8 @@ def test_skipped_zero_blocks_and_bands_change_no_value(solver, exp_id, iters, mo
     sweep, synthesis = solver_module._sweep, solver_module.synthesis_bands
     # fresh all-false flags on every call: no block is skipped
     monkeypatch.setattr(solver_module, "_sweep",
-                        lambda values, stack, threshold, zero, **kwargs:
-                        sweep(values, stack, threshold, _zero_blocks(stack), **kwargs))
+                        lambda values, stack, threshold, zero:
+                        sweep(values, stack, threshold, _zero_blocks(stack)))
     monkeypatch.setattr(solver_module, "synthesis_bands",
                         lambda bands, levels, zero=(): synthesis(bands, levels))
     want_bands, want_image, want_trace, every_block = run()
@@ -695,9 +697,8 @@ def test_skipped_zero_blocks_and_bands_change_no_value(solver, exp_id, iters, mo
 
 
 def test_fista_leaves_zero_bands_out_of_its_synthesis(monkeypatch):
-    # FISTA's sweep writes the extrapolated point on every block, so it
-    # skips no block, but the flags it records from |out| leave the detail
-    # bands its iterate holds at zero out of the synthesis (on 3B at 256²,
+    # the flags FISTA's sweep records from |out| leave the detail bands
+    # its iterate holds at zero out of the synthesis (on 3B at 256²,
     # from the 24th synthesis on); the same solve with no flags is the
     # reference for every value
     spec = DEFAULT_EXPERIMENTS["3B"]
