@@ -4,10 +4,12 @@ A code line is a line that is not blank, not a comment and not inside a
 module, class or function docstring.  A line that holds code and a
 trailing comment is a code line, and so is every line of a multi-line
 string that is not a docstring.  A directory stands for every ``*.py``
-file under it.
+file under it.  By default it counts the package and ``scripts/`` of this
+checkout together, so that code moved between them leaves the total as
+it is.
 
 Usage: python3 scripts/code_lines.py [PATH ...]   (default src/salsa_deconv
-           of this checkout)
+           and scripts of this checkout)
 """
 
 import argparse
@@ -17,7 +19,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-DEFAULT = Path(__file__).resolve().parents[1] / "src" / "salsa_deconv"
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT = [ROOT / "src" / "salsa_deconv", ROOT / "scripts"]
 # tokens that carry no code of their own
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
@@ -60,8 +63,9 @@ def modules(paths: list[Path]) -> list[Path]:
 
 def main(argv=None):
     parser = argparse.ArgumentParser()
-    parser.add_argument("paths", nargs="*", type=Path, default=[DEFAULT],
-                        help="Python files or directories (default: src/salsa_deconv)")
+    parser.add_argument("paths", nargs="*", type=Path, default=DEFAULT,
+                        help="Python files or directories (default: src/salsa_deconv "
+                             "and scripts)")
     args = parser.parse_args(argv)
     total = 0
     for path in modules(args.paths):

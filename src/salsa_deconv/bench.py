@@ -386,6 +386,7 @@ def report_summary(report: ExperimentReport) -> dict:
             "error": r.error,
             "reached_target": r.reached_target,
             "splitting_residual": r.splitting_residual,
+            "phase_s": r.trace.phase_s,
         }
     return {
         "experiment": spec,

@@ -1,9 +1,10 @@
-"""Deconvolution solvers sharing one objective and trace format.
+"""Deconvolution solvers sharing one objective, one loop and one trace format.
 
 ``salsa_solve`` is the split augmented-Lagrangian shrinkage iteration:
 an exact DFT-domain quadratic solve alternated with a soft-threshold
 step and a multiplier update.  ``ist_solve`` and ``fista_solve`` are the
-first-order shrinkage/thresholding baselines.  All three minimize
+first-order shrinkage/thresholding baselines; IST is FISTA without the
+extrapolation.  All three minimize
 
     0.5 * ||blur(synth(beta)) - y||^2 + tau * ||beta||_1
 
@@ -11,76 +12,64 @@ and report per-iteration progress in a :class:`SolverTrace`.  One
 private loop, ``_drive``, runs all three: each solver supplies a
 generator that does its setup and then one iteration per step, and the
 loop owns the work clock, the trace, the stopping rule of
-:class:`SolverConfig` and the divergence check.  IST is FISTA without
-the extrapolation.
+:class:`SolverConfig` and the divergence check.
 
 The OTF every solver takes is the ``rfft2`` half spectrum that
-:func:`~salsa_deconv.convolution.psf_to_otf` returns, so blurs and
-inversion filters are products with half spectra on real FFTs.  Every
-solver carries the half spectrum of its synthesized iterate from one
-iteration to the next, so that an iteration runs two real 2-D FFTs:
-SALSA's inverse FFT of its quadratic step and forward FFT of the image
-of theta, IST's and FISTA's inverse FFT of the gradient
-step and forward FFT of the image of beta.  The trace's data term takes
-no FFT: each solver hands ``_drive`` the half spectrum ``R = H X - Y``
-of its data residual ``blur(synth(beta)) - y``, with ``X`` the spectrum
-of the iterate's image and ``Y`` that of ``y``, and ``prox._objective``
-forms ``0.5*||r||^2`` from ``R`` by Parseval.
+:func:`~salsa_deconv.convolution.psf_to_otf` returns.  Every solver
+carries the half spectrum of its synthesized iterate from one iteration
+to the next, so an iteration runs two real 2-D FFTs: the inverse FFT of
+its step and the forward FFT of its new iterate's image.  Each step
+hands ``_drive`` the half spectrum ``R = H X - Y`` of its data residual
+``blur(synth(beta)) - y``, with ``X`` the spectrum of the iterate's
+image and ``Y`` that of ``y``, and ``prox._objective`` forms
+``0.5*||r||^2`` from ``R`` by Parseval; the synthesized iterate is also
+the image the trace's ISNR reads.  A non-finite iterate shows as a
+non-finite objective, on which ``_drive`` raises
+:class:`DivergenceError`.
 
-The recorded elapsed seconds count solver work only, so timings compare
-algorithms rather than instrumentation: the time spent inside the
-generator's steps.  Work is everything a generator step does: for every
-solver, the analysis of its step's image and one blocked sweep over the
-coefficients.  The sweep, ``prox._sweep``, takes one form in all three:
-it adds the carried stack into the step's coefficients, soft-thresholds
-the sum back into that stack and sums the iterate's l1 norm; IST and
-FISTA feed it band by band as the analysis writes each band, and FISTA
-then forms its extrapolated point in three whole-stack passes.  Work
-also counts the synthesis of the iterate, that image's forward FFT and
-the residual spectrum ``R``.  IST's and FISTA's next gradient step
-starts from ``R``; SALSA needs it only for the trace, but forms it
-inside its step (one multiply and one subtract on half spectra), so it
-counts as work there too.  The sweep hands the l1 norm
-to ``_drive`` with the iterate, so ``_drive`` reads no stack.
-Bookkeeping is left out: the reductions that turn ``R`` into the data
-term, and ISNR.  The synthesized iterate is also the image the trace
-uses for the ISNR.  A non-finite iterate shows as a non-finite
-objective, on which ``_drive`` raises :class:`DivergenceError`.
+A record's ``elapsed_s`` counts solver work only: the time inside the
+generator's steps.  ``_drive``'s bookkeeping is left out: the objective,
+ISNR, the record and the stopping test.  Each step of iterations 1..K
+stamps the clock between its phases, and ``SolverTrace.phase_s`` sums
+their seconds under six keys:
+
+- ``spectral``: the arithmetic on half spectra (SALSA's quadratic step,
+  ``V`` and ``R``; IST's and FISTA's gradient filter, ``R`` and ``R_z``);
+- ``irfft2``: the inverse FFT of the step;
+- ``analysis+sweep``: the frame analysis of the step's image and the
+  shrinkage sweep ``prox._sweep``, with FISTA's extrapolation; they are
+  one phase because IST and FISTA sweep each band as the analysis writes
+  it;
+- ``synthesis``: the synthesis of the new iterate;
+- ``rfft2``: its forward FFT, :func:`_rfft2`'s rescale included;
+- ``bookkeeping``: ``_drive``'s bookkeeping.
+
+The stamps nest inside the work clock, so the five work phases sum to at
+most ``final.elapsed_s - records[0].elapsed_s``; the setup's work is in
+``records[0].elapsed_s`` alone.
 
 Every iterate is the output of a soft threshold, so many of its
-coefficients are exactly zero (14-31% of the blocks of a SALSA solve at
-256²).  Every solver keeps one flag per ``prox._BLOCK`` block of the
-stack it thresholds into, set when the block came out of the last sweep
-all zero, and the synthesis leaves out every detail band whose blocks
-are all flagged.  Every sweep also skips a flagged block whose new input
-stays within the threshold, which would threshold to the zero already
-there.  Neither skip changes a value.  FISTA thresholds into its
-extrapolated point, which is zero wherever its last two iterates are,
-so its sweep takes the AND of their flags.
+coefficients are exactly zero.  Every solver keeps one flag per
+``prox._BLOCK`` block of the stack it thresholds into, set when the
+block came out of the last sweep all zero.  The synthesis leaves out
+every detail band whose blocks are all flagged, and the sweep skips a
+flagged block whose new input stays within the threshold.  Neither skip
+changes a value.
 
 The solvers iterate in the precision of the observation ``y``, which
-:func:`~salsa_deconv._checks.check_image` sets, as for every image of
-the package: a float32 ``y`` makes the coefficient stacks, the images
-and the half spectra the iteration carries float32 and complex64
-(SALSA's step spectra, IST's and FISTA's gradient input), and any other
-``y`` runs in float64; the frame transforms keep that precision by the
-same rule.  The filters formed once per solve (SALSA's inversion filter
-and its constant ``A``, IST's and FISTA's descent filter) are computed
-in float64 and complex128 and cast to ``y.dtype`` or
-``np.result_type(y, np.complex64)``.  The OTF and the spectrum ``Y`` of
-``y`` stay complex128, so the residual spectrum ``R`` and the trace's
-data term are formed in complex128, and every sum (the l1 norm, the
-data term, the splitting residual's norms) accumulates in float64.
+:func:`~salsa_deconv._checks.check_image` sets: a float32 ``y`` makes
+the coefficient stacks, the images and the half spectra the iteration
+carries float32 and complex64, and any other ``y`` runs in float64.  The
+filters formed once per solve are computed in float64 and complex128
+and cast to that precision.  The OTF and ``Y`` stay complex128, so ``R``
+and the data term are formed in complex128, and every sum (the l1 norm,
+the data term, the splitting residual's norms) accumulates in float64.
 Thresholds, weights and step sizes are Python floats, which do not
-promote a float32 array.  numpy 2
-computes a forward FFT of a float32 image at the default scale in float64
-and rounds it to complex64, so the iterate's forward FFT goes through
-:func:`_rfft2`, which runs numpy's float32 loop on a float32 image.
+promote a float32 array.
 
-Each solver allocates its coefficient stacks once and overwrites them in
-place from iteration to iteration: SALSA holds three stacks, FISTA two
-and IST one.  SALSA does the same with its step's half spectra.  The
-coefficients a solver returns are never written again.
+Each solver allocates its coefficient stacks and buffers once and
+overwrites them in place: SALSA holds three stacks, FISTA two and IST
+one.  The coefficients a solver returns are never written again.
 """
 
 from __future__ import annotations
@@ -161,37 +150,58 @@ class SolverTrace:
 
     ``splitting_residual`` is SALSA's final ``||beta - theta|| / ||theta||``
     (the absolute gap when theta is zero); the other solvers leave it
-    ``None``.
+    ``None``.  ``phase_s`` holds the seconds of each phase of iterations
+    1..K under the module docstring's six keys; it is empty in a trace no
+    solve filled, such as a diverged result's.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
     splitting_residual: float | None = None
+    phase_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
 
 
-def _drive(steps: Iterator[tuple[np.ndarray, float, np.ndarray, np.ndarray]],
+_PHASES = ("spectral", "irfft2", "analysis+sweep", "synthesis", "rfft2", "bookkeeping")
+
+
+def _drive(steps: Callable[[Callable[[str], None]],
+                           Iterator[tuple[np.ndarray, float, np.ndarray, np.ndarray]]],
            cfg: SolverConfig, isnr_fn: Callable[[np.ndarray], float] | None,
            shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, SolverTrace]:
     """Run a solver's iterations to the stopping rule and trace each one.
 
-    ``steps`` is a generator that does its setup and then one iteration's
-    work per ``next``, each time yielding the iterate's coefficient stack,
-    its l1 norm, its synthesis and the half spectrum of its data residual
-    ``blur(image) - y``, an image of ``shape``; the stack itself is only
-    handed back.  Only the ``next`` calls count as work.  Iteration 0 is
-    the starting point; ``cfg.max_iters`` caps the iterations after it.
-    Returns the last iterate, its image and the trace.
+    ``steps(stamp)`` makes a generator that does its setup and then one
+    iteration's work per ``next``, each time yielding the iterate's
+    coefficient stack, its l1 norm, its synthesis and the half spectrum of
+    its data residual ``blur(image) - y``, an image of ``shape``; the stack
+    itself is only handed back.  Only the ``next`` calls count as work.
+    In iterations 1..K the generator calls ``stamp(phase)`` at the end of
+    each phase of its step, which adds the seconds since the step began or
+    since the last stamp to ``phase``; its setup stamps nothing.
+    Iteration 0 is the starting point; ``cfg.max_iters`` caps the
+    iterations after it.  Returns the last iterate, its image and the
+    trace.
     """
-    trace = SolverTrace()
+    phase_s = dict.fromkeys(_PHASES, 0.0)
+
+    def stamp(phase: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        phase_s[phase] += now - last
+        last = now
+
+    iterations = steps(stamp)
+    trace = SolverTrace(phase_s=phase_s)
     work_seconds = 0.0
     prev_objective = None
     for k in range(cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        bands, l1, image, residual_half = next(steps)
-        work_seconds += time.perf_counter() - t0
+        t0 = last = time.perf_counter()
+        bands, l1, image, residual_half = next(iterations)
+        last = time.perf_counter()
+        work_seconds += last - t0
 
         # a non-finite coefficient makes the l1 term non-finite, so this
         # also catches an iterate that stopped being finite
@@ -206,6 +216,8 @@ def _drive(steps: Iterator[tuple[np.ndarray, float, np.ndarray, np.ndarray]],
             # relative change; an objective of 0 stops once it repeats
             stop = (prev_objective is not None
                     and abs(f - prev_objective) <= cfg.rel_tol * prev_objective)
+        if k:
+            stamp("bookkeeping")
         if stop:
             break
         prev_objective = f
@@ -308,7 +320,7 @@ def salsa_solve(
     # iteration 0, where beta = theta, has a gap of 0
     prox_inputs = []
 
-    def steps():
+    def steps(stamp):
         inv_filter = build_inversion_filter(otf, mu)
         y_hat = _spectrum(y)
         a = (1.0 - inv_filter) * (np.conj(otf) * y_hat) / mu
@@ -320,21 +332,27 @@ def salsa_solve(
         theta_hat = _rfft2(w_theta)
         v_hat = theta_hat.copy()
         g_hat = np.empty_like(theta_hat)
-        residual_half = _residual_half(otf, theta_hat, y_hat, np.empty_like(y_hat))
+        # C order, which prox._objective needs, also when y_hat is not
+        residual_half = _residual_half(otf, theta_hat, y_hat, np.empty(y_hat.shape, y_hat.dtype))
         prox_inputs[:] = np.zeros_like(theta), np.zeros_like(theta)
         zero = _zero_blocks(theta)
         yield theta, _l1(theta), w_theta, residual_half
         for k in itertools.count(1):
             _quadratic_step(a, theta_hat, v_hat, inv_filter, g_hat)
-            v = analysis_bands(np.fft.irfft2(g_hat, s=y.shape), levels, out=prox_inputs[k % 2])
             np.add(theta_hat, g_hat, out=v_hat)
+            stamp("spectral")
+            v = analysis_bands(_irfft2(g_hat, y.shape, stamp), levels, out=prox_inputs[k % 2])
             # v + theta_{k-1} is v_k; theta_k replaces theta_{k-1}
             l1 = _sweep(v, theta, threshold, zero)
+            stamp("analysis+sweep")
             w_theta = synthesis_bands(theta, levels, zero=_zero_bands(zero, theta.shape))
-            theta_hat = _rfft2(w_theta)
-            yield theta, l1, w_theta, _residual_half(otf, theta_hat, y_hat, residual_half)
+            stamp("synthesis")
+            theta_hat = _rfft2(w_theta, stamp)
+            _residual_half(otf, theta_hat, y_hat, residual_half)
+            stamp("spectral")
+            yield theta, l1, w_theta, residual_half
 
-    theta, w_theta, trace = _drive(steps(), cfg, isnr_fn, y.shape)
+    theta, w_theta, trace = _drive(steps, cfg, isnr_fn, y.shape)
     last = trace.final.iteration
     # formed over v_K's and v_{K-1}'s buffers, which nothing reads again
     c_last, c_prev = prox_inputs[last % 2], prox_inputs[(last - 1) % 2]
@@ -355,7 +373,19 @@ def _spectrum(y: np.ndarray) -> np.ndarray:
     return np.fft.rfft2(y.astype(np.float64, copy=False))
 
 
-def _rfft2(image: np.ndarray) -> np.ndarray:
+def _irfft2(spectrum: np.ndarray, shape: tuple[int, int],
+            stamp: Callable[[str], None]) -> np.ndarray:
+    """``irfft2(spectrum, s=shape)``, closing the ``irfft2`` phase with ``stamp``.
+
+    A step hands the image straight to its analysis, so that it is freed
+    as soon as the analysis is done.
+    """
+    image = np.fft.irfft2(spectrum, s=shape)
+    stamp("irfft2")
+    return image
+
+
+def _rfft2(image: np.ndarray, stamp: Callable[[str], None] | None = None) -> np.ndarray:
     """``rfft2(image)``, computed in the precision of ``image``.
 
     numpy 2 picks the loop of a forward FFT from its scale factor.  The
@@ -366,12 +396,16 @@ def _rfft2(image: np.ndarray) -> np.ndarray:
     float32 ``1/n`` per axis, so the float32 loop runs, and multiplying by
     ``image.size`` restores the default scale, exactly when both sides are
     powers of two.  A float64 image takes the plain call, so its spectrum
-    is unchanged bit for bit.
+    is unchanged bit for bit.  A step of ``_drive`` passes its ``stamp``,
+    which closes the ``rfft2`` phase once the spectrum is done.
     """
     if image.dtype != np.float32:
-        return np.fft.rfft2(image)
-    spectrum = np.fft.rfft2(image, norm="forward")
-    spectrum *= image.size
+        spectrum = np.fft.rfft2(image)
+    else:
+        spectrum = np.fft.rfft2(image, norm="forward")
+        spectrum *= image.size
+    if stamp is not None:
+        stamp("rfft2")
     return spectrum
 
 
@@ -457,7 +491,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
     check_real("gradient step 1 / max |OTF|^2", step)
     threshold = float(cfg.tau) * step
 
-    def steps():
+    def steps(stamp):
         # the gradient step's filter, applied to the residual spectrum: complex
         # (also for a real OTF) and in the working precision
         descent = (-step * np.conj(otf)).astype(np.result_type(y, np.complex64), copy=False)
@@ -482,7 +516,8 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             # the spectrum of -step * grad, formed from R in complex128, stored in
             # the working precision
             np.multiply(descent, residual_z, out=gradient_hat)
-            bands = _analysis_steps(np.fft.irfft2(gradient_hat, s=y.shape), levels)
+            stamp("spectral")
+            bands = _analysis_steps(_irfft2(gradient_hat, y.shape, stamp), levels)
             if momentum:
                 # z is +0.0 wherever both of the last two iterates are
                 zero, zero_prev = [a and b for a, b in zip(zero, zero_prev)], zero
@@ -493,14 +528,20 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
                 beta *= w
                 beta += z
                 beta, z = z, beta
+            stamp("analysis+sweep")
             image = synthesis_bands(beta, levels, zero=_zero_bands(zero, beta.shape))
-            residual_next = otf * _rfft2(image) - y_hat
+            stamp("synthesis")
+            # numpy computes ``otf * s`` for an unnamed ``s`` of 256 KiB or more
+            # and of the product's dtype in s's buffer, as ``s * otf``, which
+            # rounds differently; the traces are pinned to that, so s stays unnamed
+            residual_next = otf * _rfft2(image, stamp) - y_hat
             if w == 0.0:
                 residual_z = residual_next
             else:
                 residual_z = (1.0 + w) * residual_next - w * residual
             residual = residual_next
+            stamp("spectral")
             yield beta, l1, image, residual
 
-    beta, image, trace = _drive(steps(), cfg, isnr_fn, y.shape)
+    beta, image, trace = _drive(steps, cfg, isnr_fn, y.shape)
     return FrameCoeffs(levels, beta), image, trace

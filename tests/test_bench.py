@@ -532,6 +532,10 @@ def test_solve_observation_without_truth_has_no_isnr():
 # export
 
 
+PHASE_S = {"spectral": 0.5, "irfft2": 0.25, "analysis+sweep": 2.0, "synthesis": 1.0,
+           "rfft2": 0.25, "bookkeeping": 0.125}
+
+
 def fabricated_report():
     trace = SolverTrace([
         TraceRecord(0, 0.0, 100.0, None),
@@ -573,6 +577,8 @@ def test_export_trace_rows_and_round_trip(tmp_path):
 
 def test_export_report_json(tmp_path):
     report = fabricated_report()
+    report.results["salsa"].trace.phase_s = PHASE_S
+    report.results["ist"] = SolverResult(name="ist", diverged=True, error="boom")
     path = export_report(report, tmp_path / "t_report.json")
     doc = json.loads(path.read_text())
     assert doc["experiment"]["id"] == "t"
@@ -583,6 +589,8 @@ def test_export_report_json(tmp_path):
     assert block["objective"] == 25.125
     assert block["iterations"] == 2
     assert block["diverged"] is False
+    assert block["phase_s"] == PHASE_S
+    assert doc["solvers"]["ist"]["phase_s"] == {}  # diverged: no phases
 
 
 def test_report_summary_handles_infinite_isnr():

@@ -13,6 +13,9 @@ from salsa_deconv.cli import PgmError, main, parse_args, read_image, write_image
 from salsa_deconv.convolution import BlurKind, build_psf
 from salsa_deconv.solver import DivergenceError
 
+# the phases every solver block of a report splits its time into
+PHASES = {"spectral", "irfft2", "analysis+sweep", "synthesis", "rfft2", "bookkeeping"}
+
 
 # ---------------------------------------------------------------------------
 # PGM I/O
@@ -358,6 +361,8 @@ def test_run_writes_stable_artifacts(tmp_path, capsys):
     doc = json.loads((out / "1_report.json").read_text())
     assert doc["experiment"]["id"] == "1"
     assert set(doc["solvers"]) == {"salsa", "ist"}
+    for block in doc["solvers"].values():
+        assert set(block["phase_s"]) == PHASES
     assert "1 salsa:" in capsys.readouterr().out
 
 
@@ -385,6 +390,8 @@ def test_deblur_end_to_end(tmp_path):
     trace = (out / "deblur_salsa_trace.csv").read_text().splitlines()
     assert trace[0] == "iter,elapsed_s,objective,isnr_db"
     assert all(line.endswith(",") for line in trace[1:])  # no truth, no ISNR
+    doc = json.loads((out / "deblur_report.json").read_text())
+    assert set(doc["solvers"]["salsa"]["phase_s"]) == PHASES
 
 
 def test_deblur_solves_in_float32_and_run_in_float64(tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ import runpy
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -21,32 +20,6 @@ def test_tune_tau_prints_json_winners(capsys):
     for row in winners.values():
         assert row["tau"] in grid
         assert isinstance(row["isnr_db"], float)
-
-
-def test_iteration_split_prints_every_part(capsys):
-    # the per-part timing of one solver iteration, cut to a smoke run
-    main = runpy.run_path(str(SCRIPTS / "iteration_split.py"))["main"]
-    for solver, experiment, dtype in (("salsa", "1", "float64"), ("ist", "2B", "float32"),
-                                      ("fista", "3B", "float64")):
-        args = ["--size", "32", "--solver", solver, "--iters", "3"]
-        args += ["--experiment", experiment] if experiment != "1" else []
-        args += ["--dtype", dtype] if dtype != "float64" else []
-        main(args)
-        header, *rows = capsys.readouterr().out.splitlines()
-        assert header.startswith(f"{solver} at 32x32, median of 3 iterations, "
-                                 f"experiment {experiment} with a {dtype} observation ")
-        parts = {row[:15].strip(): float(row[15:].split()[0]) for row in rows}
-        assert list(parts) == ["analysis+sweep", "synthesis", "rfft2", "irfft2",
-                               "spectral step", "objective", "remainder", "iteration"]
-        assert all(ms >= 0.0 for ms in parts.values())
-
-
-def test_iteration_split_rejects_an_unknown_experiment(capsys):
-    main = runpy.run_path(str(SCRIPTS / "iteration_split.py"))["main"]
-    with pytest.raises(SystemExit):
-        main(["--size", "32", "--experiment", "4"])
-    assert "--experiment must be one of ['1', '2A', '2B', '3A', '3B'], got '4'" in \
-        capsys.readouterr().err
 
 
 def test_ab_iterations_compares_two_checkouts(capsys):

@@ -404,15 +404,29 @@ def test_target_objective_mode(solver, slack):
         assert trace.final.iteration <= ref_trace.final.iteration
 
 
-@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
-def test_trace_monotonic_bookkeeping(solver):
+PHASES = {"spectral", "irfft2", "analysis+sweep", "synthesis", "rfft2", "bookkeeping"}
+
+
+@pytest.mark.parametrize(
+    "solver, dtype",
+    [(solver, dtype) for dtype in (np.float64, np.float32)
+     for solver in (salsa_solve, ist_solve, fista_solve)],
+    ids=[name + suffix for suffix in ("", "-float32")
+         for name in ("salsa_solve", "ist_solve", "fista_solve")])
+def test_trace_monotonic_bookkeeping(solver, dtype):
     y, otf, spec = small_problem(side=16, levels=2)
     cfg = SolverConfig(tau=0.05, max_iters=40, rel_tol=0.0)
-    _, _, trace = solver(y, otf, spec, Regularizer(), cfg)
+    _, _, trace = solver(y.astype(dtype), otf, spec, Regularizer(), cfg)
     iters = [r.iteration for r in trace.records]
     times = [r.elapsed_s for r in trace.records]
     assert iters == list(range(cfg.max_iters + 1))
     assert all(b >= a for a, b in zip(times, times[1:]))
+    # the phases of iterations 1..K: the stamps nest inside the work clock,
+    # so the work phases sum to no more than the work after iteration 0
+    assert set(trace.phase_s) == PHASES
+    assert all(seconds >= 0.0 for seconds in trace.phase_s.values())
+    work = sum(s for phase, s in trace.phase_s.items() if phase != "bookkeeping")
+    assert work <= (trace.final.elapsed_s - trace.records[0].elapsed_s) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +591,22 @@ def test_rfft2_transforms_float32_in_float32():
     assert got.dtype == np.complex64
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
     assert peak < 3 * got.nbytes, peak / got.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
+def test_solvers_take_a_fortran_ordered_observation(solver, dtype):
+    # the rfft2 of a Fortran-ordered y is not C-contiguous, while the
+    # objective views SALSA's residual spectrum as floats, which needs C order
+    y, otf, spec = small_problem(side=16, levels=2)
+    y = y.astype(dtype)
+    cfg = SolverConfig(tau=0.05, max_iters=6, rel_tol=0.0)
+    c_coeffs, c_image, c_trace = solver(y, otf, spec, Regularizer(), cfg)
+    f_coeffs, f_image, f_trace = solver(np.asfortranarray(y), otf, spec, Regularizer(), cfg)
+    assert [r.objective for r in f_trace.records] == [r.objective for r in c_trace.records]
+    assert f_trace.splitting_residual == c_trace.splitting_residual
+    assert np.array_equal(f_coeffs.bands, c_coeffs.bands)
+    assert np.array_equal(f_image, c_image)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
