@@ -4,7 +4,7 @@ The pieces: FFT-domain circular blur operators (:mod:`.convolution`), a
 Parseval redundant Haar frame (:mod:`.frame`), l1 proximal maps
 (:mod:`.prox`), the splitting solver plus shrinkage baselines
 (:mod:`.solver`), a reproducible benchmark harness (:mod:`.bench`) and a
-PGM command-line front end (:mod:`.cli`).
+PGM command-line front end that writes a run's artifacts (:mod:`.cli`).
 """
 
 from .bench import (
@@ -13,11 +13,8 @@ from .bench import (
     ExperimentSpec,
     SolverResult,
     degrade,
-    export_report,
-    export_trace,
     isnr,
     phantom,
-    report_summary,
     run_experiment,
     solve_observation,
 )
@@ -68,8 +65,5 @@ __all__ = [
     "isnr",
     "run_experiment",
     "solve_observation",
-    "export_trace",
-    "export_report",
-    "report_summary",
     "__version__",
 ]

@@ -3,8 +3,8 @@
 Synthesizes degraded observations (periodic blur plus seeded white
 Gaussian noise), runs the requested solvers on the identical problem
 instance, and collects objective traces, timings and ISNR into an
-:class:`ExperimentReport` that can be exported as CSV traces plus a JSON
-summary.
+:class:`ExperimentReport`.  Writing a report to files is the command
+line's job (:mod:`.cli`).
 
 Images are on the [0, 255] intensity scale; the shipped noise variances
 are only meaningful at that scale.  Noise is drawn from a PCG64 stream
@@ -14,13 +14,10 @@ observation bit-for-bit.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
 import math
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -48,12 +45,7 @@ __all__ = [
     "isnr",
     "run_experiment",
     "solve_observation",
-    "export_trace",
-    "export_report",
-    "report_summary",
 ]
-
-INTENSITY_SCALE = (0.0, 255.0)
 
 SOLVER_NAMES = ("salsa", "ist", "fista")
 
@@ -339,69 +331,3 @@ def run_experiment(spec: ExperimentSpec, x_true: np.ndarray) -> ExperimentReport
     x_true = check_image("x_true", x_true).astype(float, copy=False)
     y = degrade(x_true, spec.psf(), spec.noise_variance, spec.seed)
     return solve_observation(y, spec, x_true=x_true)
-
-
-def _format_float(v: float) -> str:
-    return format(v, ".17g")
-
-
-def export_trace(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
-    """Write one ``<id>_<solver>_trace.csv`` per solver; returns the paths.
-
-    Columns are ``iter,elapsed_s,objective,isnr_db`` with floats printed
-    to 17 significant digits (lossless for float64) and LF line endings;
-    a missing ISNR leaves the field empty.
-    """
-    out_dir = Path(out_dir)
-    paths = []
-    for name, result in report.results.items():
-        path = out_dir / f"{report.spec.id}_{name}_trace.csv"
-        lines = ["iter,elapsed_s,objective,isnr_db"]
-        for rec in result.trace.records:
-            isnr_txt = "" if rec.isnr_db is None else _format_float(rec.isnr_db)
-            lines.append(
-                f"{rec.iteration},{_format_float(rec.elapsed_s)},"
-                f"{_format_float(rec.objective)},{isnr_txt}"
-            )
-        try:
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise OSError(f"cannot write trace to {path}: {exc}") from exc
-        paths.append(path)
-    return paths
-
-
-def report_summary(report: ExperimentReport) -> dict:
-    """JSON-ready summary: spec echo, input digest, per-solver block."""
-    spec = dataclasses.asdict(report.spec)
-    spec["blur_kind"] = report.spec.blur_kind.value
-    solvers = {}
-    for name, r in report.results.items():
-        solvers[name] = {
-            "objective": r.objective,
-            "iterations": r.iterations,
-            "seconds": r.seconds,
-            "isnr_db": None if r.isnr_db is None or not math.isfinite(r.isnr_db) else r.isnr_db,
-            "diverged": r.diverged,
-            "error": r.error,
-            "reached_target": r.reached_target,
-            "splitting_residual": r.splitting_residual,
-            "phase_s": r.trace.phase_s,
-        }
-    return {
-        "experiment": spec,
-        "intensity_scale": list(INTENSITY_SCALE),
-        "input_sha256": report.input_sha256,
-        "target_objective": report.target_objective,
-        "solvers": solvers,
-    }
-
-
-def export_report(report: ExperimentReport, path: str | Path) -> Path:
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(report_summary(report), indent=2) + "\n",
-                        encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-    return path

@@ -1,4 +1,4 @@
-"""Command-line front end: PGM I/O, experiment setup, artifact output.
+"""Command-line front end: PGM I/O, experiment setup and a run's artifacts.
 
 Three subcommands:
 
@@ -17,8 +17,9 @@ Three subcommands:
 Artifacts land in ``--out`` with stable names: per solver a
 reconstruction ``<id>_<solver>.pgm`` and a trace ``<id>_<solver>_trace.csv``,
 plus one ``<id>_report.json`` per run (``<id>`` is the experiment id, or
-``deblur``).  Exit status is 0 iff every requested solver terminated
-without divergence; usage errors exit with 2.
+``deblur``); this module alone decides their names and formats.  Exit
+status is 0 iff every requested solver terminated without divergence;
+usage errors exit with 2.
 
 Only binary 8-bit PGM (P5) images are supported.
 """
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -37,9 +40,8 @@ from ._checks import check_image
 from .bench import (
     DEFAULT_EXPERIMENTS,
     SOLVER_NAMES,
+    ExperimentReport,
     ExperimentSpec,
-    export_report,
-    export_trace,
     phantom,
     run_experiment,
     solve_observation,
@@ -240,12 +242,7 @@ def _cmd_solve(cfg: argparse.Namespace) -> int:
         # round there by at most 2**-24 relative), so the solvers iterate in float32
         report = solve_observation(read_image(cfg.image).astype(np.float32), spec)
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    for name, result in report.results.items():
-        if result.image is not None:
-            write_image(result.image, cfg.out / f"{spec.id}_{name}.pgm")
-    export_trace(report, cfg.out)
-    export_report(report, cfg.out / f"{spec.id}_report.json")
+    _write_artifacts(report, cfg.out)
     for name, r in report.results.items():
         if r.diverged:
             print(f"{spec.id} {name}: DIVERGED ({r.error})")
@@ -254,6 +251,58 @@ def _cmd_solve(cfg: argparse.Namespace) -> int:
             print(f"{spec.id} {name}: {r.iterations} iters  "
                   f"objective={r.objective:.6g}  {r.seconds:.2f} s{isnr_txt}")
     return 0 if not any(r.diverged for r in report.results.values()) else 1
+
+
+def _write_artifacts(report: ExperimentReport, out: Path) -> None:
+    """Write a run's artifacts into ``out``, creating it.
+
+    Per solver, in the report's order: the reconstruction ``<id>_<solver>.pgm``
+    (none for a diverged solver) and the trace ``<id>_<solver>_trace.csv``;
+    then ``<id>_report.json``.  The trace's columns are
+    ``iter,elapsed_s,objective,isnr_db``, floats at 17 significant digits
+    (lossless for float64), and a missing ISNR leaves its field empty.  The
+    report echoes the experiment, the input digest and one block per solver,
+    with ``null`` for an infinite ISNR.  Text is written with LF line endings.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    prefix = report.spec.id
+    solvers = {}
+    for name, r in report.results.items():
+        if r.image is not None:
+            write_image(r.image, out / f"{prefix}_{name}.pgm")
+        rows = ["iter,elapsed_s,objective,isnr_db"]
+        rows += [f"{rec.iteration},{rec.elapsed_s:.17g},{rec.objective:.17g},"
+                 + ("" if rec.isnr_db is None else f"{rec.isnr_db:.17g}")
+                 for rec in r.trace.records]
+        _write_text(out / f"{prefix}_{name}_trace.csv", "\n".join(rows) + "\n")
+        solvers[name] = {
+            "objective": r.objective,
+            "iterations": r.iterations,
+            "seconds": r.seconds,
+            "isnr_db": None if r.isnr_db is None or not math.isfinite(r.isnr_db) else r.isnr_db,
+            "diverged": r.diverged,
+            "error": r.error,
+            "reached_target": r.reached_target,
+            "splitting_residual": r.splitting_residual,
+            "phase_s": r.trace.phase_s,
+        }
+    doc = {
+        "experiment": {**dataclasses.asdict(report.spec),
+                       "blur_kind": report.spec.blur_kind.value},
+        "intensity_scale": [0.0, 255.0],
+        "input_sha256": report.input_sha256,
+        "target_objective": report.target_objective,
+        "solvers": solvers,
+    }
+    _write_text(out / f"{prefix}_report.json", json.dumps(doc, indent=2) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` with LF line endings; a failure names the file."""
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_psf_dump(cfg: argparse.Namespace) -> int:

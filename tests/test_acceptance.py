@@ -8,6 +8,8 @@ an otherwise idle machine.
 
 import contextlib
 import csv
+import io
+import json
 import time
 from dataclasses import replace
 
@@ -32,7 +34,6 @@ from salsa_deconv import (
     build_inversion_filter,
     build_psf,
     degrade,
-    export_trace,
     fista_solve,
     ist_solve,
     phantom,
@@ -41,6 +42,7 @@ from salsa_deconv import (
     run_experiment,
     salsa_solve,
 )
+from salsa_deconv.cli import main
 from salsa_deconv.frame import analysis_bands, synthesis_bands
 from salsa_deconv.solver import _quadratic_step
 
@@ -243,19 +245,29 @@ def _trace_rows_without_elapsed(path):
     return [[row[0], row[2], row[3]] for row in rows]
 
 
+def _report_without_timings(path):
+    doc = json.loads(path.read_text())
+    for block in doc["solvers"].values():
+        del block["seconds"], block["phase_s"]
+    return doc
+
+
 def test_criterion_7_trace_determinism(tmp_path):
-    with criterion(7, "trace files are bitwise deterministic"):
-        x = phantom(256)
-        spec = DEFAULT_EXPERIMENTS["2B"]
-        paths = []
-        for run in ("a", "b"):
-            out = tmp_path / run
-            out.mkdir()
-            paths.append(export_trace(run_experiment(spec, x), out))
-        for first, second in zip(*paths):
-            assert first.name == second.name
-            assert _trace_rows_without_elapsed(first) == \
-                _trace_rows_without_elapsed(second)
+    with criterion(7, "run artifacts are bitwise deterministic"):
+        # experiment 2B on the built-in 256x256 phantom, twice
+        outs = [tmp_path / run for run in ("a", "b")]
+        for out in outs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", "--experiment", "2B", "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["2B_report.json", "2B_salsa.pgm", "2B_salsa_trace.csv"]
+        assert sorted(p.name for p in outs[1].iterdir()) == names
+        first, second = (out / "2B_salsa_trace.csv" for out in outs)
+        assert _trace_rows_without_elapsed(first) == _trace_rows_without_elapsed(second)
+        first, second = (out / "2B_salsa.pgm" for out in outs)
+        assert first.read_bytes() == second.read_bytes()
+        first, second = (out / "2B_report.json" for out in outs)
+        assert _report_without_timings(first) == _report_without_timings(second)
 
 
 # ---------------------------------------------------------------------------

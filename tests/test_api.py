@@ -28,7 +28,7 @@ from salsa_deconv.frame import analysis_bands, synthesis_bands
 MODULE_ALL = {
     "bench": ["ExperimentSpec", "SolverResult", "ExperimentReport", "DEFAULT_EXPERIMENTS",
               "SOLVER_NAMES", "phantom", "degrade", "isnr", "run_experiment",
-              "solve_observation", "export_trace", "export_report", "report_summary"],
+              "solve_observation"],
     "cli": ["PgmError", "read_image", "write_image", "parse_args", "main"],
     "convolution": ["BlurKind", "build_psf", "psf_to_otf", "apply_filter",
                     "build_inversion_filter"],
@@ -67,9 +67,6 @@ PUBLIC = [
     "isnr",
     "run_experiment",
     "solve_observation",
-    "export_trace",
-    "export_report",
-    "report_summary",
     "__version__",
 ]
 

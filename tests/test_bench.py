@@ -9,20 +9,16 @@ import pytest
 import salsa_deconv.bench as bench_module
 from salsa_deconv.bench import (
     DEFAULT_EXPERIMENTS,
-    ExperimentReport,
     ExperimentSpec,
     SolverResult,
     degrade,
-    export_report,
-    export_trace,
     isnr,
     phantom,
-    report_summary,
     run_experiment,
     solve_observation,
 )
+from salsa_deconv.cli import _write_artifacts
 from salsa_deconv.convolution import BlurKind, apply_filter, build_psf, psf_to_otf
-from salsa_deconv.solver import SolverTrace, TraceRecord
 
 
 def quick_spec(**overrides):
@@ -170,7 +166,7 @@ def test_isnr_perfect_reconstruction_is_infinite():
     assert isnr(x, y, x.copy()) == math.inf
 
 
-def test_isnr_against_noiseless_identity_observation():
+def test_isnr_against_noiseless_identity_observation(tmp_path):
     # ||y - x|| = 0: no estimate but x itself improves on y
     x = phantom(32)
     assert isnr(x, x, x + 1.0) == -math.inf
@@ -181,7 +177,9 @@ def test_isnr_against_noiseless_identity_observation():
     assert not result.diverged and result.isnr_db == -math.inf
     # the solve starts from y, which is x here
     assert [r.isnr_db for r in result.trace.records] == [math.inf] + [-math.inf] * 3
-    assert report_summary(report)["solvers"]["salsa"]["isnr_db"] is None
+    _write_artifacts(report, tmp_path)
+    doc = json.loads((tmp_path / "t_report.json").read_text())
+    assert doc["solvers"]["salsa"]["isnr_db"] is None
 
 
 def test_isnr_sums_float32_images_in_float64():
@@ -526,78 +524,6 @@ def test_solve_observation_without_truth_has_no_isnr():
     rec = report.results["salsa"].trace.records[0]
     assert rec.isnr_db is None
     assert report.results["salsa"].isnr_db is None
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-PHASE_S = {"spectral": 0.5, "irfft2": 0.25, "analysis+sweep": 2.0, "synthesis": 1.0,
-           "rfft2": 0.25, "bookkeeping": 0.125}
-
-
-def fabricated_report():
-    trace = SolverTrace([
-        TraceRecord(0, 0.0, 100.0, None),
-        TraceRecord(1, 0.125, 50.5, 1.25),
-        TraceRecord(2, 0.25, 25.125, 2.5),
-    ])
-    result = SolverResult(name="salsa", objective=25.125, iterations=2,
-                          seconds=0.25, isnr_db=2.5, trace=trace)
-    return ExperimentReport(spec=quick_spec(), input_sha256="ab" * 32,
-                            target_objective=None,
-                            results={"salsa": result})
-
-
-def test_export_empty_trace_header_only(tmp_path):
-    report = fabricated_report()
-    report.results["salsa"].trace = SolverTrace()
-    paths = export_trace(report, tmp_path)
-    assert [p.name for p in paths] == ["t_salsa_trace.csv"]
-    assert paths[0].read_text() == "iter,elapsed_s,objective,isnr_db\n"
-
-
-def test_export_trace_rows_and_round_trip(tmp_path):
-    report = fabricated_report()
-    path = export_trace(report, tmp_path)[0]
-    raw = path.read_bytes()
-    assert b"\r" not in raw  # LF only
-    lines = raw.decode().splitlines()
-    assert lines[0] == "iter,elapsed_s,objective,isnr_db"
-    assert len(lines) == 4
-    assert lines[1].endswith(",")  # missing ISNR -> empty field
-    for line, rec in zip(lines[1:], report.results["salsa"].trace.records):
-        cells = line.split(",")
-        assert int(cells[0]) == rec.iteration
-        assert float(cells[1]) == rec.elapsed_s  # 17 sig digits round-trips
-        assert float(cells[2]) == rec.objective
-        if rec.isnr_db is not None:
-            assert float(cells[3]) == rec.isnr_db
-
-
-def test_export_report_json(tmp_path):
-    report = fabricated_report()
-    report.results["salsa"].trace.phase_s = PHASE_S
-    report.results["ist"] = SolverResult(name="ist", diverged=True, error="boom")
-    path = export_report(report, tmp_path / "t_report.json")
-    doc = json.loads(path.read_text())
-    assert doc["experiment"]["id"] == "t"
-    assert doc["experiment"]["blur_kind"] == "uniform9"
-    assert doc["input_sha256"] == "ab" * 32
-    assert doc["intensity_scale"] == [0.0, 255.0]
-    block = doc["solvers"]["salsa"]
-    assert block["objective"] == 25.125
-    assert block["iterations"] == 2
-    assert block["diverged"] is False
-    assert block["phase_s"] == PHASE_S
-    assert doc["solvers"]["ist"]["phase_s"] == {}  # diverged: no phases
-
-
-def test_report_summary_handles_infinite_isnr():
-    report = fabricated_report()
-    report.results["salsa"].isnr_db = math.inf
-    doc = report_summary(report)
-    assert doc["solvers"]["salsa"]["isnr_db"] is None  # JSON-safe
 
 
 def test_trace_equal_seeds_equal_objectives():

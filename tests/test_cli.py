@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +10,10 @@ import numpy as np
 import pytest
 
 import salsa_deconv
-from salsa_deconv.bench import degrade, phantom
-from salsa_deconv.cli import PgmError, main, parse_args, read_image, write_image
+from salsa_deconv.bench import ExperimentReport, ExperimentSpec, SolverResult, degrade, phantom
+from salsa_deconv.cli import PgmError, _write_artifacts, main, parse_args, read_image, write_image
 from salsa_deconv.convolution import BlurKind, build_psf
-from salsa_deconv.solver import DivergenceError
+from salsa_deconv.solver import DivergenceError, SolverTrace, TraceRecord
 
 # the phases every solver block of a report splits its time into
 PHASES = {"spectral", "irfft2", "analysis+sweep", "synthesis", "rfft2", "bookkeeping"}
@@ -345,6 +347,84 @@ def test_negative_tau_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# artifacts
+
+
+PHASE_S = {"spectral": 0.5, "irfft2": 0.25, "analysis+sweep": 2.0, "synthesis": 1.0,
+           "rfft2": 0.25, "bookkeeping": 0.125}
+
+
+def fabricated_report():
+    trace = SolverTrace([
+        TraceRecord(0, 0.0, 100.0, None),
+        TraceRecord(1, 0.125, 50.5, 1.25),
+        TraceRecord(2, 0.25, 25.125, 2.5),
+    ])
+    result = SolverResult(name="salsa", objective=25.125, iterations=2,
+                          seconds=0.25, isnr_db=2.5, trace=trace)
+    spec = ExperimentSpec(id="t", blur_kind=BlurKind.UNIFORM9, noise_variance=0.25,
+                          tau=0.05, seed=5, levels=2)
+    return ExperimentReport(spec=spec, input_sha256="ab" * 32,
+                            target_objective=None,
+                            results={"salsa": result})
+
+
+def test_empty_trace_csv_is_header_only(tmp_path):
+    report = fabricated_report()
+    report.results["salsa"].trace = SolverTrace()
+    _write_artifacts(report, tmp_path)
+    # the fabricated result has no image, so no PGM
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t_report.json", "t_salsa_trace.csv"]
+    assert (tmp_path / "t_salsa_trace.csv").read_text() == "iter,elapsed_s,objective,isnr_db\n"
+
+
+def test_trace_csv_rows_and_round_trip(tmp_path):
+    report = fabricated_report()
+    _write_artifacts(report, tmp_path)
+    raw = (tmp_path / "t_salsa_trace.csv").read_bytes()
+    assert b"\r" not in raw  # LF only
+    lines = raw.decode().splitlines()
+    assert lines[0] == "iter,elapsed_s,objective,isnr_db"
+    assert len(lines) == 4
+    assert lines[1].endswith(",")  # missing ISNR -> empty field
+    for line, rec in zip(lines[1:], report.results["salsa"].trace.records):
+        cells = line.split(",")
+        assert int(cells[0]) == rec.iteration
+        assert float(cells[1]) == rec.elapsed_s  # 17 sig digits round-trips
+        assert float(cells[2]) == rec.objective
+        if rec.isnr_db is not None:
+            assert float(cells[3]) == rec.isnr_db
+
+
+def test_report_json_contents(tmp_path):
+    report = fabricated_report()
+    report.results["salsa"].trace.phase_s = PHASE_S
+    report.results["ist"] = SolverResult(name="ist", diverged=True, error="boom")
+    _write_artifacts(report, tmp_path)
+    raw = (tmp_path / "t_report.json").read_bytes()
+    assert b"\r" not in raw  # LF only
+    doc = json.loads(raw)
+    assert doc["experiment"]["id"] == "t"
+    assert doc["experiment"]["blur_kind"] == "uniform9"
+    assert doc["input_sha256"] == "ab" * 32
+    assert doc["intensity_scale"] == [0.0, 255.0]
+    block = doc["solvers"]["salsa"]
+    assert block["objective"] == 25.125
+    assert block["iterations"] == 2
+    assert block["diverged"] is False
+    assert block["phase_s"] == PHASE_S
+    assert doc["solvers"]["ist"]["phase_s"] == {}  # diverged: no phases
+
+
+def test_report_json_handles_infinite_isnr(tmp_path):
+    report = fabricated_report()
+    report.results["salsa"].isnr_db = math.inf
+    _write_artifacts(report, tmp_path)
+    doc = json.loads((tmp_path / "t_report.json").read_text())
+    assert doc["solvers"]["salsa"]["isnr_db"] is None  # JSON-safe
+
+
+# ---------------------------------------------------------------------------
 # main
 
 
@@ -364,6 +444,22 @@ def test_run_writes_stable_artifacts(tmp_path, capsys):
     for block in doc["solvers"].values():
         assert set(block["phase_s"]) == PHASES
     assert "1 salsa:" in capsys.readouterr().out
+
+
+def test_report_key_order_is_pinned(tmp_path):
+    # the report's layout is a pinned format: its key order at every level
+    img = make_pgm(tmp_path)
+    out = tmp_path / "results"
+    assert main(["run", "--experiment", "1", "--image", str(img), "--out", str(out),
+                 "--max-iters", "2", "--solver", "salsa", "--solver", "fista"]) == 0
+    doc = json.loads((out / "1_report.json").read_text())
+    assert list(doc) == ["experiment", "intensity_scale", "input_sha256",
+                         "target_objective", "solvers"]
+    assert list(doc["experiment"]) == [f.name for f in dataclasses.fields(ExperimentSpec)]
+    assert list(doc["solvers"]) == ["salsa", "fista"]
+    for block in doc["solvers"].values():
+        assert list(block) == ["objective", "iterations", "seconds", "isnr_db", "diverged",
+                               "error", "reached_target", "splitting_residual", "phase_s"]
 
 
 def test_run_uses_builtin_phantom_when_no_image(tmp_path):
@@ -416,6 +512,14 @@ def test_deblur_solves_in_float32_and_run_in_float64(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "r")]) == 0
     assert seen == [np.float32, np.float64]
     assert read_image(tmp_path / "d" / "deblur_salsa.pgm").shape == (32, 32)
+
+
+def test_write_failure_names_the_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    blocked = out / "1_salsa_trace.csv"
+    blocked.mkdir(parents=True)  # a directory where the trace goes
+    assert main(["run", "--experiment", "1", "--max-iters", "2", "--out", str(out)]) == 1
+    assert f"error: cannot write {blocked}: " in capsys.readouterr().err
 
 
 def test_psf_dump(capsys):
