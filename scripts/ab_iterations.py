@@ -24,7 +24,10 @@ solve, setup included, divided by --iters.  After a header that names
 numpy's version and nproc (the CPUs this process may run on), it prints
 each side's median and quartiles in ms per iteration, the median over
 the pairs of the change/base ratio, and the number of pairs the change
-won.
+won.  A last line compares the objectives each side's last solve
+recorded: ``traces equal``, or ``traces differ from record k (max rel r)``
+with ``k`` the first record that differs and ``r`` the largest relative
+difference over the records both sides have.
 
 Usage: python3 scripts/ab_iterations.py --base DIR --change DIR
            [--experiment 1] [--size 256] [--solver salsa] [--iters 20] [--reps 10]
@@ -71,17 +74,32 @@ def solve_fn(pkg, experiment: str, size: int, solver: str, iters: int, dtype: st
     return lambda: pkg.solve_observation(y, spec)
 
 
-def run_pairs(runs: dict, iters: int, reps: int) -> dict[str, list[float]]:
-    """``reps`` alternating pairs of solves; ms per iteration of each side, pair by pair."""
+def run_pairs(runs: dict, iters: int, reps: int) -> tuple[dict[str, list[float]], dict]:
+    """``reps`` alternating pairs of solves; ms per iteration of each side, pair by pair,
+    and each side's last report."""
     for run in runs.values():
         run()  # warm-up
     samples = {side: [] for side in SIDES}
+    last = {}
     for i in range(reps):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             t0 = time.perf_counter()
-            runs[side]()
+            last[side] = runs[side]()
             samples[side].append(1e3 * (time.perf_counter() - t0) / iters)
-    return samples
+    return samples, last
+
+
+def trace_agreement(last: dict, solver: str) -> str:
+    """Whether the two sides' last solves recorded the same objectives, and if not,
+    from which record on and by how much, relative to the larger of each pair."""
+    base, change = ([r.objective for r in last[side].results[solver].trace.records]
+                    for side in SIDES)
+    if base == change:
+        return "traces equal"
+    pairs = list(zip(base, change))
+    first = next((k for k, (b, c) in enumerate(pairs) if b != c), len(pairs))
+    worst = max((abs(c - b) / max(abs(b), abs(c)) for b, c in pairs if b != c), default=0.0)
+    return f"traces differ from record {first} (max rel {worst:.3g})"
 
 
 def main(argv=None):
@@ -110,7 +128,7 @@ def main(argv=None):
                     for side in SIDES}
         finally:
             sys.path.remove(tmp)
-        samples = run_pairs(runs, args.iters, args.reps)
+        samples, last = run_pairs(runs, args.iters, args.reps)
 
     print(f"{args.solver} at {args.size}x{args.size}, {args.iters} iterations per solve, "
           f"{args.reps} pairs, experiment {args.experiment} with a {args.dtype} observation "
@@ -122,6 +140,7 @@ def main(argv=None):
     wins = sum(c < b for b, c in zip(samples["base"], samples["change"]))
     print(f"change/base median ratio {statistics.median(ratios):.3f}, "
           f"change faster in {wins}/{args.reps} pairs")
+    print(trace_agreement(last, args.solver))
 
 
 if __name__ == "__main__":

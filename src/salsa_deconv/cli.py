@@ -258,23 +258,32 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
 
     Per solver, in the report's order: the reconstruction ``<id>_<solver>.pgm``
     (none for a diverged solver) and the trace ``<id>_<solver>_trace.csv``;
-    then ``<id>_report.json``.  The trace's columns are
-    ``iter,elapsed_s,objective,isnr_db``, floats at 17 significant digits
-    (lossless for float64), and a missing ISNR leaves its field empty.  The
-    report echoes the experiment, the input digest and one block per solver,
-    with ``null`` for an infinite ISNR.  Text is written with LF line endings.
+    then ``<id>_report.json``.  Before it writes anything, it removes the
+    files at all of those paths, the report first, so a failed write or
+    removal leaves no report beside files it does not describe.  The
+    trace's columns are ``iter,elapsed_s,objective,isnr_db``, floats at 17
+    significant digits (lossless for float64), and a missing ISNR leaves
+    its field empty.  The report echoes the experiment, the input digest
+    and one block per solver, with ``null`` for an infinite ISNR.  Text is
+    written with LF line endings.
     """
     out.mkdir(parents=True, exist_ok=True)
     prefix = report.spec.id
+    report_path = out / f"{prefix}_report.json"
+    paths = {name: (out / f"{prefix}_{name}.pgm", out / f"{prefix}_{name}_trace.csv")
+             for name in report.results}
+    for path in [report_path, *(path for pair in paths.values() for path in pair)]:
+        _remove(path)
     solvers = {}
     for name, r in report.results.items():
+        image_path, trace_path = paths[name]
         if r.image is not None:
-            write_image(r.image, out / f"{prefix}_{name}.pgm")
+            write_image(r.image, image_path)
         rows = ["iter,elapsed_s,objective,isnr_db"]
         rows += [f"{rec.iteration},{rec.elapsed_s:.17g},{rec.objective:.17g},"
                  + ("" if rec.isnr_db is None else f"{rec.isnr_db:.17g}")
                  for rec in r.trace.records]
-        _write_text(out / f"{prefix}_{name}_trace.csv", "\n".join(rows) + "\n")
+        _write_text(trace_path, "\n".join(rows) + "\n")
         solvers[name] = {
             "objective": r.objective,
             "iterations": r.iterations,
@@ -294,7 +303,15 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
         "target_objective": report.target_objective,
         "solvers": solvers,
     }
-    _write_text(out / f"{prefix}_report.json", json.dumps(doc, indent=2) + "\n")
+    _write_text(report_path, json.dumps(doc, indent=2) + "\n")
+
+
+def _remove(path: Path) -> None:
+    """Remove the file at ``path``, if any; a failure, such as a directory there, names it."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -14,6 +14,12 @@ array of ``rfft2``.  :func:`apply_filter` multiplies by it between
 correlation with the kernel.  The regularized inverse used by the
 quadratic solve of the split augmented-Lagrangian iteration is such a
 filter too; see :func:`build_inversion_filter`.
+
+A filter multiplies a spectrum filter first, ``filt * X``, with ``X`` a
+named array.  numpy's complex multiply does not round ``a * b`` and
+``b * a`` alike, and for an unnamed right operand of 256 KiB or more it
+computes the product in that operand's buffer, as ``X * filt``; so an
+unnamed ``X`` would let the image size pick the rounding.
 """
 
 from __future__ import annotations
@@ -148,7 +154,8 @@ def apply_filter(filt: np.ndarray, image: np.ndarray) -> np.ndarray:
     """
     image = check_image("image", image)
     _check_half_spectrum(filt, image.shape)
-    return np.fft.irfft2(filt * np.fft.rfft2(image), s=image.shape)
+    spectrum = np.fft.rfft2(image)
+    return np.fft.irfft2(filt * spectrum, s=image.shape)
 
 
 def _check_half_spectrum(filt: np.ndarray, shape: tuple[int, ...]) -> None:

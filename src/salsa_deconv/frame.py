@@ -189,12 +189,14 @@ def synthesis_bands(bands: np.ndarray, levels: int, *, zero=()) -> np.ndarray:
     float32 stack is synthesized in float32, any other in float64.
 
     ``zero``, when not empty, holds one flag per band in stack order; a
-    true flag says the band is all zero, so its adjoint term adds nothing
-    and is left out, and when a level's V and D are both flagged so is
-    the axis-0 highpass branch they feed.  The approximation band's flag
-    is ignored.  The result equals (``==``) the unflagged synthesis; only
-    the sign of a zero may differ.  Every solver passes the flags its
-    last sweep recorded (:func:`~salsa_deconv.prox._zero_bands`).
+    true flag says the band is all zero.  The adjoint term of a flagged H
+    or D band adds nothing and is left out.  V's term is left out only
+    with D's, together with the axis-0 highpass branch they feed: the
+    soft threshold empties D first, so V is hardly ever flagged alone.
+    The approximation band's flag is ignored.  The result equals (``==``)
+    the unflagged synthesis; only the sign of a zero may differ.  Every
+    solver passes the flags its last sweep recorded
+    (:func:`~salsa_deconv.prox._zero_bands`).
     """
     check_integer("levels", levels, minimum=1)
     bands = as_float("bands", bands)
@@ -219,13 +221,10 @@ def synthesis_bands(bands: np.ndarray, levels: int, *, zero=()) -> np.ndarray:
             # V and D are all zero, and so is the axis-0 highpass branch they feed
             _pair(np.add, p, -shift, 0, q)
         else:
-            if v:
-                _pair(np.subtract, bands[3 * j + 2], -shift, 1, r)
-            else:
-                _pair(np.add, bands[3 * j + 1], -shift, 1, r)
-                if not d:
-                    _pair(np.subtract, bands[3 * j + 2], -shift, 1, q)
-                    r += q
+            _pair(np.add, bands[3 * j + 1], -shift, 1, r)
+            if not d:
+                _pair(np.subtract, bands[3 * j + 2], -shift, 1, q)
+                r += q
             _pair(np.add, p, -shift, 0, q)
             _pair(np.subtract, r, -shift, 0, p)
             q += p

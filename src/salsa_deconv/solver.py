@@ -67,6 +67,14 @@ the data term, the splitting residual's norms) accumulates in float64.
 Thresholds, weights and step sizes are Python floats, which do not
 promote a float32 array.
 
+Every product of two half spectra is written filter first, at every
+image size: ``H X`` in :func:`_residual_half` and IST's and FISTA's
+gradient filter times ``R_z``, each with both operands named (see
+:mod:`~salsa_deconv.convolution` for why an unnamed right operand would
+not do).  The other products round the same in either order: a real
+scalar or array times a half spectrum, and SALSA's ``conj(H) * Y``,
+whose unnamed temporary is the left operand.
+
 Each solver allocates its coefficient stacks and buffers once and
 overwrites them in place: SALSA holds three stacks, FISTA two and IST
 one.  The coefficients a solver returns are never written again.
@@ -247,9 +255,9 @@ def _quadratic_step(a: np.ndarray | float, theta_hat: np.ndarray, v_hat: np.ndar
 
 
 def _residual_half(otf_half: np.ndarray, x_hat: np.ndarray, y_hat: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """``R = H X - Y`` into ``out``: the half spectrum of ``blur(x) - y``."""
-    np.multiply(otf_half, x_hat, out=out)
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``R = H X - Y`` into ``out``, or a new array: the half spectrum of ``blur(x) - y``."""
+    out = np.multiply(otf_half, x_hat, out=out)
     return np.subtract(out, y_hat, out=out)
 
 
@@ -504,7 +512,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         # flags of the blocks of the last two iterates left all zero
         zero = zero_prev = _zero_blocks(beta)
         image = synthesis_bands(beta, levels)
-        residual_z = residual = otf * _rfft2(image) - y_hat
+        residual_z = residual = _residual_half(otf, _rfft2(image), y_hat)
         t = 1.0
         yield beta, _l1(beta), image, residual
         while True:
@@ -531,10 +539,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
             stamp("analysis+sweep")
             image = synthesis_bands(beta, levels, zero=_zero_bands(zero, beta.shape))
             stamp("synthesis")
-            # numpy computes ``otf * s`` for an unnamed ``s`` of 256 KiB or more
-            # and of the product's dtype in s's buffer, as ``s * otf``, which
-            # rounds differently; the traces are pinned to that, so s stays unnamed
-            residual_next = otf * _rfft2(image, stamp) - y_hat
+            residual_next = _residual_half(otf, _rfft2(image, stamp), y_hat)
             if w == 0.0:
                 residual_z = residual_next
             else:

@@ -522,6 +522,24 @@ def test_write_failure_names_the_file(tmp_path, capsys):
     assert f"error: cannot write {blocked}: " in capsys.readouterr().err
 
 
+def test_failed_write_leaves_no_report_beside_other_files(tmp_path, capsys):
+    # a run into the --out of an earlier run, whose trace path is now a
+    # directory: the failed run must not leave its new image beside the
+    # earlier run's report; either both are the earlier run's, or the
+    # report is gone
+    out = tmp_path / "out"
+    run = ["run", "--experiment", "1", "--out", str(out)]
+    assert main(run + ["--max-iters", "2"]) == 0
+    earlier = {name: (out / name).read_bytes() for name in ("1_salsa.pgm", "1_report.json")}
+    blocked = out / "1_salsa_trace.csv"
+    blocked.unlink()
+    blocked.mkdir()
+    assert main(run + ["--max-iters", "9"]) == 1
+    assert f"error: cannot write {blocked}: " in capsys.readouterr().err
+    if (out / "1_report.json").exists():
+        assert {name: (out / name).read_bytes() for name in earlier} == earlier
+
+
 def test_psf_dump(capsys):
     assert main(["psf-dump", "--blur", "invquad"]) == 0
     out = capsys.readouterr().out

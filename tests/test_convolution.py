@@ -172,6 +172,20 @@ def test_uniform9_matches_direct_convolution():
     assert np.abs(got - direct_convolve(x, psf)).max() <= 1e-9
 
 
+@pytest.mark.parametrize("side", [16, 256])
+def test_apply_filter_multiplies_filter_first_at_every_size(side):
+    # numpy's complex multiply rounds filt * X and X * filt differently in
+    # some bins, and forms filt * X as X * filt in X's buffer when X is an
+    # unnamed temporary of 256 KiB or more; apply_filter must round as
+    # filt * X at every size, so X is named here too
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((side, side))
+    half = (side, side // 2 + 1)
+    filt = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    spectrum = np.fft.rfft2(x)
+    assert np.array_equal(apply_filter(filt, x), np.fft.irfft2(filt * spectrum, s=x.shape))
+
+
 def test_apply_filter_takes_a_list_and_psf_to_otf_numpy_integer_sides():
     # the inputs are checked, not only typed: a 2-D list is an image, and
     # numpy integers (a shape read from an array) are sides

@@ -28,7 +28,7 @@ def test_ab_iterations_compares_two_checkouts(capsys):
     repo = str(SCRIPTS.parent)
     main(["--base", repo, "--change", repo, "--experiment", "3B",
           "--size", "32", "--iters", "2", "--reps", "3", "--dtype", "float32"])
-    header, base, change, summary = capsys.readouterr().out.splitlines()
+    header, base, change, summary, traces = capsys.readouterr().out.splitlines()
     assert header.startswith("salsa at 32x32, 2 iterations per solve, 3 pairs, experiment 3B "
                              "with a float32 observation ")
     # a timing counts as evidence only with the numpy version and nproc beside it
@@ -40,6 +40,8 @@ def test_ab_iterations_compares_two_checkouts(capsys):
     ratio, wins = re.fullmatch(r"change/base median ratio (\S+), change faster in (\d)/3 pairs",
                                summary).groups()
     assert float(ratio) > 0.0 and 0 <= int(wins) <= 3
+    # a checkout run against itself solves bitwise alike
+    assert traces == "traces equal"
 
 
 def test_code_lines_counts_only_code(tmp_path, capsys):

@@ -521,15 +521,25 @@ def test_fista_beats_ist_iteration_count():
 # trace bookkeeping
 
 
-@pytest.mark.parametrize("solver", [salsa_solve, ist_solve, fista_solve])
-def test_final_record_is_taken_at_the_returned_iterate(solver):
+@pytest.mark.parametrize(
+    "solver, side",
+    [(solver, side) for side in (16, 256) for solver in (salsa_solve, ist_solve, fista_solve)],
+    ids=[name + suffix for suffix in ("", "-256")
+         for name in ("salsa_solve", "ist_solve", "fista_solve")])
+def test_final_record_is_taken_at_the_returned_iterate(solver, side, monkeypatch):
     # the trace objective and the ISNR image come from a residual and a
     # synthesis the solver reuses; both must be those of the returned
-    # coefficients (not of FISTA's extrapolated point or SALSA's beta)
+    # coefficients (not of FISTA's extrapolated point or SALSA's beta).
+    # R is formed filter first, H X, from a named X, bitwise: at 256² an
+    # unnamed spectrum is 256 KiB or more, and numpy would form X H in its
+    # buffer, which rounds differently in many bins
     tau = 0.05
-    y, otf, spec = small_problem(side=16, levels=2, tau=tau)
+    y, otf, spec = small_problem(side=side, levels=2, tau=tau)
     cfg = SolverConfig(tau=tau, max_iters=12, rel_tol=0.0)
-    seen = []
+    seen, residuals = [], []
+    objective = solver_module._objective
+    monkeypatch.setattr(solver_module, "_objective",
+                        lambda r, *args: residuals.append(r.copy()) or objective(r, *args))
 
     def isnr_fn(img):
         seen.append(img.copy())
@@ -537,9 +547,10 @@ def test_final_record_is_taken_at_the_returned_iterate(solver):
 
     coeffs, image, trace = solver(y, otf, spec, Regularizer(), cfg, isnr_fn=isnr_fn)
     assert trace.final.iteration == 12
-    assert len(seen) == len(trace.records)
+    assert len(seen) == len(residuals) == len(trace.records)
     image_hat = np.fft.rfft2(synthesis_bands(coeffs.bands, spec.levels))
     residual_half = otf * image_hat - np.fft.rfft2(y)
+    assert np.array_equal(residuals[-1], residual_half)
     assert trace.final.objective == _objective(residual_half, _l1(coeffs.bands), tau, y.shape)
     assert np.array_equal(seen[-1], image)
     assert np.array_equal(image, synthesis_bands(coeffs.bands, spec.levels))
