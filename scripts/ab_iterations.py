@@ -3,20 +3,21 @@
 Copies ``src/salsa_deconv`` of each checkout into a temporary directory
 under its own package name (``ab_base``, ``ab_change``) and imports both,
 so that the two sides share one interpreter, one numpy and one heap, and
-the host's drift over the run reaches both alike.  Each side builds
-the problem of experiment --experiment (default 1, an id of
-``DEFAULT_EXPERIMENTS``: its blur, noise, seed and tau) at an N x N
-phantom with its own package, and so its own OTF format, and solves it
-with rel_tol 0, so that every solve takes exactly --iters iterations.
-It solves through ``solve_observation``, which every checkout has, so
-the script depends on no solver's signature.  Each solve then also
-builds its OTF and the digest of its inputs: 1.8 ms at 256x256 and
-7.5 ms at 512x512 on a 2-core x86_64 (numpy 2.4.6), or 0.75% and 1% of
-a 20-iteration SALSA solve there, the same on both sides.
-``--dtype float32`` casts each side's observation to float32 before the
-solve, so a checkout that iterates in the observation's precision runs
-in float32, and one that converts every observation to float64 runs in
-float64.
+the host's drift over the run reaches both alike.  The base's package
+builds the observation of experiment --experiment (default 1, an id of
+``DEFAULT_EXPERIMENTS``: its blur, noise and seed) at an N x N phantom
+once, so both sides solve the same input even when the change touches
+``degrade`` or the filtering.  Each side solves it with its own package,
+and so its own experiment spec (tau) and OTF format, with rel_tol 0, so
+that every solve takes exactly --iters iterations.  It solves through
+``solve_observation``, which every checkout has, so the script depends
+on no solver's signature.  Each solve then also builds its OTF and the
+digest of its inputs: 1.8 ms at 256x256 and 7.5 ms at 512x512 on a
+2-core x86_64 (numpy 2.4.6), or 0.75% and 1% of a 20-iteration SALSA
+solve there, the same on both sides.  ``--dtype float32`` casts the
+observation to float32 before the solves, so a checkout that iterates in
+the observation's precision runs in float32, and one that converts every
+observation to float64 runs in float64.
 
 After one warm-up solve per side, it runs --reps pairs of solves and
 alternates which side goes first.  A sample is the wall time of one
@@ -62,15 +63,19 @@ def load(checkout: Path, name: str, root: Path):
     return importlib.import_module(name)
 
 
-def solve_fn(pkg, experiment: str, size: int, solver: str, iters: int, dtype: str):
-    """A no-argument call that solves ``pkg``'s problem of ``experiment`` in ``iters``
-    iterations, from the observation cast to ``dtype``, by ``pkg.solve_observation``."""
+def experiment_spec(pkg, experiment: str):
+    """``pkg``'s ``DEFAULT_EXPERIMENTS[experiment]``, or an exit that lists the ids."""
     if experiment not in pkg.DEFAULT_EXPERIMENTS:
         raise SystemExit(f"--experiment must be one of {sorted(pkg.DEFAULT_EXPERIMENTS)}, "
                          f"got {experiment!r}")
-    spec = pkg.DEFAULT_EXPERIMENTS[experiment]
-    y = pkg.degrade(pkg.phantom(size), spec.psf(), spec.noise_variance, spec.seed).astype(dtype)
-    spec = dataclasses.replace(spec, solvers=(solver,), max_iters=iters, rel_tol=0.0)
+    return pkg.DEFAULT_EXPERIMENTS[experiment]
+
+
+def solve_fn(pkg, y, experiment: str, solver: str, iters: int):
+    """A no-argument call that solves ``y`` as ``pkg``'s problem of ``experiment`` in
+    ``iters`` iterations, by ``pkg.solve_observation``."""
+    spec = dataclasses.replace(experiment_spec(pkg, experiment), solvers=(solver,),
+                               max_iters=iters, rel_tol=0.0)
     return lambda: pkg.solve_observation(y, spec)
 
 
@@ -122,12 +127,15 @@ def main(argv=None):
         root = Path(tmp)
         sys.path.insert(0, tmp)
         try:
-            runs = {side: solve_fn(load(getattr(args, side).resolve(), f"ab_{side}", root),
-                                   args.experiment, args.size, args.solver, args.iters,
-                                   args.dtype)
+            pkgs = {side: load(getattr(args, side).resolve(), f"ab_{side}", root)
                     for side in SIDES}
         finally:
             sys.path.remove(tmp)
+        base, spec = pkgs["base"], experiment_spec(pkgs["base"], args.experiment)
+        y = base.degrade(base.phantom(args.size), spec.psf(), spec.noise_variance,
+                         spec.seed).astype(args.dtype)
+        runs = {side: solve_fn(pkg, y, args.experiment, args.solver, args.iters)
+                for side, pkg in pkgs.items()}
         samples, last = run_pairs(runs, args.iters, args.reps)
 
     print(f"{args.solver} at {args.size}x{args.size}, {args.iters} iterations per solve, "

@@ -264,8 +264,10 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
     trace's columns are ``iter,elapsed_s,objective,isnr_db``, floats at 17
     significant digits (lossless for float64), and a missing ISNR leaves
     its field empty.  The report echoes the experiment, the input digest
-    and one block per solver, with ``null`` for an infinite ISNR.  Text is
-    written with LF line endings.
+    and one block per solver: the fields of its
+    :class:`~salsa_deconv.bench.SolverResult` but ``name``, ``trace`` and
+    ``image``, with ``null`` for an infinite ISNR, then the trace's
+    ``phase_s``.  Text is written with LF line endings.
     """
     out.mkdir(parents=True, exist_ok=True)
     prefix = report.spec.id
@@ -284,17 +286,11 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
                  + ("" if rec.isnr_db is None else f"{rec.isnr_db:.17g}")
                  for rec in r.trace.records]
         _write_text(trace_path, "\n".join(rows) + "\n")
-        solvers[name] = {
-            "objective": r.objective,
-            "iterations": r.iterations,
-            "seconds": r.seconds,
-            "isnr_db": None if r.isnr_db is None or not math.isfinite(r.isnr_db) else r.isnr_db,
-            "diverged": r.diverged,
-            "error": r.error,
-            "reached_target": r.reached_target,
-            "splitting_residual": r.splitting_residual,
-            "phase_s": r.trace.phase_s,
-        }
+        block = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)
+                 if f.name not in ("name", "trace", "image")}
+        if r.isnr_db is not None and not math.isfinite(r.isnr_db):
+            block["isnr_db"] = None
+        solvers[name] = {**block, "phase_s": r.trace.phase_s}
     doc = {
         "experiment": {**dataclasses.asdict(report.spec),
                        "blur_kind": report.spec.blur_kind.value},

@@ -26,9 +26,9 @@ in float32, any other in float64.
 
 The analysis runs in one private generator, ``_analysis_steps``, which
 yields each band as soon as it is written: :func:`analysis_bands` drains
-it into a stack, and IST and FISTA soft-threshold each band while it is
-still in cache, so they never hold their analysed gradient step as a
-stack.
+it into a new stack and SALSA into its prox-input stack, and IST and
+FISTA soft-threshold each band while it is still in cache, so they never
+hold their analysed gradient step as a stack.
 """
 
 from __future__ import annotations
@@ -112,26 +112,15 @@ def _pair(op, x: np.ndarray, shift: int, axis: int, out: np.ndarray) -> None:
     op(x[wrapped], x[source], out=out[wrapped])
 
 
-def analysis_bands(image: np.ndarray, levels: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Undecimated Haar decomposition as a raw ``(3*levels+1, H, W)`` stack.
+def analysis_bands(image: np.ndarray, levels: int) -> np.ndarray:
+    """Undecimated Haar decomposition as a new raw ``(3*levels+1, H, W)`` stack.
 
-    ``out``, when given, is a C-contiguous array of that shape and of the
-    image's precision that receives the stack and is returned.  Each
-    level scales its input by ``1/4`` once, in place of the ``1/2`` of
-    each axis's taps; scaling by a power of two is exact, so the values
+    Each level scales its input by ``1/4`` once, in place of the ``1/2``
+    of each axis's taps; scaling by a power of two is exact, so the values
     are those of the per-axis form.
     """
     a = _check_image("image", image, levels)
-    shape = (3 * levels + 1,) + a.shape
-    if out is None:
-        out = np.empty(shape, a.dtype)
-    elif out.shape != shape or out.dtype != a.dtype or not out.flags.c_contiguous:
-        raise ValueError(
-            f"out must be a C-contiguous {a.dtype} array of shape {shape}, "
-            f"got {out.dtype} {out.shape}"
-        )
-    elif np.may_share_memory(a, out):
-        raise ValueError("out must not share memory with the image")
+    out = np.empty((3 * levels + 1,) + a.shape, a.dtype)
     for _ in _analysis_steps(a, levels, out):
         pass
     return out
@@ -143,10 +132,12 @@ def _analysis_steps(image: np.ndarray, levels: int,
 
     Bands come in stack order, the approximation last, each with the
     values :func:`analysis_bands` gives it.  Nothing is checked: ``image``
-    is a float image and ``out`` a stack that :func:`analysis_bands` would
-    accept, as its callers' set-up ensures.  With ``out`` band ``index``
-    is ``out[index]``.  Without it every band, the
-    approximation included, is written into one reused image buffer, as
+    is a float image the analysis takes, and ``out`` a C-contiguous stack
+    of the image's precision and of shape ``(3*levels+1, h, w)`` that does
+    not overlap the image: :func:`analysis_bands` allocates its stack so,
+    and SALSA's set-up its prox-input stacks.  With ``out`` band ``index``
+    is ``out[index]``.  Without it every band, the approximation
+    included, is written into one reused image buffer, as
     nothing in a level reads the approximation once its row lowpass and
     highpass are formed; a level thus holds three images.  A band holds
     its values only until the next one is requested, so a consumer that
@@ -184,7 +175,7 @@ def synthesis_bands(bands: np.ndarray, levels: int, *, zero=()) -> np.ndarray:
     per-axis ``1/2`` form.  A level runs on three image buffers: a buffer
     takes the next adjoint as soon as the sum that read it is formed.  At
     256² the three images are 1.5 MiB, so a level's working set fits a
-    2 MiB L2 cache, which four did not.  ``bands`` must stack
+    2 MiB L2 cache.  ``bands`` must stack
     ``3*levels + 1`` subbands, each an image the analysis would take; a
     float32 stack is synthesized in float32, any other in float64.
 

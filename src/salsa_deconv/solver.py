@@ -349,7 +349,9 @@ def salsa_solve(
             _quadratic_step(a, theta_hat, v_hat, inv_filter, g_hat)
             np.add(theta_hat, g_hat, out=v_hat)
             stamp("spectral")
-            v = analysis_bands(_irfft2(g_hat, y.shape, stamp), levels, out=prox_inputs[k % 2])
+            v = prox_inputs[k % 2]
+            for _ in _analysis_steps(_irfft2(g_hat, y.shape, stamp), levels, v):
+                pass
             # v + theta_{k-1} is v_k; theta_k replaces theta_{k-1}
             l1 = _sweep(v, theta, threshold, zero)
             stamp("analysis+sweep")

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import math
 import re
 
@@ -86,6 +87,11 @@ def test_package_surface_is_pinned():
 @pytest.mark.parametrize("name", MODULES)
 def test_module_surface_is_pinned(name):
     assert importlib.import_module(f"salsa_deconv.{name}").__all__ == MODULE_ALL[name]
+
+
+def test_analysis_takes_an_image_and_levels_only():
+    # the solvers' loops write into their own stacks through frame._analysis_steps
+    assert list(inspect.signature(analysis_bands).parameters) == ["image", "levels"]
 
 
 # Every public entry that takes a number from outside, by the argument it checks.

@@ -72,24 +72,6 @@ def test_indivisible_dimensions_rejected():
         analysis_bands(np.zeros(16), 1)
 
 
-def test_analysis_rejects_bad_out():
-    x = np.zeros((16, 16))
-    with pytest.raises(ValueError, match="out"):
-        analysis_bands(x, 2, out=np.empty((6, 16, 16)))
-    with pytest.raises(ValueError, match="out"):
-        analysis_bands(x, 2, out=np.empty((7, 16, 8)))
-    with pytest.raises(ValueError, match="out"):
-        analysis_bands(x, 2, out=np.empty((7, 16, 16), dtype=np.float32))
-    with pytest.raises(ValueError, match="out"):
-        analysis_bands(x, 2, out=np.empty((7, 16, 32))[:, :, ::2])
-    stack = np.zeros((7, 16, 16))
-    with pytest.raises(ValueError, match="out"):
-        analysis_bands(stack[0], 2, out=stack)
-    # out must have the image's precision
-    with pytest.raises(ValueError, match="out must be a C-contiguous float32 array"):
-        analysis_bands(x.astype(np.float32), 2, out=np.empty((7, 16, 16)))
-
-
 def test_transforms_equal_roll_reference_property():
     # the slice-and-buffer transforms must reproduce the np.roll form
     # bitwise: same roundings, with the 1/2 factors moved exactly
@@ -112,7 +94,9 @@ def test_transforms_equal_roll_reference_property():
         out = np.full(size, np.nan)
         want = roll_analysis_bands(x, levels)
         assert np.array_equal(analysis_bands(x, levels), want)
-        assert analysis_bands(x, levels, out=out) is out
+        # every element of a given stack is written, wrapped rows and columns included
+        for _ in _analysis_steps(x, levels, out):
+            pass
         assert np.array_equal(out, want)
         bands = values(size)
         assert np.array_equal(synthesis_bands(bands, levels),

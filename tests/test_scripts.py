@@ -2,6 +2,7 @@ import json
 import os
 import re
 import runpy
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,23 @@ def test_ab_iterations_compares_two_checkouts(capsys):
     assert float(ratio) > 0.0 and 0 <= int(wins) <= 3
     # a checkout run against itself solves bitwise alike
     assert traces == "traces equal"
+
+
+def test_ab_iterations_solves_the_base_observation_on_both_sides(tmp_path, capsys):
+    # a change whose degrade moves the observation by one ulp still solves the
+    # base's observation, so a solver left alone reads equal traces
+    repo = SCRIPTS.parent
+    change = tmp_path / "change"
+    shutil.copytree(repo / "src" / "salsa_deconv", change / "src" / "salsa_deconv",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(change / "src" / "salsa_deconv" / "bench.py", "a") as f:
+        f.write("\n_degrade = degrade\n\n\n"
+                "def degrade(*args):\n"
+                "    return np.nextafter(_degrade(*args), np.inf)\n")
+    main = runpy.run_path(str(SCRIPTS / "ab_iterations.py"))["main"]
+    main(["--base", str(repo), "--change", str(change), "--experiment", "1",
+          "--size", "32", "--iters", "2", "--reps", "1"])
+    assert capsys.readouterr().out.splitlines()[-1] == "traces equal"
 
 
 def test_code_lines_counts_only_code(tmp_path, capsys):
