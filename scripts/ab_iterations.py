@@ -15,20 +15,22 @@ on no solver's signature.  Each solve then also builds its OTF and the
 digest of its inputs: 1.8 ms at 256x256 and 7.5 ms at 512x512 on a
 2-core x86_64 (numpy 2.4.6), or 0.75% and 1% of a 20-iteration SALSA
 solve there, the same on both sides.  ``--dtype float32`` casts the
-observation to float32 before the solves, so a checkout that iterates in
-the observation's precision runs in float32, and one that converts every
-observation to float64 runs in float64.
+observation to float32 before the solves.  A checkout whose
+``solve_observation`` casts every observation to float32 solves in
+float32 whatever ``--dtype`` says; of older checkouts, one that iterates
+in the observation's precision follows ``--dtype``, and one that
+converts every observation to float64 runs in float64.
 
 After one warm-up solve per side, it runs --reps pairs of solves and
 alternates which side goes first.  A sample is the wall time of one
 solve, setup included, divided by --iters.  After a header that names
 numpy's version and nproc (the CPUs this process may run on), it prints
-each side's median and quartiles in ms per iteration, the median over
-the pairs of the change/base ratio, and the number of pairs the change
-won.  A last line compares the objectives each side's last solve
-recorded: ``traces equal``, or ``traces differ from record k (max rel r)``
-with ``k`` the first record that differs and ``r`` the largest relative
-difference over the records both sides have.
+each side's median and quartiles in ms per iteration, the median and
+quartiles over the pairs of the change/base ratio, and the number of
+pairs the change won.  A last line compares the objectives each side's
+last solve recorded: ``traces equal``, or ``traces differ from record k
+(max rel r)`` with ``k`` the first record that differs and ``r`` the
+largest relative difference over the records both sides have.
 
 Usage: python3 scripts/ab_iterations.py --base DIR --change DIR
            [--experiment 1] [--size 256] [--solver salsa] [--iters 20] [--reps 10]
@@ -40,7 +42,6 @@ import dataclasses
 import importlib
 import os
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -145,8 +146,9 @@ def main(argv=None):
         q1, median, q3 = np.percentile(samples[side], [25, 50, 75])
         print(f"{side:<8s}median {median:9.3f} ms/iter  quartiles {q1:9.3f} {q3:9.3f}")
     ratios = [c / b for b, c in zip(samples["base"], samples["change"])]
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
     wins = sum(c < b for b, c in zip(samples["base"], samples["change"]))
-    print(f"change/base median ratio {statistics.median(ratios):.3f}, "
+    print(f"change/base median ratio {median:.3f}  quartiles {q1:.3f} {q3:.3f}, "
           f"change faster in {wins}/{args.reps} pairs")
     print(trace_agreement(last, args.solver))
 

@@ -10,6 +10,12 @@ Images are on the [0, 255] intensity scale; the shipped noise variances
 are only meaningful at that scale.  Noise is drawn from a PCG64 stream
 via the Box-Muller transform, so a (seed, shape) pair pins the
 observation bit-for-bit.
+
+Every solve the harness runs iterates in float32: :func:`solve_observation`
+casts the observation to float32 once, before the OTF, the ``"auto"``
+probe and every solve.  An 8-bit observation is exact there.  The OTF,
+every sum and ISNR stay float64.  A solver called directly iterates in
+the precision of the ``y`` it is given.
 """
 
 from __future__ import annotations
@@ -236,6 +242,18 @@ def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(((a - b) ** 2).sum(dtype=np.float64))
 
 
+def _as_float32(y: np.ndarray) -> np.ndarray:
+    """The finite observation ``y`` in float32; a ``ValueError`` naming ``y`` if a value
+    lies outside float32's range, where the cast would make it infinite."""
+    with np.errstate(over="ignore"):
+        y32 = y.astype(np.float32, copy=False)
+    if not np.isfinite(y32).all():
+        bound = float(np.finfo(np.float32).max)
+        raise ValueError(f"y must lie within float32's range [-{bound:.8g}, {bound:.8g}], "
+                         f"got a value of magnitude {np.abs(y).max():.8g}")
+    return y32
+
+
 def _input_digest(y: np.ndarray, otf: np.ndarray, tau: float, levels: int) -> str:
     h = hashlib.sha256()
     h.update(y.tobytes())
@@ -272,23 +290,31 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     is supplied.  A ``y`` or ``x_true`` that is not a 2-D image or holds NaN
     or inf raises ``ValueError`` before any solve.
 
+    ``y`` is cast to float32 once, after its check and before the OTF, so
+    every solver iterates in float32 and the input digest is that of the
+    float32 observation; a ``y`` with a value outside float32's range
+    raises ``ValueError``.  ISNR's reference energy ``||y - x||^2`` is
+    taken from ``y`` as passed, so every traced ISNR is
+    ``isnr(x_true, y, image)`` of the iterate's image.
+
     The ``"auto"`` probe is SALSA's own solve under ``rel_tol``.  When its
     objective first reaches its final value at its last record, a SALSA
     solve stopped at that target would stop there too, so the probe is
     reported as SALSA's result instead of solving again.
     """
-    y = check_image("y", y)
-    otf = psf_to_otf(spec.psf(), y.shape)
-    frame = FrameSpec(spec.levels)
-    reg = Regularizer()
-
+    observed = check_image("y", y)
+    y = _as_float32(observed)
     isnr_fn = None
     if x_true is not None:
         truth = check_image("x_true", x_true)
         if truth.shape != y.shape:
             raise ValueError(f"shape mismatch: x {truth.shape}, y {y.shape}")
-        ref = _squared_distance(y, truth)
+        ref = _squared_distance(observed, truth)
         isnr_fn = lambda image: _isnr_db(ref, truth, image)
+
+    otf = psf_to_otf(spec.psf(), y.shape)
+    frame = FrameSpec(spec.levels)
+    reg = Regularizer()
 
     target: float | None = None
     probe_error = None
@@ -326,8 +352,12 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
 
 
 def run_experiment(spec: ExperimentSpec, x_true: np.ndarray) -> ExperimentReport:
-    """Degrade ``x_true`` per the spec, then solve the resulting problem."""
-    # a float32 truth still runs in float64: check_image keeps its precision
+    """Degrade ``x_true`` per the spec, then solve the resulting problem.
+
+    The observation is synthesized in float64 whatever the precision of
+    ``x_true``; :func:`solve_observation` then casts it to float32.
+    """
+    # check_image keeps a float32 truth in float32, and degrade would blur it there
     x_true = check_image("x_true", x_true).astype(float, copy=False)
     y = degrade(x_true, spec.psf(), spec.noise_variance, spec.seed)
     return solve_observation(y, spec, x_true=x_true)

@@ -8,9 +8,7 @@ Three subcommands:
     noise, deblur with the requested solvers, and write artifacts.
 ``deblur``
     Deblur an already-degraded image with an explicit blur family and
-    regularization weight (no ground truth, so no ISNR column).  The
-    solvers iterate in float32: the 8-bit observation is exact there, and
-    the reconstruction is rounded to 8 bits again.
+    regularization weight (no ground truth, so no ISNR column).
 ``psf-dump``
     Print a blur kernel's taps, for inspection.
 
@@ -20,6 +18,11 @@ plus one ``<id>_report.json`` per run (``<id>`` is the experiment id, or
 ``deblur``); this module alone decides their names and formats.  Exit
 status is 0 iff every requested solver terminated without divergence;
 usage errors exit with 2.
+
+Both ``run`` and ``deblur`` solve through
+:func:`~salsa_deconv.bench.solve_observation`, so their solvers iterate
+in float32: an 8-bit observation is exact there, and the reconstruction
+is rounded to 8 bits again.
 
 Only binary 8-bit PGM (P5) images are supported.
 """
@@ -238,9 +241,9 @@ def _cmd_solve(cfg: argparse.Namespace) -> int:
         x_true = read_image(cfg.image) if cfg.image is not None else phantom(256)
         report = run_experiment(spec, x_true)
     else:
-        # 8-bit values are exact in float32 (values scaled from a maxval below 255
-        # round there by at most 2**-24 relative), so the solvers iterate in float32
-        report = solve_observation(read_image(cfg.image).astype(np.float32), spec)
+        # solve_observation casts to float32, where 8-bit values are exact (values
+        # scaled from a maxval below 255 round there by at most 2**-24 relative)
+        report = solve_observation(read_image(cfg.image), spec)
 
     _write_artifacts(report, cfg.out)
     for name, r in report.results.items():

@@ -19,6 +19,9 @@ from salsa_deconv.bench import (
 )
 from salsa_deconv.cli import _write_artifacts
 from salsa_deconv.convolution import BlurKind, apply_filter, build_psf, psf_to_otf
+from salsa_deconv.frame import FrameSpec
+from salsa_deconv.prox import Regularizer
+from salsa_deconv.solver import fista_solve, ist_solve, salsa_solve
 
 
 def quick_spec(**overrides):
@@ -354,31 +357,61 @@ def test_auto_target_mode_runs_all_solvers_to_common_target():
         assert r.objective <= report.target_objective
 
 
+def float64_solve(solve, y, spec, target=None, x_true=None):
+    """A direct float64 solve of ``y`` with ``spec``'s problem and settings, stopped at
+    ``target`` if one is given; returns the image and the trace."""
+    otf = psf_to_otf(spec.psf(), y.shape)
+    cfg = bench_module._solver_cfg(spec, target)
+    isnr_fn = None if x_true is None else lambda image: isnr(x_true, y, image)
+    _, image, trace = solve(y, otf, FrameSpec(spec.levels), Regularizer(), cfg, isnr_fn=isnr_fn)
+    assert image.dtype == np.float64
+    return image, trace
+
+
 @pytest.mark.parametrize("exp_id", list(DEFAULT_EXPERIMENTS))
 def test_float32_observation_solves_like_float64(exp_id):
-    # an 8-bit observation is exact in float32, so the solvers may iterate
-    # there: against the float64 solve of the same observation, every
+    # solve_observation iterates in float32, where an 8-bit observation is
+    # exact: against direct float64 solves of the same observation, every
     # solver takes as many iterations to the same stop (SALSA's rel_tol,
-    # then the common target it sets for IST and FISTA) and lands within
-    # 1e-6 of its objective, 1e-3 dB of its ISNR and one 8-bit level in
-    # at most 0.1% of the pixels
+    # then the common target it sets for IST and FISTA, as "auto" does) and
+    # lands within 1e-6 of its objective, 1e-3 dB of its ISNR and one 8-bit
+    # level in at most 0.1% of the pixels
     spec = dataclasses.replace(DEFAULT_EXPERIMENTS[exp_id], solvers=("salsa", "ist", "fista"),
                                rel_tol=2e-2, max_iters=1000, target_objective="auto")
     x = phantom(128)
     y = np.rint(np.clip(degrade(x, spec.psf(), spec.noise_variance, spec.seed), 0.0, 255.0))
-    want = solve_observation(y, spec, x_true=x)
-    got = solve_observation(y.astype(np.float32), spec, x_true=x)
-    assert got.target_objective == pytest.approx(want.target_objective, rel=1e-6)
-    for name, w in want.results.items():
-        g = got.results[name]
-        assert g.image.dtype == np.float32 and w.image.dtype == np.float64
-        assert g.reached_target and w.reached_target
-        assert g.iterations == w.iterations, name
+    got = solve_observation(y, spec, x_true=x)
+    target = float64_solve(salsa_solve, y, spec)[1].final.objective
+    assert got.target_objective == pytest.approx(target, rel=1e-6)
+    for name, solve in (("salsa", salsa_solve), ("ist", ist_solve), ("fista", fista_solve)):
+        image, trace = float64_solve(solve, y, spec, target, x_true=x)
+        g, w = got.results[name], trace.final
+        assert g.image.dtype == np.float32
+        assert g.reached_target and w.objective <= target
+        assert g.iterations == w.iteration, name
         assert g.objective == pytest.approx(w.objective, rel=1e-6), name
         assert g.isnr_db == pytest.approx(w.isnr_db, abs=1e-3), name
-        levels = [np.rint(np.clip(r.image, 0.0, 255.0)) for r in (g, w)]
+        levels = [np.rint(np.clip(im, 0.0, 255.0)) for im in (g.image, image)]
         moved = np.abs(levels[0] - levels[1])
         assert moved.max() <= 1.0 and np.count_nonzero(moved) <= 0.001 * moved.size, name
+
+
+def test_experiments_at_256_solve_in_float32_like_float64():
+    # the benchmark's problems at their frozen seeds: the harness's float32
+    # solve stops where a float64 solve of the same observation does, within
+    # 1e-6 of its objective, 1e-3 dB of its ISNR and 1e-4 of its splitting
+    # residual, relatively
+    x = phantom(256)
+    for exp_id, spec in DEFAULT_EXPERIMENTS.items():
+        y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+        got = solve_observation(y, spec, x_true=x).results["salsa"]
+        image, trace = float64_solve(salsa_solve, y, spec, x_true=x)
+        assert got.image.dtype == np.float32
+        assert got.iterations == trace.final.iteration, exp_id
+        assert got.objective == pytest.approx(trace.final.objective, rel=1e-6), exp_id
+        assert got.isnr_db == pytest.approx(trace.final.isnr_db, abs=1e-3), exp_id
+        assert got.splitting_residual == pytest.approx(trace.splitting_residual,
+                                                       rel=1e-4), exp_id
 
 
 def recording_salsa(monkeypatch):
@@ -443,11 +476,14 @@ def test_explicit_target_recorded():
 def test_divergence_recorded_not_raised():
     # with an "auto" target the probe that sets it diverges first; every
     # solver is then recorded as diverged with the probe's error.  The
-    # observation is finite (a non-finite one is rejected up front), but
-    # its squared residual overflows, so the objective is not finite.
-    x = phantom(32) * 1e300
+    # observation lies within float32's range (one outside it is rejected
+    # up front), but the float32 solve overflows, so the objective is not
+    # finite.
+    x = phantom(32) * 1e36
     for target in (None, "auto"):
         spec = quick_spec(solvers=("salsa", "fista"), target_objective=target)
+        y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+        assert np.isfinite(y.astype(np.float32)).all()
         with np.errstate(over="ignore", invalid="ignore"):
             report = run_experiment(spec, x)
         assert report.target_objective is None
@@ -516,6 +552,24 @@ def test_solve_observation_rejects_non_2d_images(name, shape, monkeypatch):
     want = re.escape(f"{name} must be a 2-D image, got shape {shape}")
     with pytest.raises(ValueError, match=want):
         solve_observation(images["y"], quick_spec(), x_true=images["x_true"])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_solve_observation_rejects_values_outside_float32(sign, monkeypatch):
+    # finite in float64, but the cast to float32 would make it infinite
+    y = degrade(phantom(32), build_psf(BlurKind.UNIFORM9), 0.25, 5)
+    y[7, 3] = sign * 1e300
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved an observation outside float32's range")
+
+    monkeypatch.setattr(bench_module, "salsa_solve", no_solve)
+    want = re.escape("y must lie within float32's range [-3.4028235e+38, 3.4028235e+38], "
+                     "got a value of magnitude ")
+    with pytest.raises(ValueError, match=f"^{want}1e\\+300$"):
+        solve_observation(y, quick_spec(), x_true=phantom(32))
+    with pytest.raises(ValueError, match=f"^{want}"):
+        run_experiment(quick_spec(), phantom(32) * 1e300)
 
 
 def test_solve_observation_without_truth_has_no_isnr():

@@ -490,9 +490,10 @@ def test_deblur_end_to_end(tmp_path):
     assert set(doc["solvers"]["salsa"]["phase_s"]) == PHASES
 
 
-def test_deblur_solves_in_float32_and_run_in_float64(tmp_path, monkeypatch):
-    # the 8-bit observation of deblur is exact in float32, so the solver
-    # gets it in float32; run degrades in float64 and keeps it there
+def test_deblur_and_run_solve_in_float32(tmp_path, monkeypatch):
+    # both subcommands solve through solve_observation, which hands the
+    # solver the observation in float32: deblur's 8-bit observation is
+    # exact there, and run's is degraded in float64 and cast once
     import salsa_deconv.bench as bench_module
 
     seen, solve = [], bench_module.salsa_solve
@@ -510,7 +511,7 @@ def test_deblur_solves_in_float32_and_run_in_float64(tmp_path, monkeypatch):
     assert read_image(obs).dtype == np.float64  # read_image keeps its float64 contract
     assert main(["run", "--experiment", "1", "--image", str(obs), "--max-iters", "2",
                  "--out", str(tmp_path / "r")]) == 0
-    assert seen == [np.float32, np.float64]
+    assert seen == [np.float32, np.float32]
     assert read_image(tmp_path / "d" / "deblur_salsa.pgm").shape == (32, 32)
 
 

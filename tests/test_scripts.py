@@ -38,9 +38,9 @@ def test_ab_iterations_compares_two_checkouts(capsys):
         assert row.split()[0] == side
         median, q1, q3 = (float(row.split()[i]) for i in (2, 5, 6))
         assert 0.0 < q1 <= median <= q3
-    ratio, wins = re.fullmatch(r"change/base median ratio (\S+), change faster in (\d)/3 pairs",
-                               summary).groups()
-    assert float(ratio) > 0.0 and 0 <= int(wins) <= 3
+    ratio, q1, q3, wins = re.fullmatch(r"change/base median ratio (\S+)  quartiles (\S+) (\S+), "
+                                       r"change faster in (\d)/3 pairs", summary).groups()
+    assert 0.0 < float(q1) <= float(ratio) <= float(q3) and 0 <= int(wins) <= 3
     # a checkout run against itself solves bitwise alike
     assert traces == "traces equal"
 
