@@ -14,12 +14,9 @@ that every solve takes exactly --iters iterations.  It solves through
 on no solver's signature.  Each solve then also builds its OTF and the
 digest of its inputs: 1.8 ms at 256x256 and 7.5 ms at 512x512 on a
 2-core x86_64 (numpy 2.4.6), or 0.75% and 1% of a 20-iteration SALSA
-solve there, the same on both sides.  ``--dtype float32`` casts the
-observation to float32 before the solves.  A checkout whose
-``solve_observation`` casts every observation to float32 solves in
-float32 whatever ``--dtype`` says; of older checkouts, one that iterates
-in the observation's precision follows ``--dtype``, and one that
-converts every observation to float64 runs in float64.
+solve there, the same on both sides.  Both sides are handed
+``degrade``'s float64 observation, and each side's ``solve_observation``
+decides the precision it iterates in (float32 in this checkout).
 
 After one warm-up solve per side, it runs --reps pairs of solves and
 alternates which side goes first.  A sample is the wall time of one
@@ -34,7 +31,6 @@ largest relative difference over the records both sides have.
 
 Usage: python3 scripts/ab_iterations.py --base DIR --change DIR
            [--experiment 1] [--size 256] [--solver salsa] [--iters 20] [--reps 10]
-           [--dtype float64]
 """
 
 import argparse
@@ -118,8 +114,6 @@ def main(argv=None):
     parser.add_argument("--solver", choices=SOLVERS, default="salsa")
     parser.add_argument("--iters", type=int, default=20)
     parser.add_argument("--reps", type=int, default=10)
-    parser.add_argument("--dtype", choices=("float64", "float32"), default="float64",
-                        help="precision of the observation each side is given")
     args = parser.parse_args(argv)
     if args.iters < 1 or args.reps < 1:
         parser.error("--iters and --reps must be >= 1")
@@ -133,14 +127,13 @@ def main(argv=None):
         finally:
             sys.path.remove(tmp)
         base, spec = pkgs["base"], experiment_spec(pkgs["base"], args.experiment)
-        y = base.degrade(base.phantom(args.size), spec.psf(), spec.noise_variance,
-                         spec.seed).astype(args.dtype)
+        y = base.degrade(base.phantom(args.size), spec.psf(), spec.noise_variance, spec.seed)
         runs = {side: solve_fn(pkg, y, args.experiment, args.solver, args.iters)
                 for side, pkg in pkgs.items()}
         samples, last = run_pairs(runs, args.iters, args.reps)
 
     print(f"{args.solver} at {args.size}x{args.size}, {args.iters} iterations per solve, "
-          f"{args.reps} pairs, experiment {args.experiment} with a {args.dtype} observation "
+          f"{args.reps} pairs, experiment {args.experiment} "
           f"(numpy {np.__version__}, nproc {len(os.sched_getaffinity(0))})")
     for side in SIDES:
         q1, median, q3 = np.percentile(samples[side], [25, 50, 75])

@@ -4,7 +4,9 @@ Synthesizes degraded observations (periodic blur plus seeded white
 Gaussian noise), runs the requested solvers on the identical problem
 instance, and collects objective traces, timings and ISNR into an
 :class:`ExperimentReport`.  Writing a report to files is the command
-line's job (:mod:`.cli`).
+line's job (:mod:`.cli`).  Every harness solve uses the 4-level frame of
+``FrameSpec()`` and each blur family's default kernel size (9x9 uniform,
+15x15 Gaussian and inverse-quadratic); neither is a spec field.
 
 Images are on the [0, 255] intensity scale; the shipped noise variances
 are only meaningful at that scale.  Noise is drawn from a PCG64 stream
@@ -70,10 +72,12 @@ class ExperimentSpec:
     solver with this experiment's own ``rel_tol`` stopping rule and then
     runs every requested solver until it reaches that value, and an
     explicit float is used as-is.  ``max_iters`` caps every run.
-    ``solvers`` names at least one solver and each at most once, and
-    ``seed``, the noise seed, is a nonnegative integer.  The frame (``levels``) and
-    the blur (``blur_kind``, ``blur_size``, ``blur_sigma``) are also built
-    at construction, so their settings fail there too.
+    ``solvers`` is a tuple that names at least one solver and each at most
+    once, and ``seed``, the noise seed, is a nonnegative integer.  The blur
+    (``blur_kind``, ``blur_sigma``) is also built at construction, so its
+    settings fail there too.  No field sets the frame or the kernel size:
+    every solve uses ``FrameSpec()``'s 4 levels and the family's default
+    kernel (:func:`~salsa_deconv.convolution.build_psf`).
     """
 
     id: str
@@ -81,10 +85,8 @@ class ExperimentSpec:
     noise_variance: float
     tau: float
     mu: float | None = None
-    blur_size: int | None = None
     blur_sigma: float | None = None
     seed: int = 0
-    levels: int = 4
     solvers: tuple[str, ...] = ("salsa",)
     rel_tol: float = 1e-4
     max_iters: int = 500
@@ -92,6 +94,8 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         check_real("noise_variance", self.noise_variance, "nonnegative")
+        if not isinstance(self.solvers, tuple):
+            raise ValueError(f"solvers must be a tuple of solver names, got {self.solvers!r}")
         if not self.solvers:
             raise ValueError("solvers must name at least one solver")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -107,12 +111,11 @@ class ExperimentSpec:
         cfg = _solver_cfg(self, None if auto else self.target_objective)
         if auto or "salsa" in self.solvers:  # "auto" probes with SALSA
             cfg.resolved_mu()
-        FrameSpec(self.levels)
         self.psf()
 
     def psf(self) -> np.ndarray:
-        """The blur kernel's taps."""
-        return build_psf(self.blur_kind, size=self.blur_size, sigma=self.blur_sigma)
+        """The blur kernel's taps, at its family's default size."""
+        return build_psf(self.blur_kind, sigma=self.blur_sigma)
 
 
 def _solver_cfg(spec: ExperimentSpec, target: float | None) -> SolverConfig:
@@ -313,7 +316,7 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
         isnr_fn = lambda image: _isnr_db(ref, truth, image)
 
     otf = psf_to_otf(spec.psf(), y.shape)
-    frame = FrameSpec(spec.levels)
+    frame = FrameSpec()
     reg = Regularizer()
 
     target: float | None = None
@@ -345,7 +348,7 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
 
     return ExperimentReport(
         spec=spec,
-        input_sha256=_input_digest(y, otf, spec.tau, spec.levels),
+        input_sha256=_input_digest(y, otf, spec.tau, frame.levels),
         target_objective=target,
         results=results,
     )

@@ -330,7 +330,7 @@ def salsa_solve(
 
     def steps(stamp):
         inv_filter = build_inversion_filter(otf, mu)
-        y_hat = _spectrum(y)
+        y_hat = _rfft2(y.astype(np.float64, copy=False))
         a = (1.0 - inv_filter) * (np.conj(otf) * y_hat) / mu
         # formed in float64 and complex128, stored in the working precision
         inv_filter, a = (inv_filter.astype(y.dtype, copy=False),
@@ -376,11 +376,6 @@ def salsa_solve(
 
 def _norm(bands: np.ndarray) -> float:
     return math.sqrt(_sum_of_squares(bands))
-
-
-def _spectrum(y: np.ndarray) -> np.ndarray:
-    """``Y = rfft2(y)`` in complex128, whatever the precision of ``y``."""
-    return np.fft.rfft2(y.astype(np.float64, copy=False))
 
 
 def _irfft2(spectrum: np.ndarray, shape: tuple[int, int],
@@ -506,7 +501,7 @@ def _proximal_gradient(y: np.ndarray, otf: np.ndarray, frame: FrameSpec, cfg: So
         # (also for a real OTF) and in the working precision
         descent = (-step * np.conj(otf)).astype(np.result_type(y, np.complex64), copy=False)
         gradient_hat = np.empty_like(descent)
-        y_hat = _spectrum(y)
+        y_hat = _rfft2(y.astype(np.float64, copy=False))
         beta = analysis_bands(y, levels)
         # IST thresholds into beta itself; FISTA writes each iterate over
         # z and the next z over the previous iterate

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from salsa_deconv.solver import fista_solve, ist_solve, salsa_solve
 
 def quick_spec(**overrides):
     base = dict(id="t", blur_kind=BlurKind.UNIFORM9, noise_variance=0.25,
-                tau=0.05, seed=5, levels=2, solvers=("salsa",),
+                tau=0.05, seed=5, solvers=("salsa",),
                 rel_tol=1e-5, max_iters=40)
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -174,8 +176,8 @@ def test_isnr_against_noiseless_identity_observation(tmp_path):
     x = phantom(32)
     assert isnr(x, x, x + 1.0) == -math.inf
     assert isnr(x, x, x.copy()) == math.inf
-    spec = quick_spec(blur_size=1, noise_variance=0.0, max_iters=3)
-    report = run_experiment(spec, x)
+    spec = quick_spec(noise_variance=0.0, max_iters=3)
+    report = solve_observation(x, spec, x_true=x)
     result = report.results["salsa"]
     assert not result.diverged and result.isnr_db == -math.inf
     # the solve starts from y, which is x here
@@ -251,6 +253,7 @@ def test_spec_rejects_non_finite(name, value):
     ({"max_iters": 2.5}, "max_iters must be an integer"),
     ({"max_iters": True}, "max_iters must be an integer"),
     ({"seed": 2.5}, "seed must be an integer"),  # else seed 2's noise
+    ({"solvers": "salsa"}, "solvers must be a tuple of solver names, got 'salsa'"),
 ])
 def test_spec_rejects_bad_solver_settings(overrides, field):
     with pytest.raises(ValueError, match=field):
@@ -258,13 +261,11 @@ def test_spec_rejects_bad_solver_settings(overrides, field):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"levels": 0}, "levels must be >= 1"),
-    ({"blur_size": 0}, "kernel size must be odd"),
+    ({"blur_kind": "box"}, "'box' is not a valid BlurKind"),
+    ({"blur_kind": BlurKind.GAUSSIAN, "blur_sigma": 0.0}, "gaussian sigma must be positive"),
     ({"blur_kind": BlurKind.GAUSSIAN, "blur_sigma": -1.0}, "gaussian sigma"),
     ({"blur_kind": BlurKind.GAUSSIAN, "blur_sigma": math.nan}, "gaussian sigma"),
     ({"blur_sigma": 2.0}, "sigma is only meaningful for gaussian"),  # uniform9 blur
-    ({"blur_size": 2.5}, "kernel size must be an integer"),
-    ({"levels": 2.5}, "levels must be an integer"),
 ])
 def test_spec_rejects_bad_blur_and_frame_settings(overrides, message):
     # checked at construction, not first when the spec is run
@@ -306,8 +307,11 @@ def test_default_experiment_table():
     assert DEFAULT_EXPERIMENTS["3A"].blur_kind is BlurKind.INVERSE_QUADRATIC
     assert DEFAULT_EXPERIMENTS["3A"].noise_variance == 2.0
     assert DEFAULT_EXPERIMENTS["3B"].noise_variance == 8.0
+    assert FrameSpec().levels == 4  # the frame of every harness solve
     for spec in DEFAULT_EXPERIMENTS.values():
-        assert spec.levels == 4
+        # the paper's kernels: 9x9 uniform, 15x15 Gaussian and inverse-quadratic
+        side = 9 if spec.blur_kind is BlurKind.UNIFORM9 else 15
+        assert spec.psf().shape == (side, side)
         assert spec.tau > 0
         assert spec.mu is None  # 0.1*tau rule
 
@@ -346,9 +350,20 @@ def test_input_hash_tracks_problem_instance():
     assert a.input_sha256 != c.input_sha256
 
 
+def test_input_hash_covers_the_frame_depth():
+    # the digest names every solver input: the float32 observation, the OTF,
+    # tau and the depth of the harness's frame, which no spec field sets
+    spec = quick_spec()
+    y = degrade(phantom(32), spec.psf(), spec.noise_variance, spec.seed)
+    otf = psf_to_otf(spec.psf(), y.shape)
+    want = hashlib.sha256(y.astype(np.float32).tobytes() + otf.tobytes()
+                          + struct.pack("<dq", spec.tau, 4)).hexdigest()
+    assert solve_observation(y, spec).input_sha256 == want
+
+
 def test_auto_target_mode_runs_all_solvers_to_common_target():
     spec = quick_spec(solvers=("salsa", "fista"), target_objective="auto",
-                      blur_kind=BlurKind.GAUSSIAN, blur_size=5, blur_sigma=1.0,
+                      blur_kind=BlurKind.GAUSSIAN, blur_sigma=1.0,
                       max_iters=4000, rel_tol=1e-6)
     report = run_experiment(spec, phantom(32))
     assert report.target_objective is not None
@@ -363,7 +378,7 @@ def float64_solve(solve, y, spec, target=None, x_true=None):
     otf = psf_to_otf(spec.psf(), y.shape)
     cfg = bench_module._solver_cfg(spec, target)
     isnr_fn = None if x_true is None else lambda image: isnr(x_true, y, image)
-    _, image, trace = solve(y, otf, FrameSpec(spec.levels), Regularizer(), cfg, isnr_fn=isnr_fn)
+    _, image, trace = solve(y, otf, FrameSpec(), Regularizer(), cfg, isnr_fn=isnr_fn)
     assert image.dtype == np.float64
     return image, trace
 
@@ -431,14 +446,14 @@ def recording_salsa(monkeypatch):
 @pytest.mark.parametrize("reused", [True, False], ids=["probe-reused", "solved-again"])
 def test_auto_target_salsa_result_equals_target_stopped_solve(monkeypatch, reused):
     # the "auto" probe is SALSA's result when its objective first reaches
-    # its final value at its last record; otherwise (here: capped at 18
+    # its final value at its last record; otherwise (here: capped at 17
     # iterations while the objective rises, with mu = 0.01 tau) SALSA is
     # solved again to the target.  Either way the reported SALSA result is
     # what a separate solve stopped at that target gives
     if reused:
         spec = quick_spec(solvers=("ist", "salsa"), target_objective="auto", max_iters=200)
     else:
-        spec = quick_spec(solvers=("ist", "salsa"), target_objective="auto", max_iters=18,
+        spec = quick_spec(solvers=("ist", "salsa"), target_objective="auto", max_iters=17,
                           rel_tol=0.0, mu=0.0005)
     x = phantom(32)
     y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
@@ -581,7 +596,7 @@ def test_solve_observation_without_truth_has_no_isnr():
 
 
 def test_trace_equal_seeds_equal_objectives():
-    spec = dataclasses.replace(DEFAULT_EXPERIMENTS["2B"], max_iters=15, levels=2)
+    spec = dataclasses.replace(DEFAULT_EXPERIMENTS["2B"], max_iters=15)
     a = run_experiment(spec, phantom(32))
     b = run_experiment(spec, phantom(32))
     assert ([r.objective for r in a.results["salsa"].trace.records]

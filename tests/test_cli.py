@@ -363,7 +363,7 @@ def fabricated_report():
     result = SolverResult(name="salsa", objective=25.125, iterations=2,
                           seconds=0.25, isnr_db=2.5, trace=trace)
     spec = ExperimentSpec(id="t", blur_kind=BlurKind.UNIFORM9, noise_variance=0.25,
-                          tau=0.05, seed=5, levels=2)
+                          tau=0.05, seed=5)
     return ExperimentReport(spec=spec, input_sha256="ab" * 32,
                             target_objective=None,
                             results={"salsa": result})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -6,6 +7,8 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+
+from salsa_deconv.bench import DEFAULT_EXPERIMENTS, degrade, phantom
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -23,15 +26,39 @@ def test_tune_tau_prints_json_winners(capsys):
         assert isinstance(row["isnr_db"], float)
 
 
+def test_references_writes_one_record_per_experiment(tmp_path, capsys):
+    # the reference objectives behind tests/test_convergence.py, cut to a smoke run
+    main = runpy.run_path(str(SCRIPTS / "references.py"))["main"]
+    out = tmp_path / "refs.json"
+    main(["--size", "16", "--iters", "20", "--out", str(out)])
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    records = json.loads(out.read_text())
+    assert list(records) == ["1", "2A", "2B", "3A", "3B"]
+    for exp_id, record in records.items():
+        assert list(record) == ["objective", "size", "precision", "seed", "tau", "blur_kind",
+                                "blur_sigma", "noise_variance", "observation_sha256", "mu",
+                                "iterations", "source_sha256"]
+        spec = DEFAULT_EXPERIMENTS[exp_id]
+        assert (record["size"], record["precision"], record["iterations"]) == (16, "float64", 20)
+        assert (record["seed"], record["tau"], record["blur_kind"], record["blur_sigma"],
+                record["noise_variance"]) == (spec.seed, spec.tau, spec.blur_kind.value,
+                                              spec.blur_sigma, spec.noise_variance)
+        assert record["mu"] == [0.01 * spec.tau, 0.003 * spec.tau]
+        assert isinstance(record["objective"], float) and record["objective"] > 0.0
+        assert re.fullmatch(r"[0-9a-f]{64}", record["source_sha256"])
+        y = degrade(phantom(16), spec.psf(), spec.noise_variance, spec.seed)
+        assert record["observation_sha256"] == hashlib.sha256(y.tobytes()).hexdigest()
+    assert len({record["source_sha256"] for record in records.values()}) == 1
+
+
 def test_ab_iterations_compares_two_checkouts(capsys):
     # the in-process A/B timing, cut to a smoke run with both sides this checkout
     main = runpy.run_path(str(SCRIPTS / "ab_iterations.py"))["main"]
     repo = str(SCRIPTS.parent)
     main(["--base", repo, "--change", repo, "--experiment", "3B",
-          "--size", "32", "--iters", "2", "--reps", "3", "--dtype", "float32"])
+          "--size", "32", "--iters", "2", "--reps", "3"])
     header, base, change, summary, traces = capsys.readouterr().out.splitlines()
-    assert header.startswith("salsa at 32x32, 2 iterations per solve, 3 pairs, experiment 3B "
-                             "with a float32 observation ")
+    assert header.startswith("salsa at 32x32, 2 iterations per solve, 3 pairs, experiment 3B ")
     # a timing counts as evidence only with the numpy version and nproc beside it
     assert header.endswith(f"(numpy {np.__version__}, nproc {len(os.sched_getaffinity(0))})")
     for side, row in (("base", base), ("change", change)):
