@@ -75,9 +75,11 @@ class ExperimentSpec:
     ``solvers`` is a tuple that names at least one solver and each at most
     once, and ``seed``, the noise seed, is a nonnegative integer.  The blur
     (``blur_kind``, ``blur_sigma``) is also built at construction, so its
-    settings fail there too.  No field sets the frame or the kernel size:
-    every solve uses ``FrameSpec()``'s 4 levels and the family's default
-    kernel (:func:`~salsa_deconv.convolution.build_psf`).
+    settings fail there too; a ``blur_kind`` given by its name, such as
+    ``"gaussian"``, is stored as its :class:`BlurKind`.  No field sets the
+    frame or the kernel size: every solve uses ``FrameSpec()``'s 4 levels
+    and the family's default kernel
+    (:func:`~salsa_deconv.convolution.build_psf`).
     """
 
     id: str
@@ -111,6 +113,7 @@ class ExperimentSpec:
         cfg = _solver_cfg(self, None if auto else self.target_objective)
         if auto or "salsa" in self.solvers:  # "auto" probes with SALSA
             cfg.resolved_mu()
+        object.__setattr__(self, "blur_kind", BlurKind(self.blur_kind))
         self.psf()
 
     def psf(self) -> np.ndarray:
@@ -125,7 +128,9 @@ def _solver_cfg(spec: ExperimentSpec, target: float | None) -> SolverConfig:
 
 # Default tau per experiment: coarse grid search over {2**k * 1e-3, k=0..10}
 # maximizing ISNR of the augmented-Lagrangian solver on the 256x256 phantom
-# (scripts/tune_tau.py); the seeds are arbitrary but frozen.
+# (scripts/tune_tau.py), run at mu = 0.1 tau, rel_tol 1e-5 and at most 300
+# iterations, so each tau is the best for that early-stopped iterate, not for
+# the minimizer; the seeds are arbitrary but frozen.
 DEFAULT_EXPERIMENTS: dict[str, ExperimentSpec] = {
     "1": ExperimentSpec(id="1", blur_kind=BlurKind.UNIFORM9,
                         noise_variance=0.56**2, tau=0.064, seed=1001),
@@ -265,11 +270,12 @@ def _input_digest(y: np.ndarray, otf: np.ndarray, tau: float, levels: int) -> st
     return h.hexdigest()
 
 
-def _run_one(name: str, y, otf, frame, reg, cfg, isnr_fn) -> SolverResult:
+def _run_one(name: str, y, otf, cfg, isnr_fn) -> SolverResult:
+    """Solve with the solver ``name`` on the harness's frame and regularizer."""
     # looked up at each call, so a solver wrapped in this module by name is the one called
     solve = {"salsa": salsa_solve, "ist": ist_solve, "fista": fista_solve}[name]
     try:
-        _, image, trace = solve(y, otf, frame, reg, cfg, isnr_fn=isnr_fn)
+        _, image, trace = solve(y, otf, FrameSpec(), Regularizer(), cfg, isnr_fn=isnr_fn)
     except DivergenceError as exc:
         return SolverResult(name=name, diverged=True, error=str(exc))
     final = trace.final
@@ -286,11 +292,8 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     All solvers see the identical observation, regularization weight and
     frame; a SHA-256 digest of those inputs (observation, OTF, tau and
     frame levels) goes into the report so a comparison can assert it was
-    fair.  Solver divergence is recorded in the result rather than
-    raised; when the probe that sets an ``"auto"`` target diverges, every
-    solver is recorded as diverged with the probe's error and the target
-    stays ``None``.  ISNR is only tracked when the ground truth ``x_true``
-    is supplied.  A ``y`` or ``x_true`` that is not a 2-D image or holds NaN
+    fair.  ISNR is only tracked when the ground truth ``x_true`` is
+    supplied.  A ``y`` or ``x_true`` that is not a 2-D image or holds NaN
     or inf raises ``ValueError`` before any solve.
 
     ``y`` is cast to float32 once, after its check and before the OTF, so
@@ -300,10 +303,17 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
     taken from ``y`` as passed, so every traced ISNR is
     ``isnr(x_true, y, image)`` of the iterate's image.
 
-    The ``"auto"`` probe is SALSA's own solve under ``rel_tol``.  When its
+    The solve takes two steps.  First it settles the target: ``None``
+    stays ``None``, a number is taken as a float, and ``"auto"`` runs a
+    probe, SALSA's own solve under ``rel_tol``, once.  When the probe
+    diverges, every requested solver is recorded as diverged with the
+    probe's error and the target stays ``None``.  When the probe's
     objective first reaches its final value at its last record, a SALSA
     solve stopped at that target would stop there too, so the probe is
-    reported as SALSA's result instead of solving again.
+    SALSA's result, which reached the target.  Then every result still
+    missing is solved to that target, one call per solver, in the order
+    of ``spec.solvers``, which is also the report's order.  Divergence of
+    such a solve is recorded in its result rather than raised.
     """
     observed = check_image("y", y)
     y = _as_float32(observed)
@@ -316,39 +326,29 @@ def solve_observation(y: np.ndarray, spec: ExperimentSpec,
         isnr_fn = lambda image: _isnr_db(ref, truth, image)
 
     otf = psf_to_otf(spec.psf(), y.shape)
-    frame = FrameSpec()
-    reg = Regularizer()
-
-    target: float | None = None
-    probe_error = None
-    salsa_result = None
-    if spec.target_objective == "auto":
+    results: dict[str, SolverResult | None] = dict.fromkeys(spec.solvers)
+    target = spec.target_objective
+    if target == "auto":
         reuse = "salsa" in spec.solvers
-        probe = _run_one("salsa", y, otf, frame, reg, _solver_cfg(spec, None),
-                         isnr_fn if reuse else None)
+        probe = _run_one("salsa", y, otf, _solver_cfg(spec, None), isnr_fn if reuse else None)
+        target = probe.objective  # None when the probe diverged
         if probe.diverged:
-            probe_error = f"target probe diverged: {probe.error}"
-        else:
-            target = probe.objective
-            if reuse and all(r.objective > target for r in probe.trace.records[:-1]):
-                probe.reached_target = True
-                salsa_result = probe
-    elif spec.target_objective is not None:
-        target = float(spec.target_objective)
+            error = f"target probe diverged: {probe.error}"
+            results = {name: SolverResult(name=name, diverged=True, error=error)
+                       for name in results}
+        elif reuse and all(r.objective > target for r in probe.trace.records[:-1]):
+            probe.reached_target = True
+            results["salsa"] = probe
+    elif target is not None:
+        target = float(target)
 
-    results: dict[str, SolverResult] = {}
     for name in spec.solvers:
-        if name == "salsa" and salsa_result is not None:
-            results[name] = salsa_result
-        elif probe_error is not None:
-            results[name] = SolverResult(name=name, diverged=True, error=probe_error)
-        else:
-            results[name] = _run_one(name, y, otf, frame, reg, _solver_cfg(spec, target),
-                                     isnr_fn)
+        if results[name] is None:
+            results[name] = _run_one(name, y, otf, _solver_cfg(spec, target), isnr_fn)
 
     return ExperimentReport(
         spec=spec,
-        input_sha256=_input_digest(y, otf, spec.tau, frame.levels),
+        input_sha256=_input_digest(y, otf, spec.tau, FrameSpec().levels),
         target_objective=target,
         results=results,
     )

@@ -295,8 +295,7 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
             block["isnr_db"] = None
         solvers[name] = {**block, "phase_s": r.trace.phase_s}
     doc = {
-        "experiment": {**dataclasses.asdict(report.spec),
-                       "blur_kind": report.spec.blur_kind.value},
+        "experiment": dataclasses.asdict(report.spec),
         "intensity_scale": [0.0, 255.0],
         "input_sha256": report.input_sha256,
         "target_objective": report.target_objective,

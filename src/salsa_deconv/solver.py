@@ -82,11 +82,10 @@ one.  The coefficients a solver returns are never written again.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -176,22 +175,23 @@ _PHASES = ("spectral", "irfft2", "analysis+sweep", "synthesis", "rfft2", "bookke
 
 
 def _drive(steps: Callable[[Callable[[str], None]],
-                           Iterator[tuple[np.ndarray, float, np.ndarray, np.ndarray]]],
+                           Iterator[tuple[Any, float, np.ndarray, np.ndarray]]],
            cfg: SolverConfig, isnr_fn: Callable[[np.ndarray], float] | None,
-           shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, SolverTrace]:
+           shape: tuple[int, int]) -> tuple[Any, np.ndarray, SolverTrace]:
     """Run a solver's iterations to the stopping rule and trace each one.
 
     ``steps(stamp)`` makes a generator that does its setup and then one
-    iteration's work per ``next``, each time yielding the iterate's
-    coefficient stack, its l1 norm, its synthesis and the half spectrum of
-    its data residual ``blur(image) - y``, an image of ``shape``; the stack
-    itself is only handed back.  Only the ``next`` calls count as work.
+    iteration's work per ``next``, each time yielding the solver's state,
+    the iterate's l1 norm, its synthesis and the half spectrum of its data
+    residual ``blur(image) - y``, an image of ``shape``.  The state, such
+    as the iterate's coefficient stack, is only handed back.  Only the
+    ``next`` calls count as work.
     In iterations 1..K the generator calls ``stamp(phase)`` at the end of
     each phase of its step, which adds the seconds since the step began or
     since the last stamp to ``phase``; its setup stamps nothing.
     Iteration 0 is the starting point; ``cfg.max_iters`` caps the
-    iterations after it.  Returns the last iterate, its image and the
-    trace.
+    iterations after it.  Returns the last state, the last iterate's image
+    and the trace.
     """
     phase_s = dict.fromkeys(_PHASES, 0.0)
 
@@ -207,7 +207,7 @@ def _drive(steps: Callable[[Callable[[str], None]],
     prev_objective = None
     for k in range(cfg.max_iters + 1):
         t0 = last = time.perf_counter()
-        bands, l1, image, residual_half = next(iterations)
+        state, l1, image, residual_half = next(iterations)
         last = time.perf_counter()
         work_seconds += last - t0
 
@@ -229,7 +229,7 @@ def _drive(steps: Callable[[Callable[[str], None]],
         if stop:
             break
         prev_objective = f
-    return bands, image, trace
+    return state, image, trace
 
 
 def _quadratic_step(a: np.ndarray | float, theta_hat: np.ndarray, v_hat: np.ndarray,
@@ -315,7 +315,8 @@ def salsa_solve(
     ``c_k = v_k - theta_k = clip(v_k, -tau/mu, tau/mu) = -d_k``, that is
     ``beta_K - theta_K = v_K + d_{K-1} - theta_K = c_K - c_{K-1}``; the
     two clips are formed once, at the end of the solve, in the buffers of
-    ``v_K`` and ``v_{K-1}`` (``c_0 = 0``).  ``reg`` is the
+    ``v_K`` and ``v_{K-1}`` (``c_0 = 0``), which each step yields beside
+    ``theta`` as its state.  ``reg`` is the
     :class:`Regularizer`; the l1 norm is the only penalty.
     """
     y = check_image("y", y)
@@ -323,10 +324,6 @@ def salsa_solve(
     levels = frame.levels
     mu = cfg.resolved_mu()
     threshold = float(cfg.tau / mu)
-    # iteration k leaves v_k in prox_inputs[k % 2], so v_{k-1} survives it;
-    # both start as zeros, whose clip is c_0 = 0, so a solve stopped at
-    # iteration 0, where beta = theta, has a gap of 0
-    prox_inputs = []
 
     def steps(stamp):
         inv_filter = build_inversion_filter(otf, mu)
@@ -342,14 +339,17 @@ def salsa_solve(
         g_hat = np.empty_like(theta_hat)
         # C order, which prox._objective needs, also when y_hat is not
         residual_half = _residual_half(otf, theta_hat, y_hat, np.empty(y_hat.shape, y_hat.dtype))
-        prox_inputs[:] = np.zeros_like(theta), np.zeros_like(theta)
+        # each iteration swaps the two and writes v_k over v_{k-2}, so v_{k-1}
+        # survives it; both start as zeros, whose clip is c_0 = 0, so a solve
+        # stopped at iteration 0, where beta = theta, has a gap of 0
+        v, v_prev = np.zeros_like(theta), np.zeros_like(theta)
         zero = _zero_blocks(theta)
-        yield theta, _l1(theta), w_theta, residual_half
-        for k in itertools.count(1):
+        yield (theta, v, v_prev), _l1(theta), w_theta, residual_half
+        while True:
+            v, v_prev = v_prev, v
             _quadratic_step(a, theta_hat, v_hat, inv_filter, g_hat)
             np.add(theta_hat, g_hat, out=v_hat)
             stamp("spectral")
-            v = prox_inputs[k % 2]
             for _ in _analysis_steps(_irfft2(g_hat, y.shape, stamp), levels, v):
                 pass
             # v + theta_{k-1} is v_k; theta_k replaces theta_{k-1}
@@ -360,12 +360,10 @@ def salsa_solve(
             theta_hat = _rfft2(w_theta, stamp)
             _residual_half(otf, theta_hat, y_hat, residual_half)
             stamp("spectral")
-            yield theta, l1, w_theta, residual_half
+            yield (theta, v, v_prev), l1, w_theta, residual_half
 
-    theta, w_theta, trace = _drive(steps, cfg, isnr_fn, y.shape)
-    last = trace.final.iteration
-    # formed over v_K's and v_{K-1}'s buffers, which nothing reads again
-    c_last, c_prev = prox_inputs[last % 2], prox_inputs[(last - 1) % 2]
+    # the clips are formed over v_K's and v_{K-1}'s buffers, which nothing reads again
+    (theta, c_last, c_prev), w_theta, trace = _drive(steps, cfg, isnr_fn, y.shape)
     np.clip(c_last, -threshold, threshold, out=c_last)
     np.clip(c_prev, -threshold, threshold, out=c_prev)
     gap = _norm(np.subtract(c_last, c_prev, out=c_prev))

@@ -279,6 +279,16 @@ def test_spec_zero_tau_needs_no_mu_without_salsa():
     assert [r.iterations for r in report.results.values()] == [3, 3]
 
 
+def test_blur_kind_given_by_name_is_stored_and_reported(tmp_path):
+    # a spec may name its blur family by string; it is stored as the
+    # BlurKind, so the report of its run is written like any other
+    spec = quick_spec(id="w", blur_kind="gaussian", max_iters=3)
+    assert spec.blur_kind is BlurKind.GAUSSIAN
+    _write_artifacts(run_experiment(spec, phantom(32)), tmp_path)
+    doc = json.loads((tmp_path / "w_report.json").read_text())
+    assert doc["experiment"]["blur_kind"] == "gaussian"
+
+
 def test_automatic_mu_is_the_explicit_rule():
     # mu=None and mu=0.1*tau are the same solve, to the bit
     spec = quick_spec(tau=0.2, solvers=("salsa", "fista"), target_objective="auto")
@@ -490,23 +500,25 @@ def test_explicit_target_recorded():
 
 def test_divergence_recorded_not_raised():
     # with an "auto" target the probe that sets it diverges first; every
-    # solver is then recorded as diverged with the probe's error.  The
-    # observation lies within float32's range (one outside it is rejected
-    # up front), but the float32 solve overflows, so the objective is not
-    # finite.
+    # solver is then recorded as diverged with the probe's error, in the
+    # spec's order also when SALSA is not first.  The observation lies
+    # within float32's range (one outside it is rejected up front), but the
+    # float32 solve overflows, so the objective is not finite.
     x = phantom(32) * 1e36
-    for target in (None, "auto"):
-        spec = quick_spec(solvers=("salsa", "fista"), target_objective=target)
-        y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
-        assert np.isfinite(y.astype(np.float32)).all()
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = run_experiment(spec, x)
-        assert report.target_objective is None
-        for r in report.results.values():
-            assert r.diverged
-            assert "iteration" in r.error
-            assert ("probe" in r.error) == (target == "auto")
-            assert r.image is None
+    for solvers in (("salsa", "fista"), ("fista", "salsa")):
+        for target in (None, "auto"):
+            spec = quick_spec(solvers=solvers, target_objective=target)
+            y = degrade(x, spec.psf(), spec.noise_variance, spec.seed)
+            assert np.isfinite(y.astype(np.float32)).all()
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = run_experiment(spec, x)
+            assert report.target_objective is None
+            assert list(report.results) == list(spec.solvers)
+            for r in report.results.values():
+                assert r.diverged
+                assert "iteration" in r.error
+                assert ("probe" in r.error) == (target == "auto")
+                assert r.image is None
 
 
 def test_traced_isnr_equals_isnr_of_each_iterate(monkeypatch):

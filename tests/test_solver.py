@@ -298,10 +298,13 @@ def test_salsa_splitting_residual_small_at_tight_tolerance():
     assert trace.splitting_residual <= 1e-2
 
 
-def test_salsa_reports_final_splitting_residual():
+@pytest.mark.parametrize("iters", [39, 40])
+def test_salsa_reports_final_splitting_residual(iters):
     # against the literal recursion's last ||beta - theta|| / ||theta||,
-    # which differs by rounding only (by 1.9e-13 relative on this problem)
-    tau, mu, levels, iters = 0.05, 0.005, 2, 40
+    # which differs by rounding only (by 1.9e-12 and 1.1e-12 relative at 39
+    # and 40 iterations on this problem); the two last iterations leave v_K
+    # in either of SALSA's two prox-input buffers
+    tau, mu, levels = 0.05, 0.005, 2
     y, otf, spec = small_problem(side=32, levels=levels)
     cfg = SolverConfig(tau=tau, mu=mu, max_iters=iters, rel_tol=0.0)
     _, _, trace = salsa_solve(y, otf, spec, Regularizer(), cfg)
